@@ -5,8 +5,15 @@ Unicode emoji-data tables (15.1) plus a small scanner that groups code
 points into emoji sequences: ZWJ chains, flag (regional-indicator)
 pairs, keycaps, skin-tone and variation-selector extensions, and tag
 sequences all count as a single emoji.
+
+Only a few code points can start a sequence: the Extended_Pictographic
+ranges, regional indicators, skin-tone modifiers and keycap bases. They
+form one compiled ``re`` character class (``START_CLASS``), and the
+scanner jumps between candidate positions with ``search`` instead of
+trying every character in Python.
 """
 
+import re
 from bisect import bisect_right
 
 # Extended_Pictographic property ranges, inclusive. Deliberately covers
@@ -78,6 +85,27 @@ _RI_LO, _RI_HI = 0x1F1E6, 0x1F1FF
 _SKIN_LO, _SKIN_HI = 0x1F3FB, 0x1F3FF
 _TAG_LO, _TAG_HI = 0xE0020, 0xE007F
 _TAG_END = 0xE007F
+
+
+def char_class(ranges) -> re.Pattern:
+    """Compile a one-character class matching the inclusive code point
+    ``ranges``; overlapping and adjacent ranges are merged first."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    body = "".join(re.escape(chr(lo)) if lo == hi
+                   else f"{re.escape(chr(lo))}-{re.escape(chr(hi))}"
+                   for lo, hi in merged)
+    return re.compile(f"[{body}]")
+
+
+# Every code point at which a sequence can start (see ``_match_element``).
+START_RANGES = (EXTENDED_PICTOGRAPHIC + ((_RI_LO, _RI_HI), (_SKIN_LO, _SKIN_HI))
+                + tuple((ord(ch), ord(ch)) for ch in KEYCAP_BASES))
+START_CLASS = char_class(START_RANGES)
 
 
 def _build_index(ranges):
@@ -179,14 +207,16 @@ def match_emoji(text: str, i: int):
 
 def iter_emoji_spans(text: str):
     """Yield (start, end) for every emoji sequence in ``text``."""
-    i, n = 0, len(text)
-    while i < n:
+    search = START_CLASS.search
+    found = search(text)
+    while found is not None:
+        i = found.start()
         end = match_emoji(text, i)
         if end is not None:
             yield i, end
-            i = end
+            found = search(text, end)
         else:
-            i += 1
+            found = search(text, i + 1)
 
 
 def count_emoji(text: str) -> int:

@@ -4,6 +4,14 @@ A multinomial Naive Bayes classifier over character n-grams stands in
 for external language detectors; two models trained with different
 n-gram ranges form an agreement ensemble, and a tweet passes only when
 both rank the target language first with enough posterior mass.
+
+Each model keeps one row table: n-gram -> the tuple of its per-language
+log-likelihoods, unseen entries filled in (the dense rows the ``.rlid``
+file stores), so scoring costs one lookup per distinct n-gram. The
+agreement gate prepares a text and counts each n-gram order once for
+both models. Per language, scores are summed in a fixed order (n
+ascending, then first occurrence) from the same ``count * value``
+products, so every probability is reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,13 +45,17 @@ def _prepare(text: str) -> str:
     return _WS_RE.sub(" ", _STRIP_RE.sub(" ", text)).strip()
 
 
-def _extract_ngrams(text: str, min_n: int, max_n: int) -> Counter:
-    grams: Counter = Counter()
-    size = len(text)
-    for n in range(min_n, max_n + 1):
-        for i in range(size - n + 1):
-            grams[text[i:i + n]] += 1
-    return grams
+def _count_ngrams(text: str, min_n: int, max_n: int) -> list[Counter]:
+    """One Counter per order n = min_n..max_n, keyed in first-occurrence order."""
+    counters = []
+    grams = text
+    for n in range(1, max_n + 1):
+        if n > 1:
+            # the n-grams are the (n-1)-grams each extended by the next character
+            grams = list(map(add, grams, text[n - 1:]))
+        if n >= min_n:
+            counters.append(Counter(grams))
+    return counters
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,10 @@ class LangModel:
         self.log_likelihoods = log_likelihoods
         self.log_unseen = log_unseen
         self.vocabulary = vocabulary
+        self.rows = {gram: tuple(log_likelihoods[lang].get(gram, log_unseen[lang])
+                                 for lang in self.languages)
+                     for gram in vocabulary}
+        self.prior_row = tuple(log_priors[lang] for lang in self.languages)
 
     def classify(self, text: str) -> list[LangScore]:
         return classify(self, text)
@@ -104,8 +121,9 @@ def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1,
         if not stripped:
             raise EmptySample(f"training sample empty after stripping: {text!r}")
         sample_counts[lang] += 1
-        gram_counts.setdefault(lang, Counter()).update(
-            _extract_ngrams(stripped, min_n, max_n))
+        counts = gram_counts.setdefault(lang, Counter())
+        for order_counts in _count_ngrams(stripped, min_n, max_n):
+            counts.update(order_counts)
 
     if len(sample_counts) < 2:
         raise InsufficientLanguages(
@@ -134,31 +152,40 @@ def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1,
                      log_priors, log_likelihoods, log_unseen, frozenset(vocab))
 
 
+def _ranked(model: LangModel, counters: Sequence[Counter]) -> list[tuple[str, float]]:
+    """(language, posterior) pairs, descending, from one Counter per order
+    of ``model.ngram_range``. Ties break by language code ascending."""
+    get = model.rows.get
+    # n-grams never seen in training are dropped
+    known = [(count, row) for order_counts in counters
+             for count, row in zip(order_counts.values(), map(get, order_counts))
+             if row is not None]
+    scores = []
+    for k, total in enumerate(model.prior_row):
+        for count, row in known:
+            total += count * row[k]
+        scores.append(total)
+    peak = max(scores)
+    exps = [math.exp(s - peak) for s in scores]
+    z = sum(exps)
+    return sorted(((lang, e / z) for lang, e in zip(model.languages, exps)),
+                  key=lambda pair: (-pair[1], pair[0]))
+
+
+def _classifiable(text: str) -> str:
+    stripped = _prepare(text)
+    if not stripped:
+        raise EmptyAfterStripping(f"nothing classifiable in {text!r}")
+    return stripped
+
+
 def classify(model: LangModel, text: str) -> list[LangScore]:
     """Full posterior over the model's languages, descending.
 
     Ties break by language code ascending; probabilities sum to 1.
     """
-    stripped = _prepare(text)
-    if not stripped:
-        raise EmptyAfterStripping(f"nothing classifiable in {text!r}")
-    grams = _extract_ngrams(stripped, *model.ngram_range)
-    known = [(gram, count) for gram, count in grams.items() if gram in model.vocabulary]
-    scores = {}
-    for lang in model.languages:
-        table = model.log_likelihoods[lang]
-        unseen = model.log_unseen[lang]
-        total = model.log_priors[lang]
-        for gram, count in known:
-            total += count * table.get(gram, unseen)
-        scores[lang] = total
-
-    peak = max(scores.values())
-    exps = {lang: math.exp(s - peak) for lang, s in scores.items()}
-    z = sum(exps.values())
-    ranked = sorted(((lang, e / z) for lang, e in exps.items()),
-                    key=lambda pair: (-pair[1], pair[0]))
-    return [LangScore(lang, p) for lang, p in ranked]
+    counters = _count_ngrams(_classifiable(text), *model.ngram_range)
+    return [LangScore(lang, p) for lang, p in _ranked(model, counters)]
 
 
 def agreement_filter(text: str, model_a: LangModel, model_b: LangModel,
@@ -166,9 +193,14 @@ def agreement_filter(text: str, model_a: LangModel, model_b: LangModel,
     """True iff both models rank ``target`` first at or above ``threshold``."""
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    stripped = _classifiable(text)
+    lo = min(model_a.ngram_range[0], model_b.ngram_range[0])
+    counters = _count_ngrams(stripped, lo, max(model_a.ngram_range[1],
+                                               model_b.ngram_range[1]))
     for model in (model_a, model_b):
-        top = classify(model, text)[0]
-        if top.language != target or top.probability < threshold:
+        min_n, max_n = model.ngram_range
+        language, probability = _ranked(model, counters[min_n - lo:max_n - lo + 1])[0]
+        if language != target or probability < threshold:
             return False
     return True
 
@@ -209,11 +241,10 @@ def save_model(model: LangModel, path: str | Path) -> None:
             _write_str(out, lang)
             out.write(struct.pack("<dd", model.log_priors[lang], model.log_unseen[lang]))
         out.write(struct.pack("<I", len(vocab)))
+        row_format = "<%dd" % len(model.languages)
         for gram in vocab:
             _write_str(out, gram)
-            row = [model.log_likelihoods[lang].get(gram, model.log_unseen[lang])
-                   for lang in model.languages]
-            out.write(struct.pack("<%dd" % len(row), *row))
+            out.write(struct.pack(row_format, *model.rows[gram]))
 
 
 def load_model(path: str | Path) -> LangModel:

@@ -94,6 +94,11 @@ class EmojiMap:
         for keys in by_first.values():
             keys.sort(key=len, reverse=True)
         self._by_first = by_first
+        # positions where a key or an emoji sequence can start; first
+        # characters inside the emoji start ranges merge into them, which
+        # keeps the class short (``re`` tries a class's items in turn)
+        self._candidates = emojidata.char_class(
+            emojidata.START_RANGES + tuple((ord(ch), ord(ch)) for ch in by_first))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -134,17 +139,24 @@ def translate_emojis(text: str, emoji_map: EmojiMap) -> str:
     family outranks its mapped first member.
     """
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        key = emoji_map.longest_match(text, i)
-        seq_end = emojidata.match_emoji(text, i)
-        if key is not None and (seq_end is None or len(key) >= seq_end - i):
+    search = emoji_map._candidates.search
+    i = 0  # text[i:] is not yet copied to ``out``
+    found = search(text)
+    while found is not None:
+        j = found.start()
+        key = emoji_map.longest_match(text, j)
+        seq_end = emojidata.match_emoji(text, j)
+        if key is not None and (seq_end is None or len(key) >= seq_end - j):
+            out.append(text[i:j])
             out.append(f" :{emoji_map.entries[key]}: ")
-            i += len(key)
+            i = j + len(key)
         elif seq_end is not None:
+            out.append(text[i:j])
             out.append(" ")
             i = seq_end
         else:
-            out.append(text[i])
-            i += 1
+            found = search(text, j + 1)
+            continue
+        found = search(text, i)
+    out.append(text[i:])
     return _WS_RE.sub(" ", "".join(out)).strip()

@@ -289,6 +289,15 @@ def _sharded(directory: Path, pattern: str) -> list[Path]:
     return sorted(directory.glob(pattern))
 
 
+def _remove_stale(directory: Path, pattern: str, outputs: Iterable[Path]) -> None:
+    """Delete files matching ``pattern`` that this run did not write, so a
+    rerun with fewer shards leaves none behind for the next stage's glob."""
+    written = {p.name for p in outputs}
+    for path in _sharded(directory, pattern):
+        if path.name not in written:
+            path.unlink()
+
+
 # --- stages ------------------------------------------------------------------
 
 
@@ -313,6 +322,7 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     finally:
         for sink in sinks:
             sink.close()
+    _remove_stale(out, "tweets-*.jsonl", shard_paths)
     return _make_manifest("ingest", cfg, inputs, stats.as_dict(), shard_paths, out)
 
 
@@ -446,6 +456,7 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
         if pool is not None:
             pool.close()
             pool.join()
+    _remove_stale(out, "clean-*.jsonl", out_paths)
     return _make_manifest("clean", cfg, shard_files, counts, out_paths, out)
 
 
@@ -477,6 +488,7 @@ def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
 
         with open(dst, "w", encoding="utf-8") as sink:
             counts["documents"] += write_documents(documents(), sink)
+    _remove_stale(out, "corpus-*.txt", out_paths)
     return _make_manifest("segment", cfg, shard_files, counts, out_paths, out)
 
 
@@ -552,6 +564,8 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
         counts["documents"] += stats.documents
         counts["degenerate_documents"] += stats.degenerate_documents
         counts["instances"] += stats.instances
+    _remove_stale(out, "pretrain-*.rbtw", out_paths)
+    _remove_stale(out, "pretrain-*.jsonl", out_paths)
     return _make_manifest("pretrain-data", cfg, shard_files + [vocab_file],
                           counts, out_paths, out)
 

@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweetcorpus import langid
 from tweetcorpus.errors import EmptyAfterStripping, EmptySample, InsufficientLanguages
 from tweetcorpus.langid import LangModel, agreement_filter, classify, train
 
@@ -30,9 +32,12 @@ def test_empty_sample_rejected():
 
 def test_classify_empty_after_stripping():
     model = train([("aaaa", "xx"), ("bbbb", "yy")], (1, 1), 1.0)
+    model_b = train([("aaaa", "xx"), ("bbbb", "yy")], (1, 2), 1.0)
     for text in ("", "123 456", "USER HTTPURL HASHTAG", "USER 99"):
         with pytest.raises(EmptyAfterStripping):
             classify(model, text)
+        with pytest.raises(EmptyAfterStripping):
+            agreement_filter(text, model, model_b, "xx")
 
 
 def oracle_posterior(samples, ngram_range, alpha, text):
@@ -237,3 +242,89 @@ def test_ngram_range_validation():
         train(samples, (1, 6))
     with pytest.raises(ValueError):
         train(samples, (1, 1), smoothing_alpha=0)
+
+
+# --- reference classifier ----------------------------------------------------
+# The dict-per-language scoring loop the row tables replaced. Scores must be
+# equal to the last bit, not approximately.
+
+
+def reference_classify(model, text):
+    stripped = langid._prepare(text)
+    if not stripped:
+        raise EmptyAfterStripping(text)
+    grams = Counter()
+    min_n, max_n = model.ngram_range
+    for n in range(min_n, max_n + 1):
+        for i in range(len(stripped) - n + 1):
+            grams[stripped[i:i + n]] += 1
+    known = [(gram, count) for gram, count in grams.items() if gram in model.vocabulary]
+    scores = {}
+    for lang in model.languages:
+        table = model.log_likelihoods[lang]
+        unseen = model.log_unseen[lang]
+        total = model.log_priors[lang]
+        for gram, count in known:
+            total += count * table.get(gram, unseen)
+        scores[lang] = total
+    peak = max(scores.values())
+    exps = {lang: math.exp(s - peak) for lang, s in scores.items()}
+    z = sum(exps.values())
+    return sorted(((lang, e / z) for lang, e in exps.items()),
+                  key=lambda pair: (-pair[1], pair[0]))
+
+
+def reference_agreement(text, model_a, model_b, target, threshold=0.5):
+    for model in (model_a, model_b):
+        language, probability = reference_classify(model, text)[0]
+        if language != target or probability < threshold:
+            return False
+    return True
+
+
+RANGE_PAIRS = (((1, 2), (2, 3)), ((1, 3), (3, 5)), ((2, 2), (4, 4)))
+
+
+@pytest.fixture(scope="module")
+def model_pairs(tmp_path_factory):
+    """Per range pair: the two trained models, then their save/load round trips."""
+    samples = make_bilingual_samples(random.Random(41), 80)
+    samples += [("ăâîșț", "ro"), ("zz qq", "xx")]  # a third language
+    directory = tmp_path_factory.mktemp("models")
+    pairs = []
+    for k, ngram_ranges in enumerate(RANGE_PAIRS):
+        trained = tuple(train(samples, ngrams, 0.5) for ngrams in ngram_ranges)
+        loaded = []
+        for j, model in enumerate(trained):
+            path = directory / f"model-{k}-{j}.rlid"
+            model.save(path)
+            loaded.append(LangModel.load(path))
+        pairs += [trained, tuple(loaded)]
+    return pairs
+
+
+_STOCK_TEXTS = ([make_text(random.Random(s), RO_WORDS, 7) for s in range(5)]
+                + [make_text(random.Random(s), EN_WORDS, 7) for s in range(5)]
+                + ["USER salut lume HTTPURL 2023", "HASHTAG hello"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(alphabet="salutmrebinhowdyzq ăâșț1234", min_size=1),
+                 st.sampled_from(_STOCK_TEXTS)))
+def test_row_tables_match_reference_exactly(model_pairs, text):
+    for model_a, model_b in model_pairs:
+        try:
+            expected = [reference_classify(m, text) for m in (model_a, model_b)]
+        except EmptyAfterStripping:
+            for model in (model_a, model_b):
+                with pytest.raises(EmptyAfterStripping):
+                    classify(model, text)
+            with pytest.raises(EmptyAfterStripping):
+                agreement_filter(text, model_a, model_b, "ro")
+            continue
+        for model, ranked in zip((model_a, model_b), expected):
+            assert [(s.language, s.probability) for s in classify(model, text)] == ranked
+        for threshold in (0.3, 0.5, 0.9):
+            for first, second in ((model_a, model_b), (model_b, model_a)):
+                assert agreement_filter(text, first, second, "ro", threshold) \
+                    == reference_agreement(text, first, second, "ro", threshold)

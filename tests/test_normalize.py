@@ -203,3 +203,70 @@ def test_default_map_loads():
     m = default_emoji_map()
     assert len(m) > 200
     assert translate_emojis("\U0001F600", m) == ":grinning face:"
+
+
+# --- reference scanners ------------------------------------------------------
+# The per-character loops the prefiltered scanner replaced: every position
+# is tried in turn. The fast paths must agree with them exactly.
+
+
+def reference_emoji_spans(text):
+    spans = []
+    i, n = 0, len(text)
+    while i < n:
+        end = emojidata.match_emoji(text, i)
+        if end is not None:
+            spans.append((i, end))
+            i = end
+        else:
+            i += 1
+    return spans
+
+
+def reference_translate(text, emoji_map):
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        key = emoji_map.longest_match(text, i)
+        seq_end = emojidata.match_emoji(text, i)
+        if key is not None and (seq_end is None or len(key) >= seq_end - i):
+            out.append(f" :{emoji_map.entries[key]}: ")
+            i += len(key)
+        elif seq_end is not None:
+            out.append(" ")
+            i = seq_end
+        else:
+            out.append(text[i])
+            i += 1
+    return regex.sub(r"\s+", " ", "".join(out)).strip()
+
+
+SCANNER_ALPHABET = (
+    # pictographs, regional indicators, skin tones, ZWJ, VS15/VS16
+    ["\U0001F600", "\U0001F468", "\U0001F469", "\U0001F525", "❤", "☀", "©",
+     "\U0001F3F4", "\U0001F1F7", "\U0001F1F4", "\U0001F1E6", "\U0001F3FB",
+     "\U0001F3FF", "‍", "︎", "️"]
+    # tag characters, the combining keycap, keycap bases
+    + ["\U000E0067", "\U000E0062", "\U000E007F", "⃣", "1", "7", "#", "*"]
+    # ASCII letters and whitespace, and the custom map's key characters
+    + list("abcXYZ") + [" ", "\n", "\t"] + ["<", "3", ":", ")"]
+)
+CUSTOM_MAP = EmojiMap({"<3": "inima", ":)": "zambet", "\U0001F600": "fata",
+                       "\U0001F468‍\U0001F469": "cuplu", "1️⃣": "unu"})
+
+
+DEFAULT_MAP = default_emoji_map()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SCANNER_ALPHABET), max_size=40).map("".join))
+def test_prefiltered_scanner_matches_reference(text):
+    assert list(emojidata.iter_emoji_spans(text)) == reference_emoji_spans(text)
+    assert emojidata.count_emoji(text) == len(reference_emoji_spans(text))
+    assert translate_emojis(text, DEFAULT_MAP) == reference_translate(text, DEFAULT_MAP)
+    assert translate_emojis(text, CUSTOM_MAP) == reference_translate(text, CUSTOM_MAP)
+
+
+def test_custom_map_keys_still_translate():
+    assert translate_emojis("te iubesc <3 :) \U0001F600", CUSTOM_MAP) \
+        == "te iubesc :inima: :zambet: :fata:"

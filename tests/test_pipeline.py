@@ -332,3 +332,21 @@ def test_record_count_matches_manifest_accounting(workspace, tmp_path):
     for name in manifest.outputs:
         on_disk += sum(1 for _ in read_records(root / "out" / "pretrain" / name))
     assert on_disk == manifest.counts["instances"]
+
+
+def test_rerun_with_fewer_shards_leaves_no_stale_files(workspace, tmp_path):
+    cfg, root = workspace
+    run_pipeline(build_config(overrides={**cfg.flat(), "io.shards": 4,
+                                         "pretrain.dupe_factor": 1}))
+    cfg2 = build_config(overrides={**cfg.flat(), "io.shards": 2})
+    ingest = stage_ingest(cfg2)
+    clean = stage_clean(cfg2)
+    assert clean.counts["read"] == ingest.counts["emitted"]
+    segment = stage_segment(cfg2)
+    pretrain = stage_pretrain_data(cfg2)
+    out = root / "out"
+    for stage, manifest in (("ingest", ingest), ("clean", clean),
+                            ("segment", segment), ("pretrain", pretrain)):
+        names = {p.name for p in (out / stage).iterdir()
+                 if not p.name.startswith("manifest-")}
+        assert names == set(manifest.outputs), stage
