@@ -17,6 +17,7 @@ from .pretrain import (
     PretrainConfig,
     PretrainInstance,
     build_instances,
+    build_records,
     mask_sequence,
     read_records,
     write_records,

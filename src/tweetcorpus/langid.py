@@ -9,7 +9,8 @@ Each model keeps one row table: n-gram -> the tuple of its per-language
 log-likelihoods, unseen entries filled in (the dense rows the ``.rlid``
 file stores), so scoring costs one lookup per distinct n-gram. The
 agreement gate prepares a text and counts each n-gram order once for
-both models. Per language, scores are summed in a fixed order (n
+both models; the orders only model B uses are counted only after model
+A accepts. Per language, scores are summed in a fixed order (n
 ascending, then first occurrence) from the same ``count * value``
 products, so every probability is reproducible to the last bit.
 """
@@ -21,9 +22,10 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import add
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CorruptRecord,
@@ -45,17 +47,23 @@ def _prepare(text: str) -> str:
     return _WS_RE.sub(" ", _STRIP_RE.sub(" ", text)).strip()
 
 
+def _ngram_orders(text: str, min_n: int) -> Iterator[Counter]:
+    """Counters of the n-grams of ``text`` for n = min_n, min_n + 1, ...,
+    each keyed in first-occurrence order. An order is built only when it
+    is asked for."""
+    grams = text
+    n = 1
+    while True:
+        if n >= min_n:
+            yield Counter(grams)
+        n += 1
+        # the n-grams are the (n-1)-grams each extended by the next character
+        grams = list(map(add, grams, text[n - 1:]))
+
+
 def _count_ngrams(text: str, min_n: int, max_n: int) -> list[Counter]:
     """One Counter per order n = min_n..max_n, keyed in first-occurrence order."""
-    counters = []
-    grams = text
-    for n in range(1, max_n + 1):
-        if n > 1:
-            # the n-grams are the (n-1)-grams each extended by the next character
-            grams = list(map(add, grams, text[n - 1:]))
-        if n >= min_n:
-            counters.append(Counter(grams))
-    return counters
+    return list(islice(_ngram_orders(text, min_n), max_n - min_n + 1))
 
 
 @dataclass(frozen=True)
@@ -195,10 +203,13 @@ def agreement_filter(text: str, model_a: LangModel, model_b: LangModel,
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     stripped = _classifiable(text)
     lo = min(model_a.ngram_range[0], model_b.ngram_range[0])
-    counters = _count_ngrams(stripped, lo, max(model_a.ngram_range[1],
-                                               model_b.ngram_range[1]))
+    # orders lo, lo + 1, ... are counted once, for both models, and the
+    # orders only model B uses only after model A has accepted
+    orders = _ngram_orders(stripped, lo)
+    counters: list[Counter] = []
     for model in (model_a, model_b):
         min_n, max_n = model.ngram_range
+        counters += islice(orders, max(0, max_n - lo + 1 - len(counters)))
         language, probability = _ranked(model, counters[min_n - lo:max_n - lo + 1])[0]
         if language != target or probability < threshold:
             return False

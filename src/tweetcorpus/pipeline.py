@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,10 +31,15 @@ from .normalize import (
     translate_emojis,
     unescape_basic_entities,
 )
+from .parallel import ordered_map
+# build_instances and write_records stay importable from here: the traced
+# benchmark (bench/tracing.py) wraps them under these names.
 from .pretrain import (
     BuildStats,
     PretrainConfig,
     build_instances,
+    build_records,
+    read_records,
     write_records,
     write_records_jsonl,
 )
@@ -341,13 +345,6 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
     return _make_manifest("langid-train", cfg, [corpus], counts, [path_a, path_b], out)
 
 
-_CLEAN_CTX: dict = {}
-
-
-def _init_clean_worker(ctx: dict) -> None:
-    _CLEAN_CTX.update(ctx)
-
-
 def _load_clean_context(cfg: PipelineConfig) -> dict:
     model_a = model_b = None
     if cfg.langid_model_a or cfg.langid_model_b:
@@ -387,11 +384,11 @@ def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
     return translate_emojis(normalized, ctx["emoji_map"]), RejectReason.NONE.value
 
 
-def _clean_batch(lines: list[str]) -> list[tuple[str, str]]:
+def _clean_batch(ctx: dict, lines: list[str]) -> list[tuple[str, str]]:
     out = []
     for line in lines:
         tweet = parse_record(line)
-        cleaned, reason = clean_tweet_text(tweet.text, _CLEAN_CTX)
+        cleaned, reason = clean_tweet_text(tweet.text, ctx)
         if cleaned is None:
             out.append(("", reason))
         else:
@@ -424,38 +421,22 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
 
-    pool = None
-    if cfg.workers > 1:
-        pool = multiprocessing.Pool(cfg.workers, initializer=_init_clean_worker,
-                                    initargs=(ctx,))
-    else:
-        _init_clean_worker(ctx)
     out_paths = []
-    try:
-        for shard_file in shard_files:
-            dst = out / shard_file.name.replace("tweets-", "clean-")
-            out_paths.append(dst)
-            with open(shard_file, encoding="utf-8") as fh, \
-                    open(dst, "w", encoding="utf-8") as sink:
-                lines = (line for line in fh if line.strip())
-                batches = _batches(lines, 512)
-                if pool is not None:
-                    results = pool.imap(_clean_batch, batches)
-                else:
-                    results = map(_clean_batch, batches)
-                for batch in results:
-                    for record, reason in batch:
-                        counts["read"] += 1
-                        if record:
-                            counts["emitted"] += 1
-                            sink.write(record)
-                            sink.write("\n")
-                        else:
-                            counts["rejected"][reason] += 1
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for shard_file in shard_files:
+        dst = out / shard_file.name.replace("tweets-", "clean-")
+        out_paths.append(dst)
+        with open(shard_file, encoding="utf-8") as fh, \
+                open(dst, "w", encoding="utf-8") as sink:
+            batches = _batches((line for line in fh if line.strip()), 512)
+            for batch in ordered_map(_clean_batch, ctx, batches, cfg.workers):
+                for record, reason in batch:
+                    counts["read"] += 1
+                    if record:
+                        counts["emitted"] += 1
+                        sink.write(record)
+                        sink.write("\n")
+                    else:
+                        counts["rejected"][reason] += 1
     _remove_stale(out, "clean-*.jsonl", out_paths)
     return _make_manifest("clean", cfg, shard_files, counts, out_paths, out)
 
@@ -553,14 +534,13 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
         dst = out / f"pretrain-{shard_index:05}.rbtw"
         out_paths.append(dst)
         stats = BuildStats()
-        instances = build_instances(read_document_file(shard_file), vocab,
-                                    cfg.pretrain, workers=cfg.workers, stats=stats)
+        documents = read_document_file(shard_file)
+        build_records(documents, vocab, cfg.pretrain, dst,
+                      workers=cfg.workers, stats=stats)
         if debug_jsonl:
-            instances = list(instances)
             debug_path = out / f"pretrain-{shard_index:05}.jsonl"
-            write_records_jsonl(instances, debug_path, cfg.pretrain)
+            write_records_jsonl(read_records(dst), debug_path, cfg.pretrain)
             out_paths.append(debug_path)
-        write_records(instances, dst, cfg.pretrain)
         counts["documents"] += stats.documents
         counts["degenerate_documents"] += stats.degenerate_documents
         counts["instances"] += stats.instances

@@ -3,7 +3,9 @@
 Each (document, duplicate) pair gets its own RNG seeded from
 mix64(seed, document index, duplicate index), so generation is
 reproducible and embarrassingly parallel: worker count changes wall
-time, never bytes.
+time, never bytes. Pairs are built in ordered chunks of CHUNK_PAIRS
+through ``parallel.ordered_map``; ``build_records`` packs each chunk
+into framed records where it is built, so the caller only writes bytes.
 
 RNG protocol per (document, duplicate), in draw order:
 
@@ -22,11 +24,13 @@ RNG protocol per (document, duplicate), in draw order:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import random
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -39,6 +43,7 @@ from .errors import (
     VersionMismatch,
 )
 from .hashing import mix64
+from .parallel import ordered_map
 from .segment import Document
 from .vocab import Vocabulary, encode, wordpiece_tokenize
 
@@ -144,7 +149,10 @@ def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int
 
 def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_index: int,
                             rng: random.Random, vocab: Vocabulary,
-                            cfg: PretrainConfig) -> list[PretrainInstance]:
+                            cfg: PretrainConfig) -> list[tuple]:
+    """One (document, duplicate) pair's instances, as raw
+    ``(token ids, segment-0 length, is_random_next, masked positions,
+    labels)`` tuples; segment 0 is [CLS], segment A and the first [SEP]."""
     document = all_docs[doc_index]
     max_num_tokens = cfg.max_seq_length - 3
     target_seq_length = max_num_tokens
@@ -187,15 +195,8 @@ def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_ind
 
             _truncate_pair(tokens_a, tokens_b, max_num_tokens)
             ids = [vocab.cls_id] + tokens_a + [vocab.sep_id] + tokens_b + [vocab.sep_id]
-            segment_ids = [0] * (len(tokens_a) + 2) + [1] * (len(tokens_b) + 1)
             masked, positions, labels = mask_sequence(ids, vocab, cfg, rng)
-            instances.append(PretrainInstance(
-                token_ids=tuple(masked),
-                segment_ids=tuple(segment_ids),
-                is_random_next=is_random_next,
-                masked_positions=tuple(positions),
-                masked_label_ids=tuple(labels),
-            ))
+            instances.append((masked, len(tokens_a) + 2, is_random_next, positions, labels))
             current_chunk = []
             current_length = 0
         i += 1
@@ -218,14 +219,24 @@ class BuildStats:
 
 def tokenize_documents(documents: Iterable[Document], vocab: Vocabulary,
                        stats: BuildStats | None = None) -> list[list[list[int]]]:
-    """Sentence token-id lists per document; empty documents are dropped."""
+    """Sentence token-id lists per document; empty documents are dropped.
+
+    WordPiece treats every whitespace-separated word on its own, so each
+    distinct word is tokenized once per call and its ids are reused.
+    """
+    word_ids: dict[str, list[int]] = {}
     out = []
     for doc in documents:
         if stats:
             stats.documents += 1
         sentences = []
         for sentence in doc:
-            ids = encode(wordpiece_tokenize(sentence, vocab), vocab)
+            ids: list[int] = []
+            for word in sentence.split():
+                pieces = word_ids.get(word)
+                if pieces is None:
+                    pieces = word_ids[word] = encode(wordpiece_tokenize(word, vocab), vocab)
+                ids += pieces
             if ids:
                 sentences.append(ids)
         if sentences:
@@ -235,26 +246,46 @@ def tokenize_documents(documents: Iterable[Document], vocab: Vocabulary,
     return out
 
 
-_WORKER_CTX: dict = {}
+# (document, duplicate) pairs per task of the ordered map; pair p is
+# document p // dupe_factor, duplicate p % dupe_factor.
+CHUNK_PAIRS = 512
 
 
-def _init_worker(tok_docs, vocab, cfg):
-    _WORKER_CTX["docs"] = tok_docs
-    _WORKER_CTX["vocab"] = vocab
-    _WORKER_CTX["cfg"] = cfg
+def _prepare(documents: Iterable[Document], vocab: Vocabulary, cfg: PretrainConfig,
+             stats: BuildStats | None) -> tuple[tuple, Iterator[tuple[int, int]]]:
+    """The map's context and its chunks of pair indices."""
+    cfg.validate()
+    tok_docs = tokenize_documents(documents, vocab, stats)
+    if len(tok_docs) < 2:
+        raise TooFewDocuments(
+            f"need at least 2 tokenizable documents, got {len(tok_docs)}")
+    vocab.replacement_pool  # built here, once, not in every worker
+    pairs = len(tok_docs) * cfg.dupe_factor
+    chunks = ((lo, min(lo + CHUNK_PAIRS, pairs)) for lo in range(0, pairs, CHUNK_PAIRS))
+    return (tok_docs, vocab, cfg), chunks
 
 
-def _run_chunk(bounds: tuple[int, int]) -> list[PretrainInstance]:
-    docs = _WORKER_CTX["docs"]
-    vocab = _WORKER_CTX["vocab"]
-    cfg = _WORKER_CTX["cfg"]
-    lo, hi = bounds
-    out = []
-    for i in range(lo, hi):
-        for d in range(cfg.dupe_factor):
-            rng = random.Random(mix64(cfg.seed, i, d))
-            out.extend(_instances_for_document(docs, i, rng, vocab, cfg))
-    return out
+def _chunk_instances(context: tuple, bounds: tuple[int, int]) -> Iterator[tuple]:
+    docs, vocab, cfg = context
+    for pair in range(*bounds):
+        i, d = divmod(pair, cfg.dupe_factor)
+        rng = random.Random(mix64(cfg.seed, i, d))
+        yield from _instances_for_document(docs, i, rng, vocab, cfg)
+
+
+def _instance_chunk(context: tuple, bounds: tuple[int, int]) -> list[PretrainInstance]:
+    return [PretrainInstance(tuple(ids), (0,) * a_len + (1,) * (len(ids) - a_len),
+                             is_random_next, tuple(positions), tuple(labels))
+            for ids, a_len, is_random_next, positions, labels
+            in _chunk_instances(context, bounds)]
+
+
+def _record_chunk(context: tuple, bounds: tuple[int, int]) -> tuple[int, bytes]:
+    frames = [_frame(ids, bytes(a_len) + b"\x01" * (len(ids) - a_len),
+                     is_random_next, positions, labels)
+              for ids, a_len, is_random_next, positions, labels
+              in _chunk_instances(context, bounds)]
+    return len(frames), b"".join(frames)
 
 
 def build_instances(documents: Iterable[Document], vocab: Vocabulary,
@@ -265,80 +296,109 @@ def build_instances(documents: Iterable[Document], vocab: Vocabulary,
     Requires at least two non-degenerate documents so a foreign document
     always exists for random-next sampling.
     """
-    cfg.validate()
-    tok_docs = tokenize_documents(documents, vocab, stats)
-    if len(tok_docs) < 2:
-        raise TooFewDocuments(
-            f"need at least 2 tokenizable documents, got {len(tok_docs)}")
+    context, chunks = _prepare(documents, vocab, cfg, stats)
+    for instances in ordered_map(_instance_chunk, context, chunks, workers):
+        if stats:
+            stats.instances += len(instances)
+        yield from instances
 
-    if workers <= 1:
-        for i in range(len(tok_docs)):
-            for d in range(cfg.dupe_factor):
-                rng = random.Random(mix64(cfg.seed, i, d))
-                for inst in _instances_for_document(tok_docs, i, rng, vocab, cfg):
-                    if stats:
-                        stats.instances += 1
-                    yield inst
-        return
 
-    chunk = max(1, (len(tok_docs) + workers - 1) // workers)
-    bounds = [(lo, min(lo + chunk, len(tok_docs)))
-              for lo in range(0, len(tok_docs), chunk)]
-    with multiprocessing.Pool(workers, initializer=_init_worker,
-                              initargs=(tok_docs, vocab, cfg)) as pool:
-        for result in pool.imap(_run_chunk, bounds):
-            for inst in result:
-                if stats:
-                    stats.instances += 1
-                yield inst
+def build_records(documents: Iterable[Document], vocab: Vocabulary,
+                  cfg: PretrainConfig, sink: BinaryIO | str | Path,
+                  workers: int = 1, stats: BuildStats | None = None) -> int:
+    """Build the instances of ``documents`` and write them as a record
+    file: the bytes of ``write_records(build_instances(...), sink, cfg)``.
+
+    Every chunk of pairs is packed into framed records where it is
+    built, so this process only writes bytes. Returns the record count.
+    """
+    context, chunks = _prepare(documents, vocab, cfg, stats)
+    out, owned = _open(sink, "wb")
+    count = 0
+    try:
+        _write_header(out, cfg)
+        for built, frames in ordered_map(_record_chunk, context, chunks, workers):
+            out.write(frames)
+            count += built
+    finally:
+        if owned:
+            out.close()
+    if stats:
+        stats.instances += count
+    return count
 
 
 # --- record serialization ---------------------------------------------------
+#
+# A record file is the header, its CRC32, then one frame per instance:
+# u32 payload size, payload, u32 CRC32 of the payload. The payload is
+#   u32 n | n x u32 token ids | n x u8 segment ids | u8 is_random_next |
+#   u32 m | m x u32 masked positions | m x u32 masked label ids
+# with every integer little-endian.
+
+# array typecode of a 4-byte unsigned word; arrays hold native byte order
+_WORD = next(code for code in "IL" if array(code).itemsize == 4)
+_SWAP = sys.byteorder != "little"
 
 
-def _pack_instance(inst: PretrainInstance) -> bytes:
-    n = len(inst.token_ids)
-    m = len(inst.masked_positions)
-    parts = [
-        _U32.pack(n),
-        struct.pack("<%dI" % n, *inst.token_ids),
-        struct.pack("<%dB" % n, *inst.segment_ids),
-        struct.pack("<B", 1 if inst.is_random_next else 0),
-        _U32.pack(m),
-        struct.pack("<%dI" % m, *inst.masked_positions),
-        struct.pack("<%dI" % m, *inst.masked_label_ids),
-    ]
-    return b"".join(parts)
+def _words(values: Iterable[int]) -> bytes:
+    """``values`` as little-endian u32s."""
+    words = array(_WORD, values)
+    if _SWAP:
+        words.byteswap()
+    return words.tobytes()
 
 
-def _unpack_instance(payload: bytes) -> PretrainInstance:
-    view = memoryview(payload)
-    offset = 0
+def _frame(token_ids: Sequence[int], segments: bytes, is_random_next: bool,
+           positions: Sequence[int], labels: Sequence[int]) -> bytes:
+    payload = b"".join((
+        _U32.pack(len(token_ids)), _words(token_ids), segments,
+        b"\x01" if is_random_next else b"\x00",
+        _U32.pack(len(positions)), _words(positions), _words(labels),
+    ))
+    return b"".join((_U32.pack(len(payload)), payload, _U32.pack(zlib.crc32(payload))))
 
-    def take(size: int) -> memoryview:
-        nonlocal offset
-        if offset + size > len(payload):
-            raise CorruptRecord("payload shorter than its declared contents")
-        chunk = view[offset:offset + size]
-        offset += size
-        return chunk
 
-    (n,) = _U32.unpack(take(4))
-    token_ids = struct.unpack("<%dI" % n, take(4 * n))
-    segment_ids = struct.unpack("<%dB" % n, take(n))
-    (flag,) = struct.unpack("<B", take(1))
-    (m,) = _U32.unpack(take(4))
-    positions = struct.unpack("<%dI" % m, take(4 * m))
-    labels = struct.unpack("<%dI" % m, take(4 * m))
-    if offset != len(payload):
-        raise CorruptRecord(f"{len(payload) - offset} trailing bytes in payload")
-    return PretrainInstance(token_ids, segment_ids, bool(flag), positions, labels)
+@lru_cache(maxsize=4096)
+def _payload_layout(n: int, m: int) -> struct.Struct:
+    """The whole payload of n tokens and m predictions as one struct."""
+    return struct.Struct(f"<I{n}I{n}BBI{2 * m}I")
+
+
+def _unpack_instance(buffer: bytes, size: int) -> PretrainInstance:
+    """The instance whose payload is ``buffer[:size]``."""
+    if size < 4:
+        raise CorruptRecord("payload shorter than its declared contents")
+    (n,) = _U32.unpack_from(buffer)
+    m_at = 5 * n + 5
+    if m_at + 4 > size:
+        raise CorruptRecord("payload shorter than its declared contents")
+    (m,) = _U32.unpack_from(buffer, m_at)
+    end = m_at + 4 + 8 * m
+    if end > size:
+        raise CorruptRecord("payload shorter than its declared contents")
+    if end != size:
+        raise CorruptRecord(f"{size - end} trailing bytes in payload")
+    values = _payload_layout(n, m).unpack_from(buffer)
+    ids_end = 1 + n
+    segs_end = ids_end + n
+    labels_at = segs_end + 2 + m
+    return PretrainInstance(values[1:ids_end], values[ids_end:segs_end],
+                            bool(values[segs_end]), values[segs_end + 2:labels_at],
+                            values[labels_at:])
 
 
 def _open(sink, mode: str):
     if isinstance(sink, (str, Path)):
         return open(sink, mode), True
     return sink, False
+
+
+def _write_header(out: BinaryIO, cfg: PretrainConfig) -> None:
+    header = _HEADER.pack(RECORD_MAGIC, RECORD_VERSION,
+                          cfg.max_seq_length, cfg.max_predictions_per_seq)
+    out.write(header)
+    out.write(_U32.pack(zlib.crc32(header)))
 
 
 def write_records(instances: Iterable[PretrainInstance], sink: BinaryIO | str | Path,
@@ -351,10 +411,7 @@ def write_records(instances: Iterable[PretrainInstance], sink: BinaryIO | str | 
     """
     out, owned = _open(sink, "wb")
     try:
-        header = _HEADER.pack(RECORD_MAGIC, RECORD_VERSION,
-                              cfg.max_seq_length, cfg.max_predictions_per_seq)
-        out.write(header)
-        out.write(_U32.pack(zlib.crc32(header)))
+        _write_header(out, cfg)
         count = 0
         for inst in instances:
             if len(inst.token_ids) > cfg.max_seq_length:
@@ -363,10 +420,16 @@ def write_records(instances: Iterable[PretrainInstance], sink: BinaryIO | str | 
                     f"max_seq_length {cfg.max_seq_length}")
             if len(inst.masked_positions) > cfg.max_predictions_per_seq:
                 raise DataError("instance exceeds max_predictions_per_seq")
-            payload = _pack_instance(inst)
-            out.write(_U32.pack(len(payload)))
-            out.write(payload)
-            out.write(_U32.pack(zlib.crc32(payload)))
+            if len(inst.segment_ids) != len(inst.token_ids):
+                raise DataError(
+                    f"{len(inst.segment_ids)} segment ids for "
+                    f"{len(inst.token_ids)} tokens")
+            if len(inst.masked_label_ids) != len(inst.masked_positions):
+                raise DataError(
+                    f"{len(inst.masked_label_ids)} masked labels for "
+                    f"{len(inst.masked_positions)} masked positions")
+            out.write(_frame(inst.token_ids, bytes(inst.segment_ids), inst.is_random_next,
+                             inst.masked_positions, inst.masked_label_ids))
             count += 1
         return count
     finally:
@@ -417,10 +480,10 @@ def read_records(source: BinaryIO | str | Path,
             body = fh.read(size + 4)
             if len(body) != size + 4:
                 raise CorruptRecord("truncated record body")
-            payload, (crc,) = body[:size], _U32.unpack(body[size:])
-            if zlib.crc32(payload) != crc:
+            (crc,) = _U32.unpack_from(body, size)
+            if zlib.crc32(memoryview(body)[:size]) != crc:
                 raise CorruptRecord("payload CRC mismatch")
-            inst = _unpack_instance(payload)
+            inst = _unpack_instance(body, size)
             if len(inst.token_ids) > header.max_seq_length:
                 raise CorruptRecord("record exceeds file max_seq_length")
             if len(inst.masked_positions) > header.max_predictions_per_seq:

@@ -170,6 +170,27 @@ def test_clean_stage_hand_fixture(tmp_path):
     assert manifest.counts["rejected"]["too_many_mentions"] == 1
 
 
+def test_clean_stage_releases_its_context(workspace, monkeypatch):
+    """A one-worker clean keeps no reference to the loaded models."""
+    import weakref
+
+    from tweetcorpus.langid import LangModel, load_model
+
+    loaded = []
+
+    def load(cls, path):
+        model = load_model(path)
+        loaded.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(LangModel, "load", classmethod(load))
+    cfg, _ = workspace
+    stage_ingest(cfg)
+    assert stage_clean(cfg).counts["emitted"] > 0
+    assert len(loaded) == 2
+    assert [ref() for ref in loaded] == [None, None]
+
+
 def test_clean_conservation_identity(workspace):
     cfg, _ = workspace
     stage_ingest(cfg)
@@ -318,6 +339,35 @@ def test_pretrain_stage_debug_jsonl(workspace, tmp_path):
     row = json.loads(lines[1])
     assert set(row) == {"token_ids", "segment_ids", "is_random_next",
                         "masked_positions", "masked_label_ids"}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pretrain_stage_writes_the_records_of_its_instances(workspace, workers,
+                                                            monkeypatch):
+    import io
+
+    import tweetcorpus.pretrain
+    from tweetcorpus.pretrain import build_instances, write_records
+    from tweetcorpus.segment import read_document_file
+    from tweetcorpus.vocab import Vocabulary
+
+    cfg, root = workspace
+    stage_ingest(cfg)
+    stage_vocab(cfg)
+    stage_clean(cfg)
+    stage_segment(cfg)
+    vocab = Vocabulary.load(root / "out" / "vocab" / "vocab.txt")
+    want = {}
+    for shard in ("00000", "00001"):
+        docs = read_document_file(root / "out" / "segment" / f"corpus-{shard}.txt")
+        buf = io.BytesIO()
+        write_records(build_instances(docs, vocab, cfg.pretrain), buf, cfg.pretrain)
+        want[f"pretrain-{shard}.rbtw"] = buf.getvalue()
+
+    cfg.workers = workers
+    monkeypatch.setattr(tweetcorpus.pretrain, "CHUNK_PAIRS", 7)
+    stage_pretrain_data(cfg)
+    assert {name: (root / "out" / "pretrain" / name).read_bytes() for name in want} == want
 
 
 def test_record_count_matches_manifest_accounting(workspace, tmp_path):

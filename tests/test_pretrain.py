@@ -1,7 +1,12 @@
 import io
 import random
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import tweetcorpus.pretrain as pretrain
 
 from tweetcorpus.errors import (
     ConfigInvalid,
@@ -17,13 +22,16 @@ from tweetcorpus.pretrain import (
     PretrainConfig,
     PretrainInstance,
     build_instances,
+    build_records,
     mask_sequence,
     read_header,
     read_records,
+    tokenize_documents,
     write_records,
     write_records_jsonl,
 )
 from tweetcorpus.segment import Document
+from tweetcorpus.vocab import MAX_WORD_CHARS, encode, wordpiece_tokenize
 
 from conftest import make_documents
 
@@ -136,6 +144,49 @@ def test_degenerate_documents_counted(word_vocab):
     assert stats.degenerate_documents == 1
 
 
+def _reference_tokenize(documents, vocab, stats):
+    """tokenize_documents as one WordPiece call per sentence."""
+    out = []
+    for doc in documents:
+        stats.documents += 1
+        sentences = [ids for ids in (encode(wordpiece_tokenize(s, vocab), vocab)
+                                     for s in doc) if ids]
+        if sentences:
+            out.append(sentences)
+        else:
+            stats.degenerate_documents += 1
+    return out
+
+
+# Pieces of the toy vocabulary, text no piece covers, literal structural
+# tokens, and every kind of whitespace str.split breaks on, U+001C-U+001F
+# included.
+_FRAGMENTS = ("salut", "are", "ul", "lume", "Ce", "faci", "a", "b", "c", "un", "vrem",
+              "x", "ț", "!", "[CLS]", "[SEP]", "[UNK]", "[MASK]", "USER",
+              "b" * 60, "salut" * 21, " ", "  ", "\t", "\x0b", "\x0c", "\r",
+              "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u00a0", "\u2003", "\u3000")
+_SENTENCES = st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=12).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_SENTENCES, min_size=1, max_size=4), max_size=6))
+def test_tokenize_documents_matches_per_sentence_wordpiece(toy_vocab, docs):
+    documents = [Document(tuple(sentences)) for sentences in docs]
+    got_stats, want_stats = BuildStats(), BuildStats()
+    got = tokenize_documents(documents, toy_vocab, got_stats)
+    assert got == _reference_tokenize(documents, toy_vocab, want_stats)
+    assert got_stats == want_stats
+
+
+def test_tokenize_documents_edge_words(toy_vocab):
+    v = toy_vocab
+    long_word = "a" * (MAX_WORD_CHARS + 1)
+    docs = [Document((f"salutare [CLS] x\x1fsalutul {long_word} salutare",))]
+    assert tokenize_documents(docs, v) == [[[
+        v.id_of["salut"], v.id_of["##are"], v.cls_id, v.unk_id,
+        v.id_of["salut"], v.id_of["##ul"], v.unk_id, v.id_of["salut"], v.id_of["##are"]]]]
+
+
 def _build(docs, vocab, cfg, workers=1):
     return list(build_instances(docs, vocab, cfg, workers=workers))
 
@@ -230,6 +281,46 @@ def test_nsp_balance_rough(word_vocab):
     instances = _build(docs, word_vocab, cfg)
     frac = sum(i.is_random_next for i in instances) / len(instances)
     assert 0.45 <= frac <= 0.65
+
+
+def _records_via_instances(docs, vocab, cfg, workers):
+    buf = io.BytesIO()
+    stats = BuildStats()
+    count = write_records(build_instances(docs, vocab, cfg, workers=workers, stats=stats),
+                          buf, cfg)
+    return buf.getvalue(), count, stats
+
+
+@pytest.mark.parametrize("documents, dupe_factor, chunk_pairs", [
+    (13, 2, 5),     # 26 pairs: five full chunks and one of one pair
+    (24, 3, 512),   # all pairs in one chunk
+    (2, 1, 512),    # two pairs, fewer than three workers
+    (3, 1, 1),      # one pair per chunk
+])
+def test_build_records_equals_written_instances(word_vocab, monkeypatch, documents,
+                                                dupe_factor, chunk_pairs):
+    docs = make_documents(random.Random(documents), documents)
+    cfg = PretrainConfig(max_seq_length=32, max_predictions_per_seq=5,
+                         dupe_factor=dupe_factor, seed=4)
+    monkeypatch.setattr(pretrain, "CHUNK_PAIRS", 10 ** 9)  # the reference: one chunk
+    want, want_count, want_stats = _records_via_instances(docs, word_vocab, cfg, 1)
+    assert want_count == want_stats.instances > 0
+    monkeypatch.setattr(pretrain, "CHUNK_PAIRS", chunk_pairs)
+    for workers in (1, 2, 3):
+        assert _records_via_instances(docs, word_vocab, cfg, workers) == (
+            want, want_count, want_stats)
+        buf = io.BytesIO()
+        stats = BuildStats()
+        assert build_records(docs, word_vocab, cfg, buf, workers=workers,
+                             stats=stats) == want_count
+        assert buf.getvalue() == want
+        assert stats == want_stats
+
+
+def test_build_records_needs_two_documents(word_vocab, tmp_path):
+    with pytest.raises(TooFewDocuments):
+        build_records([Document(("salut lume",))], word_vocab, PretrainConfig(),
+                      tmp_path / "out.rbtw")
 
 
 # --- records -----------------------------------------------------------------
@@ -327,11 +418,57 @@ def test_truncated_file_detected():
         list(read_records(io.BytesIO(data[:10])))
 
 
+def _frame(payload: bytes) -> bytes:
+    return struct.pack("<I", len(payload)) + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def _payload(ids, segs, flag, positions, labels) -> bytes:
+    n, m = len(ids), len(positions)
+    return struct.pack(f"<I{n}I{n}BBI{m}I{m}I", n, *ids, *segs, flag, m, *positions, *labels)
+
+
+@pytest.mark.parametrize("payload", [
+    _payload((1, 7, 2), (0, 0, 1), 1, (1,), (9,)) + b"\x00",  # trailing byte
+    _payload((1, 7, 2), (0, 0, 1), 1, (1,), (9,))[:-1],       # label cut short
+    struct.pack("<I", 50) + bytes(20),                          # n beyond the payload
+    b"\x03\x00",                                                # no room for n
+    _payload((1,) * 9, (0,) * 9, 0, (1,), (9,)),               # n > max_seq_length
+    _payload((1, 7, 7, 2), (0, 0, 0, 1), 0, (1, 2, 3), (9, 9, 9)),  # m > max predictions
+])
+def test_reader_rejects_inconsistent_payload_with_valid_crc(payload):
+    header = struct.pack("<4sHII", b"RBTW", 1, 8, 2)
+    data = header + struct.pack("<I", zlib.crc32(header)) + _frame(payload)
+    with pytest.raises(CorruptRecord):
+        list(read_records(io.BytesIO(data)))
+
+
+def test_reader_accepts_a_handmade_payload():
+    header = struct.pack("<4sHII", b"RBTW", 1, 8, 2)
+    payload = _payload((1, 7, 2, 8, 2), (0, 0, 0, 1, 1), 1, (1, 3), (9, 4))
+    data = header + struct.pack("<I", zlib.crc32(header)) + _frame(payload)
+    assert list(read_records(io.BytesIO(data))) == [
+        PretrainInstance((1, 7, 2, 8, 2), (0, 0, 0, 1, 1), True, (1, 3), (9, 4))]
+
+
 def test_write_rejects_oversized_instance():
     cfg = PretrainConfig(max_seq_length=8, max_predictions_per_seq=2)
     big = PretrainInstance(tuple(range(20)), tuple([0] * 20), False, (1,), (1,))
     with pytest.raises(DataError):
         write_records([big], io.BytesIO(), cfg)
+
+
+def test_write_rejects_segment_ids_not_matching_tokens():
+    cfg = PretrainConfig(max_seq_length=8, max_predictions_per_seq=2)
+    short = PretrainInstance((1, 7, 2, 8, 2), (0, 0, 1, 1), False, (1,), (9,))
+    with pytest.raises(DataError):
+        write_records([short], io.BytesIO(), cfg)
+
+
+def test_write_rejects_labels_not_matching_positions():
+    cfg = PretrainConfig(max_seq_length=8, max_predictions_per_seq=2)
+    extra = PretrainInstance((1, 7, 2, 8, 2), (0, 0, 0, 1, 1), False, (1,), (9, 4))
+    with pytest.raises(DataError):
+        write_records([extra], io.BytesIO(), cfg)
 
 
 def test_jsonl_emitter_mirrors_fields(tmp_path):
