@@ -8,6 +8,7 @@ defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__, pipeline, tasks
 from .errors import ConfigError, ConfigInvalid, DataError, TweetCorpusError
-from .pipeline import PipelineConfig, build_config, parse_config_file
+from .pipeline import CONFIG_KEYS, GLOBAL, PipelineConfig, build_config, parse_config_file
 from .tasks import threshold_intensities
 from .vocab import Vocabulary
 
@@ -28,93 +29,56 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_io_flags(sub, input_help: str) -> None:
-    sub.add_argument("--input", help=input_help)
-    sub.add_argument("--output-dir", help="stage output directory")
+def _add_config_flags(parser, command: str | None) -> None:
+    """``--config`` and the flag of every config key that ``command``
+    takes; the main parser (``command`` None) takes the global ones.
 
-
-def _add_filter_flags(sub) -> None:
-    sub.add_argument("--min-words", type=int, dest="min_words")
-    sub.add_argument("--max-words", type=int, dest="max_words")
-    sub.add_argument("--max-mentions", type=int, dest="max_mentions")
-    sub.add_argument("--max-hashtags", type=int, dest="max_hashtags")
-    sub.add_argument("--max-urls", type=int, dest="max_urls")
-    sub.add_argument("--max-emojis", type=int, dest="max_emojis")
-
-
-def _add_langid_flags(sub) -> None:
-    sub.add_argument("--model-a", help="first language model file")
-    sub.add_argument("--model-b", help="second language model file")
-    sub.add_argument("--threshold", type=float, help="agreement probability floor")
-    sub.add_argument("--target", help="target language code")
-    sub.add_argument("--emoji-map", help="emoji translation TSV")
-
-
-def _add_pretrain_flags(sub) -> None:
-    sub.add_argument("--max-seq-length", type=int, dest="max_seq_length")
-    sub.add_argument("--dupe-factor", type=int, dest="dupe_factor")
-    sub.add_argument("--masked-lm-prob", type=float, dest="masked_lm_prob")
-    sub.add_argument("--max-predictions-per-seq", type=int, dest="max_predictions_per_seq")
-    sub.add_argument("--short-seq-prob", type=float, dest="short_seq_prob")
-    sub.add_argument("--nsp-random-prob", type=float, dest="nsp_random_prob")
-
-
-def _add_global_flags(parser, suppress: bool) -> None:
-    # globals are accepted both before and after the subcommand; the
-    # SUPPRESS default keeps a subparser from clobbering main-parser values
-    kwargs = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--config", help="flat key=value config file", **kwargs)
-    parser.add_argument("--seed", type=int, help="global RNG seed", **kwargs)
-    parser.add_argument("--workers", type=int, help="worker process count", **kwargs)
-    parser.add_argument("--shards", type=int, help="output shard count", **kwargs)
+    Globals are accepted both before and after the subcommand; the
+    SUPPRESS default keeps a subparser from clobbering main-parser values.
+    """
+    suppress = {"default": argparse.SUPPRESS} if command else {}
+    parser.add_argument("--config", help="flat key=value config file", **suppress)
+    for spec in CONFIG_KEYS.values():
+        if not spec.flag or not (spec.commands == GLOBAL or command in spec.commands):
+            continue
+        parser.add_argument(spec.flag, type=None if spec.type is str else spec.type,
+                            help=f"{spec.help} [{spec.key}, default {spec.default!r}]".lstrip(),
+                            **(suppress if spec.commands == GLOBAL else {}))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tweetcorpus",
                      description="tweet archives in, pretraining data out")
     parser.add_argument("--version", action="version", version=__version__)
-    _add_global_flags(parser, suppress=False)
+    _add_config_flags(parser, None)
     parser.add_argument("--print-config", action="store_true",
                         help="print the effective configuration and exit")
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add_sub(name, help_text):
         sub = subs.add_parser(name, help=help_text)
-        _add_global_flags(sub, suppress=True)
+        _add_config_flags(sub, name)
         return sub
 
-    sub = add_sub("ingest", "parse and dedup raw archives")
-    _add_io_flags(sub, "raw archive(s), comma separated")
+    add_sub("ingest", "parse and dedup raw archives")
 
     sub = add_sub("langid-train", "train the two agreement models")
     sub.add_argument("--corpus", required=True, help="code<TAB>text training file")
-    sub.add_argument("--output-dir")
-    sub.add_argument("--alpha", type=float, help="add-alpha smoothing")
 
     sub = add_sub("clean", "language filter, normalize, filter, emojis")
     sub.add_argument("--input-dir", help="directory of tweets-*.jsonl shards")
-    sub.add_argument("--output-dir")
-    _add_langid_flags(sub)
-    _add_filter_flags(sub)
 
     sub = add_sub("segment", "split tweets into document files")
     sub.add_argument("--input-dir", help="directory of clean-*.jsonl shards")
-    sub.add_argument("--output-dir")
-    sub.add_argument("--abbreviations", help="abbreviation list file")
 
     sub = add_sub("vocab", "extend the base vocabulary")
     sub.add_argument("--input-dir", help="directory of tweets-*.jsonl shards")
-    sub.add_argument("--output-dir")
-    sub.add_argument("--base-vocab", help="base vocabulary file")
-    sub.add_argument("--emoji-fraction", type=float, dest="emoji_fraction")
 
     sub = add_sub("pretrain-data", "generate MLM/NSP records")
     sub.add_argument("--input-dir", help="directory of corpus-*.txt shards")
-    sub.add_argument("--output-dir")
     sub.add_argument("--vocab", help="vocabulary file")
     sub.add_argument("--debug-jsonl", action="store_true",
                      help="also write line-delimited JSON twins of the records")
-    _add_pretrain_flags(sub)
 
     sub = add_sub("task-prep", "validate and prepare a task dataset")
     sub.add_argument("--task", required=True, choices=("red_v2", "coroseof", "ner"))
@@ -139,57 +103,23 @@ def build_parser() -> _Parser:
     sub.add_argument("--repair-bio", action="store_true")
     sub.add_argument("--output", help="write the metric report here instead of stdout")
 
-    sub = add_sub("stats", "summarize an archive")
-    _add_io_flags(sub, "archive(s) to summarize")
-
-    sub = add_sub("pipeline", "run every stage in order")
-    _add_io_flags(sub, "raw archive(s), comma separated")
-    sub.add_argument("--base-vocab", help="base vocabulary file")
-    _add_langid_flags(sub)
-    _add_filter_flags(sub)
-    _add_pretrain_flags(sub)
-
+    add_sub("stats", "summarize an archive")
+    add_sub("pipeline", "run every stage in order")
     return parser
-
-
-_FLAG_TO_KEY = {
-    "input": "io.input",
-    "output_dir": "io.output_dir",
-    "seed": "seed",
-    "workers": "io.workers",
-    "shards": "io.shards",
-    "model_a": "langid.model_a",
-    "model_b": "langid.model_b",
-    "threshold": "langid.threshold",
-    "target": "langid.target",
-    "alpha": "langid.alpha",
-    "emoji_map": "normalize.emoji_map",
-    "abbreviations": "segment.abbreviations",
-    "base_vocab": "vocab.base",
-    "emoji_fraction": "vocab.emoji_fraction",
-    "min_words": "filter.min_words",
-    "max_words": "filter.max_words",
-    "max_mentions": "filter.max_mentions",
-    "max_hashtags": "filter.max_hashtags",
-    "max_urls": "filter.max_urls",
-    "max_emojis": "filter.max_emojis",
-    "max_seq_length": "pretrain.max_seq_length",
-    "dupe_factor": "pretrain.dupe_factor",
-    "masked_lm_prob": "pretrain.masked_lm_prob",
-    "max_predictions_per_seq": "pretrain.max_predictions_per_seq",
-    "short_seq_prob": "pretrain.short_seq_prob",
-    "nsp_random_prob": "pretrain.nsp_random_prob",
-}
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    # argparse's dest for "--min-words" is "min_words"
+    overrides = {spec.key: getattr(args, spec.flag[2:].replace("-", "_"), None)
+                 for spec in CONFIG_KEYS.values() if spec.flag}
     return build_config(file_values, overrides)
+
+
+# option dest -> keyword argument of the stage function; the pipeline
+# takes none (its output directory is io.output_dir)
+_STAGE_ARGS = {"corpus": "corpus", "input_dir": "in_dir", "vocab": "vocab_path",
+               "output_dir": "out_dir", "debug_jsonl": "debug_jsonl"}
 
 
 def _load_matrix(path: str, columns: int, as_float: bool) -> np.ndarray:
@@ -215,9 +145,9 @@ def _read_label_lines(path: str) -> list[str]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.task != "ner" and not args.averaging:
+        raise ConfigInvalid(f"--averaging is required for {args.task}")
     if args.task == "red_v2":
-        if not args.averaging:
-            raise ConfigInvalid("--averaging is required for red_v2")
         gold = tasks.load_emotion_dataset(args.gold)
         y_true = np.array([ex.labels for ex in gold])
         n = len(tasks.EMOTIONS)
@@ -238,8 +168,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "mse": mse_value,
         })
     elif args.task == "coroseof":
-        if not args.averaging:
-            raise ConfigInvalid("--averaging is required for coroseof")
         gold = tasks.load_sexism_dataset(args.gold)
         preds = _read_label_lines(args.pred)
         if args.subtask == "binary":
@@ -250,8 +178,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise DataError(f"{len(preds)} predictions for {len(y_true)} gold rows")
         report = tasks.prf_singlelabel(y_true, preds, args.averaging)
     else:
-        gold_tags = _read_conll_tags(args.gold)
-        pred_tags = _read_conll_tags(args.pred)
+        gold_tags = [tags for _, _, tags in tasks.read_conll(args.gold)]
+        pred_tags = [tags for _, _, tags in tasks.read_conll(args.pred)]
         report = tasks.entity_f1(gold_tags, pred_tags, repair=args.repair_bio)
 
     text = report.to_json()
@@ -262,42 +190,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_conll_tags(path: str) -> list[list[str]]:
-    sentences, current = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    sentences.append(current)
-                    current = []
-                continue
-            cols = line.split(" ")
-            if len(cols) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'word tag'")
-            current.append(cols[1])
-    if current:
-        sentences.append(current)
-    return sentences
-
-
 def _cmd_task_prep(args: argparse.Namespace) -> int:
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     examples = tasks.load_task_dataset(args.input, args.task, vocab,
                                        repair_bio=args.repair_bio)
     with open(args.output, "w", encoding="utf-8") as out:
         for ex in examples:
-            if args.task == "red_v2":
-                row = {"text": ex.text, "labels": list(ex.labels)}
-                if ex.intensities is not None:
-                    row["intensities"] = list(ex.intensities)
-            elif args.task == "coroseof":
-                row = {"text": ex.text, "raw_label": ex.raw_label,
-                       "binary_label": ex.binary_label,
-                       "threeway_label": ex.threeway_label}
-            else:
-                row = {"words": list(ex.words), "tags": list(ex.tags),
-                       "first_subword_index": list(ex.first_subword_index)}
+            row = dataclasses.asdict(ex)
+            if args.task == "red_v2" and ex.intensities is None:
+                del row["intensities"]
             out.write(json.dumps(row, ensure_ascii=False) + "\n")
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
@@ -319,26 +220,9 @@ def run(argv: list[str] | None = None) -> int:
         return _cmd_task_prep(args) if args.command == "task-prep" else _cmd_eval(args)
 
     cfg = config_from_args(args)
-    in_dir = getattr(args, "input_dir", None)
-    if args.command == "ingest":
-        manifest = pipeline.stage_ingest(cfg, args.output_dir)
-    elif args.command == "langid-train":
-        manifest = pipeline.stage_langid_train(cfg, args.corpus, args.output_dir)
-    elif args.command == "clean":
-        manifest = pipeline.stage_clean(cfg, in_dir, args.output_dir)
-    elif args.command == "segment":
-        manifest = pipeline.stage_segment(cfg, in_dir, args.output_dir)
-    elif args.command == "vocab":
-        manifest = pipeline.stage_vocab(cfg, in_dir, args.output_dir)
-    elif args.command == "pretrain-data":
-        manifest = pipeline.stage_pretrain_data(cfg, in_dir, args.vocab, args.output_dir,
-                                                debug_jsonl=args.debug_jsonl)
-    elif args.command == "stats":
-        manifest = pipeline.stage_stats(cfg, args.output_dir)
-    elif args.command == "pipeline":
-        manifest = pipeline.run_pipeline(cfg)
-    else:  # pragma: no cover
-        parser.error(f"unknown command {args.command}")
+    kwargs = {} if args.command == "pipeline" else {
+        param: getattr(args, dest) for dest, param in _STAGE_ARGS.items() if dest in args}
+    manifest = pipeline.run_stage(args.command, cfg, **kwargs)
     print(json.dumps(manifest.counts, sort_keys=True))
     return 0
 

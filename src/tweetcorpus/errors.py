@@ -9,6 +9,7 @@ class TweetCorpusError(Exception):
     """Base class for all package errors."""
 
     exit_code = 2
+    stage: str | None = None  # the failing stage, once pipeline.run_stage names it
 
 
 class ConfigError(TweetCorpusError):

@@ -43,15 +43,6 @@ class IngestStats:
     duplicates_text: int = 0
     emitted: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "read": self.read,
-            "malformed": self.malformed,
-            "duplicates_id": self.duplicates_id,
-            "duplicates_text": self.duplicates_text,
-            "emitted": self.emitted,
-        }
-
 
 def _parse_timestamp(value: str) -> int:
     # RFC 3339; Python 3.10's fromisoformat rejects the Z suffix

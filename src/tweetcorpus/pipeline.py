@@ -60,83 +60,143 @@ from .vocab import (
 )
 
 
+def _key(key: str, default, flag: str | None = None, commands: tuple[str, ...] = (),
+         help: str = ""):
+    """A field holding config key ``key``; ``flag`` sets it on ``commands``."""
+    return field(default=default,
+                 metadata={"key": key, "flag": flag, "commands": commands, "help": help})
+
+
+# The subcommands that take a flag; GLOBAL flags go before or after any.
+GLOBAL = ("*",)
+_ARCHIVES = ("ingest", "stats", "pipeline")
+_STAGES = ("ingest", "langid-train", "clean", "segment", "vocab", "pretrain-data",
+           "stats", "pipeline")
+_CLEAN = ("clean", "pipeline")
+_RECORDS = ("pretrain-data", "pipeline")
+
+
 @dataclass
 class PipelineConfig:
-    """Every stage knob, with paper-faithful defaults."""
+    """Every stage knob, with paper-faithful defaults.
 
-    input: str = ""
-    output_dir: str = ""
-    shards: int = 1
-    workers: int = 1
-    seed: int = 0
+    The fields are the config table: each gives its key, type, default,
+    flag and subcommands once; the config file parser, ``flat()``,
+    ``build_config`` and the CLI flags are derived from them. The fields
+    of ``filters`` and ``pretrain`` are keys ``filter.<field>`` and
+    ``pretrain.<field>`` with flags ``--<field>``.
+    """
 
-    langid_model_a: str = ""
-    langid_model_b: str = ""
-    langid_threshold: float = 0.5
-    langid_target: str = "ro"
-    langid_alpha: float = 1.0
-    langid_ngrams_a: tuple[int, int] = (1, 2)
-    langid_ngrams_b: tuple[int, int] = (2, 3)
+    input: str = _key("io.input", "", "--input", _ARCHIVES, "archive(s), comma separated")
+    output_dir: str = _key("io.output_dir", "", "--output-dir", _STAGES, "output directory")
+    shards: int = _key("io.shards", 1, "--shards", GLOBAL, "output shard count")
+    workers: int = _key("io.workers", 1, "--workers", GLOBAL, "worker process count")
+    seed: int = _key("seed", 0, "--seed", GLOBAL, "global RNG seed")
 
-    emoji_map_path: str = ""
-    abbreviations_path: str = ""
-    base_vocab_path: str = ""
-    emoji_fraction: float = 0.25
+    langid_model_a: str = _key("langid.model_a", "", "--model-a", _CLEAN, "first model file")
+    langid_model_b: str = _key("langid.model_b", "", "--model-b", _CLEAN, "second model file")
+    langid_threshold: float = _key("langid.threshold", 0.5, "--threshold", _CLEAN,
+                                   "agreement probability floor")
+    langid_target: str = _key("langid.target", "ro", "--target", _CLEAN, "target language")
+    langid_alpha: float = _key("langid.alpha", 1.0, "--alpha", ("langid-train",),
+                               "add-alpha smoothing")
+    langid_ngram_min_a: int = _key("langid.ngram_min_a", 1)
+    langid_ngram_max_a: int = _key("langid.ngram_max_a", 2)
+    langid_ngram_min_b: int = _key("langid.ngram_min_b", 2)
+    langid_ngram_max_b: int = _key("langid.ngram_max_b", 3)
 
-    filters: FilterConfig = field(default_factory=FilterConfig)
-    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    emoji_map_path: str = _key("normalize.emoji_map", "", "--emoji-map", _CLEAN,
+                               "emoji translation TSV")
+    abbreviations_path: str = _key("segment.abbreviations", "", "--abbreviations",
+                                   ("segment",), "abbreviation list file")
+    base_vocab_path: str = _key("vocab.base", "", "--base-vocab", ("vocab", "pipeline"),
+                                "base vocabulary file")
+    emoji_fraction: float = _key("vocab.emoji_fraction", 0.25, "--emoji-fraction", ("vocab",),
+                                 "share of distinct emojis added")
+
+    filters: FilterConfig = field(default_factory=FilterConfig,
+                                  metadata={"prefix": "filter", "commands": _CLEAN})
+    # the record seed is the global seed, not a key of its own
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig, metadata={
+        "prefix": "pretrain", "commands": _RECORDS, "omitted": ("seed",),
+        "unflagged": ("mask_token_frac", "keep_frac", "random_frac")})
+
+    @property
+    def langid_ngrams_a(self) -> tuple[int, int]:
+        return self.langid_ngram_min_a, self.langid_ngram_max_a
+
+    @property
+    def langid_ngrams_b(self) -> tuple[int, int]:
+        return self.langid_ngram_min_b, self.langid_ngram_max_b
 
     def flat(self) -> dict:
-        out = {
-            "io.input": self.input,
-            "io.output_dir": self.output_dir,
-            "io.shards": self.shards,
-            "io.workers": self.workers,
-            "seed": self.seed,
-            "langid.model_a": self.langid_model_a,
-            "langid.model_b": self.langid_model_b,
-            "langid.threshold": self.langid_threshold,
-            "langid.target": self.langid_target,
-            "langid.alpha": self.langid_alpha,
-            "langid.ngram_min_a": self.langid_ngrams_a[0],
-            "langid.ngram_max_a": self.langid_ngrams_a[1],
-            "langid.ngram_min_b": self.langid_ngrams_b[0],
-            "langid.ngram_max_b": self.langid_ngrams_b[1],
-            "normalize.emoji_map": self.emoji_map_path,
-            "segment.abbreviations": self.abbreviations_path,
-            "vocab.base": self.base_vocab_path,
-            "vocab.emoji_fraction": self.emoji_fraction,
-        }
-        for name in ("min_words", "max_words", "max_mentions", "max_hashtags",
-                     "max_urls", "max_emojis"):
-            out[f"filter.{name}"] = getattr(self.filters, name)
-        for f in dataclasses.fields(PretrainConfig):
-            if f.name != "seed":
-                out[f"pretrain.{f.name}"] = getattr(self.pretrain, f.name)
-        return out
+        return {key: getattr(getattr(self, spec.section) if spec.section else self, spec.name)
+                for key, spec in CONFIG_KEYS.items()}
+
+    def validate(self) -> "PipelineConfig":
+        """Reject out-of-range values before any stage runs."""
+        self.filters.validate()
+        self.pretrain.validate()
+        if self.shards < 1:
+            raise ConfigInvalid("io.shards must be >= 1")
+        if self.workers < 1:
+            raise ConfigInvalid("io.workers must be >= 1")
+        if not 0 < self.langid_threshold < 1:
+            raise ConfigInvalid("langid.threshold must be in (0, 1)")
+        if not self.langid_alpha > 0:
+            raise ConfigInvalid("langid.alpha must be > 0")
+        for model, (low, high) in (("a", self.langid_ngrams_a), ("b", self.langid_ngrams_b)):
+            if not 1 <= low <= high <= 5:
+                raise ConfigInvalid(f"langid.ngram_min_{model} and langid.ngram_max_{model} "
+                                    "must satisfy 1 <= min <= max <= 5")
+        if not 0 < self.emoji_fraction <= 1:
+            raise ConfigInvalid("vocab.emoji_fraction must be in (0, 1]")
+        return self
 
 
-_INT_KEYS = {
-    "io.shards", "io.workers", "seed",
-    "langid.ngram_min_a", "langid.ngram_max_a",
-    "langid.ngram_min_b", "langid.ngram_max_b",
-    "filter.min_words", "filter.max_words", "filter.max_mentions",
-    "filter.max_hashtags", "filter.max_urls", "filter.max_emojis",
-    "pretrain.max_seq_length", "pretrain.max_predictions_per_seq",
-    "pretrain.dupe_factor",
-}
-_FLOAT_KEYS = {
-    "langid.threshold", "langid.alpha", "vocab.emoji_fraction",
-    "pretrain.masked_lm_prob", "pretrain.mask_token_frac",
-    "pretrain.keep_frac", "pretrain.random_frac",
-    "pretrain.short_seq_prob", "pretrain.nsp_random_prob",
-}
-_STR_KEYS = {
-    "io.input", "io.output_dir", "langid.model_a", "langid.model_b",
-    "langid.target", "normalize.emoji_map", "segment.abbreviations",
-    "vocab.base",
-}
-ALL_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+@dataclass(frozen=True)
+class ConfigKey:
+    """One row of the config table."""
+
+    key: str
+    type: type
+    default: object
+    flag: str | None
+    commands: tuple[str, ...]
+    help: str
+    section: str | None  # the PipelineConfig field holding the sub-config, if any
+    name: str  # the field holding the value
+
+    def coerce(self, raw):
+        """Parse a config-file string; numbers pass as they are."""
+        if isinstance(raw, (int, float)) or self.type is str:
+            return raw
+        try:
+            return self.type(raw)
+        except ValueError as exc:
+            raise ConfigInvalid(f"bad value for {self.key}: {raw!r}") from exc
+
+
+def _config_keys() -> dict[str, ConfigKey]:
+    types = {"int": int, "float": float, "str": str}  # annotations are strings here
+    keys = {}
+    for f in dataclasses.fields(PipelineConfig):
+        meta = f.metadata
+        if "key" in meta:
+            keys[meta["key"]] = ConfigKey(meta["key"], types[f.type], f.default, meta["flag"],
+                                          meta["commands"], meta["help"], None, f.name)
+            continue
+        for sub in dataclasses.fields(f.default_factory):
+            if sub.name not in meta.get("omitted", ()):
+                key = f"{meta['prefix']}.{sub.name}"
+                flag = (None if sub.name in meta.get("unflagged", ())
+                        else "--" + sub.name.replace("_", "-"))
+                keys[key] = ConfigKey(key, types[sub.type], sub.default, flag,
+                                      meta["commands"], "", f.name, sub.name)
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -150,83 +210,32 @@ def parse_config_file(path: str | Path) -> dict:
             if "=" not in line:
                 raise ConfigInvalid(f"{path}:{lineno}: expected key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in ALL_CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = raw
     return values
 
 
-def _coerce(key: str, raw):
-    if isinstance(raw, (int, float)):
-        return raw
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad value for {key}: {raw!r}") from exc
-    return raw
-
-
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> PipelineConfig:
     """Defaults, overlaid by config-file values, overlaid by flags."""
-    merged: dict = {}
+    values = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     for source in (file_values or {}, overrides or {}):
         for key, raw in source.items():
             if raw is None:
                 continue
-            if key not in ALL_CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigInvalid(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, raw)
+            values[key] = CONFIG_KEYS[key].coerce(raw)
 
-    cfg = PipelineConfig()
-    cfg.input = merged.get("io.input", cfg.input)
-    cfg.output_dir = merged.get("io.output_dir", cfg.output_dir)
-    cfg.shards = merged.get("io.shards", cfg.shards)
-    cfg.workers = merged.get("io.workers", cfg.workers)
-    cfg.seed = merged.get("seed", cfg.seed)
-    cfg.langid_model_a = merged.get("langid.model_a", cfg.langid_model_a)
-    cfg.langid_model_b = merged.get("langid.model_b", cfg.langid_model_b)
-    cfg.langid_threshold = merged.get("langid.threshold", cfg.langid_threshold)
-    cfg.langid_target = merged.get("langid.target", cfg.langid_target)
-    cfg.langid_alpha = merged.get("langid.alpha", cfg.langid_alpha)
-    cfg.langid_ngrams_a = (merged.get("langid.ngram_min_a", cfg.langid_ngrams_a[0]),
-                           merged.get("langid.ngram_max_a", cfg.langid_ngrams_a[1]))
-    cfg.langid_ngrams_b = (merged.get("langid.ngram_min_b", cfg.langid_ngrams_b[0]),
-                           merged.get("langid.ngram_max_b", cfg.langid_ngrams_b[1]))
-    cfg.emoji_map_path = merged.get("normalize.emoji_map", cfg.emoji_map_path)
-    cfg.abbreviations_path = merged.get("segment.abbreviations", cfg.abbreviations_path)
-    cfg.base_vocab_path = merged.get("vocab.base", cfg.base_vocab_path)
-    cfg.emoji_fraction = merged.get("vocab.emoji_fraction", cfg.emoji_fraction)
+    def fields_of(section: str | None) -> dict:
+        return {spec.name: values[key] for key, spec in CONFIG_KEYS.items()
+                if spec.section == section}
 
-    cfg.filters = FilterConfig(
-        min_words=merged.get("filter.min_words", 5),
-        max_words=merged.get("filter.max_words", 256),
-        max_mentions=merged.get("filter.max_mentions", 3),
-        max_hashtags=merged.get("filter.max_hashtags", 3),
-        max_urls=merged.get("filter.max_urls", 3),
-        max_emojis=merged.get("filter.max_emojis", 3),
+    return PipelineConfig(
+        **fields_of(None),
+        filters=FilterConfig(**fields_of("filters")),
+        pretrain=PretrainConfig(**fields_of("pretrain"), seed=values["seed"]),
     ).validate()
-    defaults = PretrainConfig()
-    cfg.pretrain = PretrainConfig(
-        max_seq_length=merged.get("pretrain.max_seq_length", defaults.max_seq_length),
-        masked_lm_prob=merged.get("pretrain.masked_lm_prob", defaults.masked_lm_prob),
-        mask_token_frac=merged.get("pretrain.mask_token_frac", defaults.mask_token_frac),
-        keep_frac=merged.get("pretrain.keep_frac", defaults.keep_frac),
-        random_frac=merged.get("pretrain.random_frac", defaults.random_frac),
-        max_predictions_per_seq=merged.get("pretrain.max_predictions_per_seq",
-                                           defaults.max_predictions_per_seq),
-        dupe_factor=merged.get("pretrain.dupe_factor", defaults.dupe_factor),
-        short_seq_prob=merged.get("pretrain.short_seq_prob", defaults.short_seq_prob),
-        nsp_random_prob=merged.get("pretrain.nsp_random_prob", defaults.nsp_random_prob),
-        seed=merged.get("seed", defaults.seed),
-    ).validate()
-    if cfg.shards < 1:
-        raise ConfigInvalid("io.shards must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigInvalid("io.workers must be >= 1")
-    return cfg
 
 
 # --- manifests ---------------------------------------------------------------
@@ -327,7 +336,7 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         for sink in sinks:
             sink.close()
     _remove_stale(out, "tweets-*.jsonl", shard_paths)
-    return _make_manifest("ingest", cfg, inputs, stats.as_dict(), shard_paths, out)
+    return _make_manifest("ingest", cfg, inputs, dataclasses.asdict(stats), shard_paths, out)
 
 
 def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
@@ -565,7 +574,7 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
             counts = count_entities(tweet.text)
             for key in entity_totals:
                 entity_totals[key] += getattr(counts, key)
-    counts = stats.as_dict()
+    counts = dataclasses.asdict(stats)
     counts.pop("duplicates_id")
     counts.pop("duplicates_text")
     counts["words"] = words
@@ -573,12 +582,12 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     return _make_manifest("stats", cfg, inputs, counts, [], out)
 
 
-STAGES = ("ingest", "langid-train", "clean", "segment", "vocab",
-          "pretrain-data", "task-prep", "eval", "stats", "pipeline")
-
-
 def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
-    """Dispatch one named stage; extra keyword arguments reach the stage."""
+    """Dispatch one named stage; extra keyword arguments reach the stage.
+
+    A stage's error is raised again with ``stage <name>: `` in front,
+    once: the pipeline's message names the stage that failed inside it.
+    """
     runners = {
         "ingest": stage_ingest,
         "langid-train": stage_langid_train,
@@ -587,7 +596,7 @@ def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
         "vocab": stage_vocab,
         "pretrain-data": stage_pretrain_data,
         "stats": stage_stats,
-        "pipeline": lambda config: run_pipeline(config),
+        "pipeline": run_pipeline,
     }
     if stage not in runners:
         raise ConfigInvalid(f"unknown stage {stage!r} (task-prep and eval "
@@ -595,7 +604,11 @@ def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
     try:
         return runners[stage](cfg, **kwargs)
     except TweetCorpusError as exc:
-        raise type(exc)(f"stage {stage}: {exc}") from exc
+        if exc.stage is not None:
+            raise
+        named = type(exc)(f"stage {stage}: {exc}")
+        named.stage = stage
+        raise named from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
@@ -604,7 +617,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     Vocabulary extension runs right after ingest because emoji counting
     needs the pre-translation text. An archive whose tweets are all
     rejected still succeeds: the corpus is empty, a warning is printed,
-    and the record stage is skipped.
+    and the record stage is skipped. A stage that fails is recorded as
+    ``failed_stage`` in ``manifest-pipeline.json``.
     """
     if not cfg.output_dir:
         raise ConfigInvalid("io.output_dir is not set")
@@ -613,31 +627,21 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 
     counts: dict = {}
     stage_manifests = []
-    for name, runner in (
-        ("ingest", lambda: stage_ingest(cfg)),
-        ("vocab", lambda: stage_vocab(cfg)),
-        ("clean", lambda: stage_clean(cfg)),
-        ("segment", lambda: stage_segment(cfg)),
-    ):
+    for name in ("ingest", "vocab", "clean", "segment", "pretrain-data"):
+        if name == "pretrain-data" and counts["segment"]["documents"] < 2:
+            print("warning: fewer than 2 documents survived cleaning; "
+                  "skipping pretraining records", file=sys.stderr)
+            counts[name] = {"documents": counts["segment"]["documents"],
+                            "degenerate_documents": 0, "instances": 0, "skipped": True}
+            continue
         try:
-            manifest = runner()
-        except TweetCorpusError as exc:
+            manifest = run_stage(name, cfg)
+        except TweetCorpusError:
             counts["failed_stage"] = name
             RunManifest(stage="pipeline", seed=cfg.seed, config=cfg.flat(),
                         inputs={}, counts=counts, outputs={}).write(out)
-            raise type(exc)(f"stage {name}: {exc}") from exc
+            raise
         counts[name] = manifest.counts
-        stage_manifests.append(manifest)
-
-    if counts["segment"]["documents"] < 2:
-        print("warning: fewer than 2 documents survived cleaning; "
-              "skipping pretraining records", file=sys.stderr)
-        counts["pretrain-data"] = {"documents": counts["segment"]["documents"],
-                                   "degenerate_documents": 0, "instances": 0,
-                                   "skipped": True}
-    else:
-        manifest = stage_pretrain_data(cfg)
-        counts["pretrain-data"] = manifest.counts
         stage_manifests.append(manifest)
 
     outputs: dict = {}

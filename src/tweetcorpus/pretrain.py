@@ -209,13 +209,6 @@ class BuildStats:
     degenerate_documents: int = 0
     instances: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "documents": self.documents,
-            "degenerate_documents": self.degenerate_documents,
-            "instances": self.instances,
-        }
-
 
 def tokenize_documents(documents: Iterable[Document], vocab: Vocabulary,
                        stats: BuildStats | None = None) -> list[list[list[int]]]:

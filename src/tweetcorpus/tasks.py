@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -382,15 +382,33 @@ def load_sexism_dataset(path) -> list[SexismExample]:
     return out
 
 
-def load_ner_dataset(path, vocab: Vocabulary, repair: bool = False) -> list[NerExample]:
-    """CoNLL-style two-column file: ``word tag``, blank line between sentences."""
-    out = []
+def read_conll(path) -> Iterator[tuple[int, list[str], list[str]]]:
+    """Sentences of a CoNLL-style two-column file (``word tag`` lines, a
+    blank line between sentences) as (line ending it, words, tags)."""
     words: list[str] = []
     tags: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        lineno = 0
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                if words:
+                    yield lineno, words, tags
+                    words, tags = [], []
+                continue
+            cols = line.split(" ")
+            if len(cols) != 2 or not cols[0] or not cols[1]:
+                raise MalformedRow(f"{path}:{lineno}: expected 'word tag'")
+            words.append(cols[0])
+            tags.append(cols[1])
+    if words:
+        yield lineno, words, tags
 
-    def flush(lineno: int) -> None:
-        if not words:
-            return
+
+def load_ner_dataset(path, vocab: Vocabulary, repair: bool = False) -> list[NerExample]:
+    """A CoNLL-style file (see read_conll) with valid BIO tags over ENTITY_TYPES."""
+    out = []
+    for lineno, words, tags in read_conll(path):
         try:
             bio_decode(tags, repair=repair)
         except InvalidBIO as exc:
@@ -400,22 +418,6 @@ def load_ner_dataset(path, vocab: Vocabulary, repair: bool = False) -> list[NerE
                 raise UnknownLabel(f"{path}: unknown entity type in {tag!r}")
         out.append(NerExample(tuple(words), tuple(tags),
                               align_first_subwords(words, vocab)))
-        words.clear()
-        tags.clear()
-
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush(lineno)
-                continue
-            cols = line.split(" ")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                raise MalformedRow(f"{path}:{lineno}: expected 'word tag'")
-            words.append(cols[0])
-            tags.append(cols[1])
-        flush(lineno)
     return out
 
 

@@ -1,9 +1,14 @@
+import argparse
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+
+from tweetcorpus.cli import build_parser
+from tweetcorpus.pipeline import CONFIG_KEYS, build_config, stage_ingest, stage_langid_train
+from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
 from conftest import EN_WORDS, RO_WORDS, make_text
 
@@ -45,6 +50,7 @@ def test_missing_input_exits_3(tmp_path):
     proc = run_cli("ingest", "--input", str(tmp_path / "absent.jsonl"),
                    "--output-dir", str(tmp_path / "out"))
     assert proc.returncode == 3
+    assert proc.stderr.count("stage ingest") == 1
 
 
 def test_data_error_exits_2(tmp_path):
@@ -217,3 +223,109 @@ def test_filter_flags_override(tmp_path):
                    "--output-dir", str(tmp_path / "cl2"), "--min-words", "2",
                    check=True)
     assert json.loads(proc.stdout.splitlines()[-1])["emitted"] == 1
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """An archive with emoji, its ingest shards, a base vocabulary, and
+    trained language models: every stage below would run on them."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = random.Random(5)
+    archive = root / "raw.jsonl"
+    with open(archive, "w", encoding="utf-8") as fh:
+        for i in range(12):
+            text = make_text(rng, RO_WORDS, 7).capitalize() + ". \U0001F600"
+            fh.write(json.dumps({"id": i, "text": text}, ensure_ascii=False) + "\n")
+    corpus = root / "langid.tsv"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for i in range(60):
+            words, code = (RO_WORDS, "ro") if i % 2 == 0 else (EN_WORDS, "en")
+            fh.write(f"{code}\t{make_text(rng, words, 8)}\n")
+    base_vocab = root / "base.txt"
+    base_vocab.write_text("\n".join(list(STRUCTURAL_TOKENS) + sorted(set(RO_WORDS))) + "\n",
+                          encoding="utf-8")
+    stage_ingest(build_config(overrides={"io.input": str(archive)}), root / "ingest")
+    stage_langid_train(build_config(), corpus, root / "models")
+    return {"archive": archive, "corpus": corpus, "base": base_vocab,
+            "ingest": root / "ingest", "a": root / "models" / "model-a.rlid",
+            "b": root / "models" / "model-b.rlid"}
+
+
+_STAGE_ARGS = {
+    "vocab": ("--input-dir", "{ingest}", "--base-vocab", "{base}"),
+    "langid-train": ("--corpus", "{corpus}"),
+    "clean": ("--input-dir", "{ingest}", "--model-a", "{a}", "--model-b", "{b}"),
+    "pipeline": ("--input", "{archive}", "--base-vocab", "{base}",
+                 "--model-a", "{a}", "--model-b", "{b}"),
+}
+
+
+_OUT_OF_RANGE = {
+    "vocab-emoji-fraction-1.5": ("vocab", ("--emoji-fraction", "1.5"), ""),
+    "langid-train-alpha-0": ("langid-train", ("--alpha", "0"), ""),
+    "langid-train-ngrams-b-4-2": ("langid-train", (),
+                                  "langid.ngram_min_b = 4\nlangid.ngram_max_b = 2\n"),
+    "clean-threshold-1": ("clean", ("--threshold", "1.0"), ""),
+    "pipeline-threshold-1": ("pipeline", ("--threshold", "1.0"), ""),
+    "pipeline-threshold-0": ("pipeline", ("--threshold", "0"), ""),
+    "pipeline-emoji-fraction-0": ("pipeline", (), "vocab.emoji_fraction = 0\n"),
+    "pipeline-emoji-fraction-1.5": ("pipeline", (), "vocab.emoji_fraction = 1.5\n"),
+    "pipeline-alpha-negative": ("pipeline", (), "langid.alpha = -1\n"),
+    "pipeline-ngram-min-a-0": ("pipeline", (), "langid.ngram_min_a = 0\n"),
+    "pipeline-ngram-max-b-6": ("pipeline", (), "langid.ngram_max_b = 6\n"),
+}
+
+
+@pytest.mark.parametrize("command, flags, config_text", _OUT_OF_RANGE.values(),
+                         ids=_OUT_OF_RANGE.keys())
+def test_out_of_range_config_fails_before_any_stage(tmp_path, valid_inputs, command,
+                                                    flags, config_text):
+    conf = tmp_path / "run.conf"
+    conf.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS[command]]
+    proc = run_cli("--config", str(conf), command, *args, *flags, "--output-dir", str(out))
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_every_config_flag_names_its_key_in_help():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {spec.flag: spec.key for spec in CONFIG_KEYS.values() if spec.flag}
+    seen = set()
+    for sub in (parser, *subparsers.choices.values()):
+        for action in sub._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if flag in flags and sub.prog.split()[-1] not in ("task-prep", "eval"):
+                assert f"[{flags[flag]}, default " in action.help, (sub.prog, flag)
+                seen.add(flag)
+    assert seen == set(flags)  # every flagged key is reachable from some subcommand
+
+
+def test_stage_subcommands_write_what_the_pipeline_writes(tmp_path, valid_inputs):
+    models = ("--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]))
+    common = ("--seed", "7", "--dupe-factor", "2", "--max-seq-length", "32")
+    run_cli("pipeline", "--input", str(valid_inputs["archive"]), "--output-dir",
+            str(tmp_path / "p"), "--base-vocab", str(valid_inputs["base"]), *models, *common,
+            check=True)
+    # the same stages one subcommand at a time, each into a directory of its own
+    s = tmp_path / "s"
+    run_cli("ingest", "--input", str(valid_inputs["archive"]), "--output-dir", str(s / "i"),
+            check=True)
+    run_cli("vocab", "--input-dir", str(s / "i"), "--output-dir", str(s / "v"),
+            "--base-vocab", str(valid_inputs["base"]), check=True)
+    run_cli("clean", "--input-dir", str(s / "i"), "--output-dir", str(s / "c"), *models,
+            check=True)
+    run_cli("segment", "--input-dir", str(s / "c"), "--output-dir", str(s / "g"), check=True)
+    run_cli("pretrain-data", "--input-dir", str(s / "g"), "--output-dir", str(s / "r"),
+            "--vocab", str(s / "v" / "vocab.txt"), "--debug-jsonl", *common, check=True)
+    for piped, staged in (("ingest/tweets-00000.jsonl", "i/tweets-00000.jsonl"),
+                          ("vocab/vocab.txt", "v/vocab.txt"),
+                          ("clean/clean-00000.jsonl", "c/clean-00000.jsonl"),
+                          ("segment/corpus-00000.txt", "g/corpus-00000.txt"),
+                          ("pretrain/pretrain-00000.rbtw", "r/pretrain-00000.rbtw")):
+        assert (tmp_path / "p" / piped).read_bytes() == (s / staged).read_bytes(), piped
+    assert (s / "r" / "pretrain-00000.jsonl").exists()

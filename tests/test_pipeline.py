@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tweetcorpus.errors import ConfigInvalid, InputMissing
+from tweetcorpus.errors import ConfigInvalid, InputMissing, TooFewDocuments
 from tweetcorpus.pipeline import (
     build_config,
     file_digest,
@@ -66,6 +66,17 @@ def test_flag_beats_file_beats_default(tmp_path):
     assert cfg.filters.min_words == 9      # flag wins
     assert cfg.filters.max_words == 100    # file wins
     assert cfg.filters.max_urls == 3       # default
+
+
+def test_build_config_parses_strings_and_keeps_numbers():
+    cfg = build_config({"io.shards": "2", "langid.threshold": "7e-1"},
+                       {"vocab.emoji_fraction": 1, "pretrain.dupe_factor": 3})
+    flat = cfg.flat()
+    assert (flat["io.shards"], flat["langid.threshold"]) == (2, 0.7)
+    # a number given as a number is recorded as given, so a manifest's
+    # config snapshot shows what the caller passed
+    assert repr(flat["vocab.emoji_fraction"]) == "1"
+    assert flat["pretrain.dupe_factor"] == cfg.pretrain.dupe_factor == 3
 
 
 def test_build_config_validates():
@@ -307,7 +318,16 @@ def test_run_stage_attaches_stage_name(tmp_path):
         "io.output_dir": str(tmp_path / "out")})
     with pytest.raises(InputMissing) as err:
         run_stage("ingest", cfg)
-    assert "stage ingest" in str(err.value)
+    assert str(err.value).count("stage ingest") == 1
+
+    # the pipeline names the stage that failed inside it, and only that one
+    _write_archive(tmp_path / "raw.jsonl", ["un text destul de lung aici"])
+    cfg.input = str(tmp_path / "raw.jsonl")
+    cfg.base_vocab_path = str(tmp_path / "no-base.txt")
+    with pytest.raises(InputMissing) as err:
+        run_stage("pipeline", cfg)
+    assert str(err.value).count("stage vocab") == 1
+    assert "stage pipeline: stage" not in str(err.value)
 
 
 def test_pipeline_failure_writes_partial_manifest(tmp_path):
@@ -323,6 +343,26 @@ def test_pipeline_failure_writes_partial_manifest(tmp_path):
     payload = json.loads((tmp_path / "out" / "manifest-pipeline.json").read_text())
     assert payload["counts"]["failed_stage"] == "vocab"
     assert "ingest" in payload["counts"]
+
+
+def test_pipeline_records_a_failed_pretrain_data_stage(tmp_path):
+    archive = tmp_path / "raw.jsonl"
+    _write_archive(archive, [f"Propozitia numarul {n} are destule cuvinte aici."
+                             for n in ("unu", "doi", "trei")])
+    base_vocab = tmp_path / "base-vocab.txt"
+    _write_base_vocab(base_vocab)
+    overrides = {"io.input": str(archive), "io.output_dir": str(tmp_path / "out"),
+                 "vocab.base": str(base_vocab), "pretrain.dupe_factor": 1}
+    run_pipeline(build_config(overrides=overrides))  # one shard of 3 documents
+    # three shards of one document each: pretrain-data cannot pair sentences
+    with pytest.raises(TooFewDocuments) as err:
+        run_pipeline(build_config(overrides={**overrides, "io.shards": 3}))
+    assert str(err.value).count("stage pretrain-data") == 1
+    payload = json.loads((tmp_path / "out" / "manifest-pipeline.json").read_text())
+    assert payload["counts"]["failed_stage"] == "pretrain-data"
+    assert payload["counts"]["segment"]["documents"] == 3
+    assert payload["config"]["io.shards"] == 3
+    assert payload["outputs"] == {}
 
 
 def test_pretrain_stage_debug_jsonl(workspace, tmp_path):
