@@ -75,6 +75,8 @@ _STAGES = ("ingest", "langid-train", "clean", "segment", "vocab", "pretrain-data
 _CLEAN = ("clean", "pipeline")
 _RECORDS = ("pretrain-data", "pipeline")
 
+_ONE_MODEL = "language filtering needs both langid.model_a and model_b"
+
 
 @dataclass
 class PipelineConfig:
@@ -151,6 +153,8 @@ class PipelineConfig:
                                     "must satisfy 1 <= min <= max <= 5")
         if not 0 < self.emoji_fraction <= 1:
             raise ConfigInvalid("vocab.emoji_fraction must be in (0, 1]")
+        if bool(self.langid_model_a) != bool(self.langid_model_b):
+            raise ConfigInvalid(_ONE_MODEL)
         return self
 
 
@@ -356,9 +360,12 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
 
 def _load_clean_context(cfg: PipelineConfig) -> dict:
     model_a = model_b = None
-    if cfg.langid_model_a or cfg.langid_model_b:
-        if not (cfg.langid_model_a and cfg.langid_model_b):
-            raise ConfigInvalid("language filtering needs both langid.model_a and model_b")
+    # validate() checks this too, but library callers may set the paths later
+    if bool(cfg.langid_model_a) != bool(cfg.langid_model_b):
+        raise ConfigInvalid(_ONE_MODEL)
+    for path in filter(None, (cfg.langid_model_a, cfg.langid_model_b, cfg.emoji_map_path)):
+        _require_inputs([Path(path)], "clean input")
+    if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)
         model_b = LangModel.load(cfg.langid_model_b)
     emoji_map = (EmojiMap.load(cfg.emoji_map_path) if cfg.emoji_map_path
@@ -422,10 +429,9 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
     """Language-filter, normalize, filter, and emoji-translate each shard."""
     src = Path(in_dir or Path(cfg.output_dir) / "ingest")
     shard_files = _require_inputs(_sharded(src, "tweets-*.jsonl"), "deduped shards")
+    ctx = _load_clean_context(cfg)
     out = Path(out_dir or Path(cfg.output_dir) / "clean")
     out.mkdir(parents=True, exist_ok=True)
-
-    ctx = _load_clean_context(cfg)
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}

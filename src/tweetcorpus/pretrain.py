@@ -31,6 +31,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -103,10 +104,14 @@ class PretrainInstance:
 
 
 def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConfig,
-                  rng: random.Random) -> tuple[list[int], list[int], list[int]]:
+                  rng: random.Random, candidates: Sequence[int] | None = None,
+                  ) -> tuple[list[int], list[int], list[int]]:
     """Apply the MLM corruption to one assembled sequence.
 
-    Candidates are all non-[CLS]/[SEP] positions. The number selected is
+    Candidates are all non-[CLS]/[SEP] positions, ascending. Without
+    ``candidates`` every token is scanned for them; a caller that knows
+    the sequence's layout may pass that list instead, which must equal
+    what the scan would find. The number selected is
     min(max_predictions_per_seq, max(1, round(masked_lm_prob * candidates))),
     drawn uniformly without replacement via ``rng.sample``. For each
     selected position, ascending, one ``random()`` decides the fate:
@@ -114,8 +119,9 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
     -> unchanged; otherwise one ``randrange`` over the replacement pool
     (vocabulary minus [CLS]/[SEP]/[MASK]/[PAD]) picks a random token.
     """
-    cls_id, sep_id = vocab.cls_id, vocab.sep_id
-    candidates = [i for i, t in enumerate(token_ids) if t != cls_id and t != sep_id]
+    if candidates is None:
+        cls_id, sep_id = vocab.cls_id, vocab.sep_id
+        candidates = [i for i, t in enumerate(token_ids) if t != cls_id and t != sep_id]
     if not candidates:
         raise NoCandidates("sequence contains only [CLS]/[SEP]")
     count = min(cfg.max_predictions_per_seq,
@@ -123,17 +129,16 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
     positions = sorted(rng.sample(candidates, count))
 
     pool = vocab.replacement_pool
-    keep_cutoff = cfg.mask_token_frac + cfg.keep_frac
+    mask_id, mask_cutoff = vocab.mask_id, cfg.mask_token_frac
+    keep_cutoff = mask_cutoff + cfg.keep_frac
     masked = list(token_ids)
-    labels = []
+    labels = [token_ids[pos] for pos in positions]
+    draw = rng.random
     for pos in positions:
-        labels.append(token_ids[pos])
-        r = rng.random()
-        if r < cfg.mask_token_frac:
-            masked[pos] = vocab.mask_id
-        elif r < keep_cutoff:
-            pass
-        else:
+        r = draw()
+        if r < mask_cutoff:
+            masked[pos] = mask_id
+        elif r >= keep_cutoff:  # between the cutoffs the token is kept
             masked[pos] = pool[rng.randrange(len(pool))]
     return masked, positions, labels
 
@@ -149,10 +154,14 @@ def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int
 
 def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_index: int,
                             rng: random.Random, vocab: Vocabulary,
-                            cfg: PretrainConfig) -> list[tuple]:
+                            cfg: PretrainConfig, layout: bool) -> list[tuple]:
     """One (document, duplicate) pair's instances, as raw
     ``(token ids, segment-0 length, is_random_next, masked positions,
-    labels)`` tuples; segment 0 is [CLS], segment A and the first [SEP]."""
+    labels)`` tuples; segment 0 is [CLS], segment A and the first [SEP].
+
+    With ``layout``, which the caller may set only when no sentence of
+    ``all_docs`` holds the [CLS] or [SEP] id, the masking candidates are
+    taken from the ``[CLS] A [SEP] B [SEP]`` layout, not scanned for."""
     document = all_docs[doc_index]
     max_num_tokens = cfg.max_seq_length - 3
     target_seq_length = max_num_tokens
@@ -171,7 +180,7 @@ def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_ind
             a_end = 1
             if len(current_chunk) >= 2:
                 a_end = rng.randint(1, len(current_chunk) - 1)
-            tokens_a = [t for seg in current_chunk[:a_end] for t in seg]
+            tokens_a = list(chain.from_iterable(current_chunk[:a_end]))
 
             tokens_b: list[int] = []
             if len(current_chunk) == 1 or rng.random() < cfg.nsp_random_prob:
@@ -190,13 +199,16 @@ def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_ind
                 i -= len(current_chunk) - a_end
             else:
                 is_random_next = False
-                for seg in current_chunk[a_end:]:
-                    tokens_b.extend(seg)
+                tokens_b = list(chain.from_iterable(current_chunk[a_end:]))
 
             _truncate_pair(tokens_a, tokens_b, max_num_tokens)
-            ids = [vocab.cls_id] + tokens_a + [vocab.sep_id] + tokens_b + [vocab.sep_id]
-            masked, positions, labels = mask_sequence(ids, vocab, cfg, rng)
-            instances.append((masked, len(tokens_a) + 2, is_random_next, positions, labels))
+            a_len = len(tokens_a) + 2
+            ids = [vocab.cls_id, *tokens_a, vocab.sep_id, *tokens_b, vocab.sep_id]
+            candidates = None
+            if layout:
+                candidates = [*range(1, a_len - 1), *range(a_len, len(ids) - 1)]
+            masked, positions, labels = mask_sequence(ids, vocab, cfg, rng, candidates)
+            instances.append((masked, a_len, is_random_next, positions, labels))
             current_chunk = []
             current_length = 0
         i += 1
@@ -253,17 +265,22 @@ def _prepare(documents: Iterable[Document], vocab: Vocabulary, cfg: PretrainConf
         raise TooFewDocuments(
             f"need at least 2 tokenizable documents, got {len(tok_docs)}")
     vocab.replacement_pool  # built here, once, not in every worker
+    # a literal [CLS] or [SEP] word breaks the layout's candidates
+    cls_id, sep_id = vocab.cls_id, vocab.sep_id
+    layout = not any(cls_id in sentence or sep_id in sentence
+                     for doc in tok_docs for sentence in doc)
     pairs = len(tok_docs) * cfg.dupe_factor
     chunks = ((lo, min(lo + CHUNK_PAIRS, pairs)) for lo in range(0, pairs, CHUNK_PAIRS))
-    return (tok_docs, vocab, cfg), chunks
+    return (tok_docs, vocab, cfg, layout), chunks
 
 
 def _chunk_instances(context: tuple, bounds: tuple[int, int]) -> Iterator[tuple]:
-    docs, vocab, cfg = context
+    docs, vocab, cfg, layout = context
+    rng = random.Random()
     for pair in range(*bounds):
         i, d = divmod(pair, cfg.dupe_factor)
-        rng = random.Random(mix64(cfg.seed, i, d))
-        yield from _instances_for_document(docs, i, rng, vocab, cfg)
+        rng.seed(mix64(cfg.seed, i, d))  # the state of Random(mix64(...))
+        yield from _instances_for_document(docs, i, rng, vocab, cfg, layout)
 
 
 def _instance_chunk(context: tuple, bounds: tuple[int, int]) -> list[PretrainInstance]:
@@ -334,21 +351,14 @@ _WORD = next(code for code in "IL" if array(code).itemsize == 4)
 _SWAP = sys.byteorder != "little"
 
 
-def _words(values: Iterable[int]) -> bytes:
-    """``values`` as little-endian u32s."""
-    words = array(_WORD, values)
-    if _SWAP:
-        words.byteswap()
-    return words.tobytes()
-
-
 def _frame(token_ids: Sequence[int], segments: bytes, is_random_next: bool,
            positions: Sequence[int], labels: Sequence[int]) -> bytes:
-    payload = b"".join((
-        _U32.pack(len(token_ids)), _words(token_ids), segments,
-        b"\x01" if is_random_next else b"\x00",
-        _U32.pack(len(positions)), _words(positions), _words(labels),
-    ))
+    head = array(_WORD, [len(token_ids), *token_ids])
+    tail = array(_WORD, [len(positions), *positions, *labels])
+    if _SWAP:
+        head.byteswap()
+        tail.byteswap()
+    payload = b"".join((head, segments, b"\x01" if is_random_next else b"\x00", tail))
     return b"".join((_U32.pack(len(payload)), payload, _U32.pack(zlib.crc32(payload))))
 
 

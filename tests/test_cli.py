@@ -291,6 +291,35 @@ def test_out_of_range_config_fails_before_any_stage(tmp_path, valid_inputs, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("models", [("--model-a", "{a}"), ("--model-b", "{b}")],
+                         ids=["model-a-only", "model-b-only"])
+def test_one_language_model_fails_before_any_stage(tmp_path, valid_inputs, models):
+    out = tmp_path / "out"
+    proc = run_cli("pipeline", "--input", str(valid_inputs["archive"]),
+                   "--base-vocab", str(valid_inputs["base"]),
+                   *(arg.format(**valid_inputs) for arg in models), "--output-dir", str(out))
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("absent", ["--model-b", "--emoji-map"])
+def test_missing_clean_input_is_a_failed_stage(tmp_path, valid_inputs, absent):
+    models = {"--model-a": str(valid_inputs["a"]), "--model-b": str(valid_inputs["b"])}
+    models[absent] = str(tmp_path / "absent")
+    out = tmp_path / "out"
+    proc = run_cli("pipeline", "--input", str(valid_inputs["archive"]),
+                   "--base-vocab", str(valid_inputs["base"]),
+                   *(arg for pair in models.items() for arg in pair), "--output-dir", str(out))
+    assert proc.returncode == 3
+    assert f"stage clean: missing input: {tmp_path / 'absent'}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
+    assert payload["counts"]["failed_stage"] == "clean"
+    assert not (out / "clean").exists()
+
+
 def test_every_config_flag_names_its_key_in_help():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

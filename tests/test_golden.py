@@ -3,10 +3,13 @@
 The other tests compare one run against another, so a change to the
 RNG protocol, the tokenizer or the record byte format would pass them
 unnoticed. This fixture pins the sha256 of the vocabulary, the corpus
-and the record file, at one and at two workers.
+and the record file, at one and at two workers. A second case pins the
+records of a shard with literal [CLS] and [SEP] words, where masking
+scans each sequence for its candidates.
 """
 
 import hashlib
+import io
 import json
 import random
 
@@ -18,7 +21,9 @@ from tweetcorpus.pipeline import (
     stage_langid_train,
     stage_pretrain_data,
 )
-from tweetcorpus.vocab import STRUCTURAL_TOKENS
+from tweetcorpus.pretrain import BuildStats, PretrainConfig, build_records
+from tweetcorpus.segment import Document
+from tweetcorpus.vocab import STRUCTURAL_TOKENS, Vocabulary
 
 from conftest import EN_WORDS, RO_WORDS, make_text
 
@@ -110,3 +115,34 @@ def test_golden_digests(fixture_inputs, workers):
     stage_pretrain_data(cfg, out_dir=out / "debug", debug_jsonl=True)
     assert _sha256(out / "debug" / "pretrain-00000.rbtw") == GOLDEN["pretrain/pretrain-00000.rbtw"]
     assert _sha256(out / "debug" / "pretrain-00000.jsonl") == GOLDEN_JSONL
+
+
+# ``build_records`` on a shard whose sentences hold the literal words
+# [CLS] and [SEP]: they tokenize to the structural ids, so masking must
+# find its candidates by scanning every token, not from the layout.
+GOLDEN_STRUCTURAL_WORDS = (
+    82, "7ff7e6044cb196de94903745aaa5861c785f0db3335cf8cdef55a3e27c8d4b06")
+
+
+def test_golden_records_with_structural_words():
+    rng = random.Random(31)
+    vocab = Vocabulary(list(STRUCTURAL_TOKENS) + sorted(set(RO_WORDS)))
+    docs = []
+    for d in range(12):
+        sentences = []
+        for s in range(rng.randint(1, 5)):
+            words = [rng.choice(RO_WORDS) for _ in range(rng.randint(1, 9))]
+            if (d + s) % 3 == 0:
+                words.insert(rng.randint(0, len(words)), rng.choice(("[CLS]", "[SEP]")))
+            if d == 4 and s == 0:
+                words = ["[SEP]", words[0], "[CLS]", "[SEP]"]
+            sentences.append(" ".join(words))
+        docs.append(Document(tuple(sentences)))
+    cfg = PretrainConfig(max_seq_length=24, max_predictions_per_seq=4,
+                         dupe_factor=5, seed=8)
+    for workers in (1, 2):
+        buf = io.BytesIO()
+        stats = BuildStats()
+        count = build_records(docs, vocab, cfg, buf, workers=workers, stats=stats)
+        assert count == stats.instances
+        assert (count, hashlib.sha256(buf.getvalue()).hexdigest()) == GOLDEN_STRUCTURAL_WORDS

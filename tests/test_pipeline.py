@@ -290,6 +290,16 @@ def test_vocab_stage_requires_base(workspace):
         stage_vocab(cfg)
 
 
+def test_one_language_model_is_rejected_by_config_and_stage(workspace):
+    cfg, root = workspace
+    with pytest.raises(ConfigInvalid, match="both"):
+        build_config(overrides={"langid.model_a": cfg.langid_model_a})
+    stage_ingest(cfg)
+    cfg.langid_model_b = ""  # the paths are set after build_config
+    with pytest.raises(ConfigInvalid, match="both"):
+        stage_clean(cfg)
+
+
 def test_manifest_is_deterministic_json(workspace, tmp_path):
     cfg, root = workspace
     stage_ingest(cfg)

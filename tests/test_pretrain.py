@@ -2,6 +2,7 @@ import io
 import random
 import struct
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,7 @@ from tweetcorpus.pretrain import (
 from tweetcorpus.segment import Document
 from tweetcorpus.vocab import MAX_WORD_CHARS, encode, wordpiece_tokenize
 
-from conftest import make_documents
+from conftest import RO_WORDS, make_documents
 
 
 def test_config_validation():
@@ -85,6 +86,26 @@ def test_mask_replay_oracle(word_vocab):
             expect_masked[pos] = pool[rng.randrange(len(pool))]
 
     assert got == (expect_masked, positions, expect_labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), a_len=st.integers(1, 60), b_len=st.integers(1, 60),
+       max_predictions=st.integers(1, 40), masked_lm_prob=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_layout_candidates_mask_like_the_scan(word_vocab, data, a_len, b_len,
+                                              max_predictions, masked_lm_prob, seed):
+    v = word_vocab
+    token = st.integers(0, len(v) - 1).filter(lambda t: t not in (v.cls_id, v.sep_id))
+    tokens_a = data.draw(st.lists(token, min_size=a_len, max_size=a_len))
+    tokens_b = data.draw(st.lists(token, min_size=b_len, max_size=b_len))
+    ids = [v.cls_id, *tokens_a, v.sep_id, *tokens_b, v.sep_id]
+    layout = [*range(1, a_len + 1), *range(a_len + 2, len(ids) - 1)]
+    cfg = PretrainConfig(max_predictions_per_seq=max_predictions,
+                         masked_lm_prob=masked_lm_prob)
+    scan_rng, layout_rng = random.Random(seed), random.Random(seed)
+    assert (mask_sequence(ids, v, cfg, layout_rng, candidates=layout)
+            == mask_sequence(ids, v, cfg, scan_rng))
+    assert layout_rng.getstate() == scan_rng.getstate()
 
 
 def test_mask_statistics_smoke(word_vocab):
@@ -317,6 +338,36 @@ def test_build_records_equals_written_instances(word_vocab, monkeypatch, documen
         assert stats == want_stats
 
 
+def _scanning_mask_sequence(token_ids, vocab, cfg, rng, candidates=None):
+    """mask_sequence that ignores the layout candidates it is given."""
+    return mask_sequence(token_ids, vocab, cfg, rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       structural=st.sampled_from([(), ("[CLS]",), ("[SEP]",), ("[CLS]", "[SEP]")]),
+       max_seq_length=st.integers(5, 40), dupe_factor=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32))
+def test_layout_candidates_change_no_record(word_vocab, data, structural, max_seq_length,
+                                            dupe_factor, seed):
+    """Records are the same bytes whether masking takes its candidates
+    from the layout or scans for them, with and without literal
+    [CLS]/[SEP] words in the shard."""
+    plain = st.sampled_from(RO_WORDS[:8])
+    word = st.sampled_from(RO_WORDS[:8] + list(structural))
+    sentence = st.builds(lambda first, rest: " ".join([first, *rest]),
+                         plain, st.lists(word, max_size=7))
+    docs = [Document(tuple(sentences)) for sentences in data.draw(
+        st.lists(st.lists(sentence, min_size=1, max_size=4), min_size=2, max_size=6))]
+    cfg = PretrainConfig(max_seq_length=max_seq_length, max_predictions_per_seq=6,
+                         dupe_factor=dupe_factor, seed=seed)
+    fast, scanned = io.BytesIO(), io.BytesIO()
+    count = build_records(docs, word_vocab, cfg, fast)
+    with mock.patch.object(pretrain, "mask_sequence", _scanning_mask_sequence):
+        assert build_records(docs, word_vocab, cfg, scanned) == count
+    assert fast.getvalue() == scanned.getvalue()
+
+
 def test_build_records_needs_two_documents(word_vocab, tmp_path):
     with pytest.raises(TooFewDocuments):
         build_records([Document(("salut lume",))], word_vocab, PretrainConfig(),
@@ -483,6 +534,35 @@ def test_jsonl_emitter_mirrors_fields(tmp_path):
     assert head["max_seq_length"] == cfg.max_seq_length
     row = json.loads(lines[1])
     assert row == instances[0].as_dict()
+
+
+def _mix64_bytewise(seed, *parts):
+    """mix64 as first written: every part's 8 little-endian bytes folded one at a time."""
+    mask, prime = 2 ** 64 - 1, 0x100000001B3
+    h = 0xCBF29CE484222325
+    for word in (seed, *parts):
+        for b in (word & mask).to_bytes(8, "little"):
+            h = ((h ^ b) * prime) & mask
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & mask
+    h ^= h >> 33
+    return h
+
+
+_MIX_EDGES = (0, 1, 255, 256, 65535, 2 ** 56 - 1, 2 ** 56, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+              2 ** 64 + 255, 2 ** 80 + 3, -1, -255, -256, -(2 ** 56), -(2 ** 63), -(2 ** 64))
+
+
+@pytest.mark.parametrize("value", _MIX_EDGES)
+def test_mix64_equals_bytewise_fold_on_edges(value):
+    for args in ((value,), (value, 0), (0, value), (7, value, 3), (value, value, value)):
+        assert mix64(*args) == _mix64_bytewise(*args), args
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(-(2 ** 70), 2 ** 70), min_size=1, max_size=5))
+def test_mix64_equals_bytewise_fold(args):
+    assert mix64(*args) == _mix64_bytewise(*args)
 
 
 def test_seed_mixing_distinguishes_doc_and_dupe():
