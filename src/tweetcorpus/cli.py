@@ -66,16 +66,16 @@ def build_parser() -> _Parser:
     sub.add_argument("--corpus", required=True, help="code<TAB>text training file")
 
     sub = add_sub("clean", "language filter, normalize, filter, emojis")
-    sub.add_argument("--input-dir", help="directory of tweets-*.jsonl shards")
+    sub.add_argument("--input-dir", help="ingest output directory; its manifest lists the shards")
 
     sub = add_sub("segment", "split tweets into document files")
-    sub.add_argument("--input-dir", help="directory of clean-*.jsonl shards")
+    sub.add_argument("--input-dir", help="clean output directory; its manifest lists the shards")
 
     sub = add_sub("vocab", "extend the base vocabulary")
-    sub.add_argument("--input-dir", help="directory of tweets-*.jsonl shards")
+    sub.add_argument("--input-dir", help="ingest output directory; its manifest lists the shards")
 
     sub = add_sub("pretrain-data", "generate MLM/NSP records")
-    sub.add_argument("--input-dir", help="directory of corpus-*.txt shards")
+    sub.add_argument("--input-dir", help="segment output directory; its manifest lists the shards")
     sub.add_argument("--vocab", help="vocabulary file")
     sub.add_argument("--debug-jsonl", action="store_true",
                      help="also write line-delimited JSON twins of the records")

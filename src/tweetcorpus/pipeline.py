@@ -1,11 +1,12 @@
 """Stage orchestration: config, manifests, and the end-to-end pipeline.
 
-Stages communicate through plain per-shard files so any stage can be
-re-run in isolation: deduped archives (tweets-*.jsonl), cleaned
-archives (clean-*.jsonl), document files (corpus-*.txt), and binary
-record files (pretrain-*.rbtw). Every stage writes a JSON manifest with
-its config snapshot, input digests, counters, and output digests;
-re-running with the same inputs and seed reproduces identical bytes.
+Stages hand off through plain per-shard files, so any stage can be
+re-run in isolation. Every stage writes a JSON manifest with its config
+snapshot, input digests, counters and output digests, and the next
+stage reads the files that manifest lists and no others. A stage
+commits its outputs as a unit (``_Outputs``): no half-written file ever
+has a final name, and the manifest comes last. Re-running with the same
+inputs and seed reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-from .errors import ConfigInvalid, InputMissing, TweetCorpusError
+from .errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
 from .filtering import FilterConfig, RejectReason, apply_filters
 from .ingest import IngestStats, dedup, parse_record, read_archive, serialize_record
 from .langid import LangModel, agreement_filter, read_training_corpus, train
@@ -273,20 +276,6 @@ class RunManifest:
         return path
 
 
-def _make_manifest(stage: str, cfg: PipelineConfig, inputs: Iterable[Path],
-                   counts: dict, outputs: Iterable[Path], out_dir: Path) -> RunManifest:
-    manifest = RunManifest(
-        stage=stage,
-        seed=cfg.seed,
-        config=cfg.flat(),
-        inputs={str(p): file_digest(p) for p in inputs},
-        counts=counts,
-        outputs={p.name: file_digest(p) for p in outputs},
-    )
-    manifest.write(out_dir)
-    return manifest
-
-
 def _require_inputs(paths: list[Path], what: str) -> list[Path]:
     if not paths:
         raise InputMissing(f"no {what} found")
@@ -302,17 +291,90 @@ def _input_paths(cfg: PipelineConfig) -> list[Path]:
     return _require_inputs([Path(p) for p in cfg.input.split(",") if p], "input files")
 
 
-def _sharded(directory: Path, pattern: str) -> list[Path]:
-    return sorted(directory.glob(pattern))
+def _listed(manifest: Path) -> list[str]:
+    """The output names ``manifest`` lists, each a plain file name."""
+    try:
+        names = list(json.loads(manifest.read_text(encoding="utf-8"))["outputs"])
+    except FileNotFoundError:
+        raise InputMissing(f"missing input: {manifest}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{manifest}: not a stage manifest ({exc!r})") from exc
+    for name in names:
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise DataError(f"{manifest}: output {name!r} is not a plain file name")
+    return names
 
 
-def _remove_stale(directory: Path, pattern: str, outputs: Iterable[Path]) -> None:
-    """Delete files matching ``pattern`` that this run did not write, so a
-    rerun with fewer shards leaves none behind for the next stage's glob."""
-    written = {p.name for p in outputs}
-    for path in _sharded(directory, pattern):
-        if path.name not in written:
-            path.unlink()
+def _upstream(src: Path, stage: str) -> list[Path]:
+    """The files that ``stage`` wrote into ``src``, as its manifest lists them."""
+    return _require_inputs([src / name for name in _listed(src / f"manifest-{stage}.json")],
+                           f"{stage} outputs")
+
+
+class _Outputs:
+    """The files one stage writes into ``directory``, committed as a unit.
+
+    Entering deletes the stage's old manifest, then the files it lists,
+    so no reader sees a mix of two runs. ``path(name)`` hands out the
+    partial path that output ``name`` is written to, which matches no
+    ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit`` moves every
+    output into place and the manifest last, so a manifest lists only
+    complete files. Leaving the block unlinks every partial file still
+    there: a stage that raises leaves neither outputs nor a manifest.
+    """
+
+    def __init__(self, stage: str, directory: Path):
+        self.stage = stage
+        self.directory = directory
+        self.manifest_path = directory / f"manifest-{stage}.json"
+        self.partials: dict[str, Path] = {}
+
+    def __enter__(self) -> "_Outputs":
+        self.directory.mkdir(parents=True, exist_ok=True)
+        if self.manifest_path.exists():
+            names = _listed(self.manifest_path)
+            self.manifest_path.unlink()
+            for name in names:
+                (self.directory / name).unlink(missing_ok=True)
+        return self
+
+    def path(self, name: str) -> Path:
+        self.partials[name] = self.directory / f".{name}.partial"
+        return self.partials[name]
+
+    def commit(self, cfg: PipelineConfig, inputs: Iterable[Path], counts: dict) -> RunManifest:
+        manifest = RunManifest(
+            stage=self.stage,
+            seed=cfg.seed,
+            config=cfg.flat(),
+            inputs={str(p): file_digest(p) for p in inputs},
+            counts=counts,
+            outputs={name: file_digest(p) for name, p in self.partials.items()},
+        )
+        self.path(self.manifest_path.name).write_text(manifest.to_json() + "\n", encoding="utf-8")
+        for name, partial in self.partials.items():  # the manifest last
+            os.replace(partial, self.directory / name)
+        return manifest
+
+    def __exit__(self, *exc_info) -> None:
+        for partial in self.partials.values():
+            partial.unlink(missing_ok=True)
+
+
+# The files from outside the pipeline that each stage reads, by config field.
+# run_pipeline checks every row before ingest, before any stage writes.
+_OUTSIDE_INPUTS = {
+    "vocab": ("base_vocab_path",),
+    "clean": ("langid_model_a", "langid_model_b", "emoji_map_path"),
+    "segment": ("abbreviations_path",),
+}
+
+
+def _check_outside_inputs(stage: str, cfg: PipelineConfig) -> None:
+    for name in _OUTSIDE_INPUTS[stage]:
+        path = getattr(cfg, name)
+        if path and not Path(path).exists():
+            raise InputMissing(f"missing input: {Path(path)}")
 
 
 # --- stages ------------------------------------------------------------------
@@ -321,26 +383,21 @@ def _remove_stale(directory: Path, pattern: str, outputs: Iterable[Path]) -> Non
 def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
     """Parse archives, dedup, and write round-robin shard files."""
     inputs = _input_paths(cfg)
-    out = Path(out_dir or Path(cfg.output_dir) / "ingest")
-    out.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
 
     def tweets():
         for path in inputs:
             yield from read_archive(path, stats)
 
-    shard_paths = [out / f"tweets-{i:05}.jsonl" for i in range(cfg.shards)]
-    sinks = [open(p, "w", encoding="utf-8") for p in shard_paths]
-    try:
-        for k, tweet in enumerate(dedup(tweets(), stats=stats)):
-            sink = sinks[k % cfg.shards]
-            sink.write(serialize_record(tweet))
-            sink.write("\n")
-    finally:
-        for sink in sinks:
-            sink.close()
-    _remove_stale(out, "tweets-*.jsonl", shard_paths)
-    return _make_manifest("ingest", cfg, inputs, dataclasses.asdict(stats), shard_paths, out)
+    with _Outputs("ingest", Path(out_dir or Path(cfg.output_dir) / "ingest")) as out:
+        with ExitStack() as files:
+            sinks = [files.enter_context(open(out.path(f"tweets-{i:05}.jsonl"), "w",
+                                              encoding="utf-8")) for i in range(cfg.shards)]
+            for k, tweet in enumerate(dedup(tweets(), stats=stats)):
+                sink = sinks[k % cfg.shards]
+                sink.write(serialize_record(tweet))
+                sink.write("\n")
+        return out.commit(cfg, inputs, dataclasses.asdict(stats))
 
 
 def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
@@ -348,14 +405,11 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
     """Train the two agreement-ensemble models from code<TAB>text lines."""
     corpus = Path(corpus)
     _require_inputs([corpus], "language training corpus")
-    out = Path(out_dir or Path(cfg.output_dir) / "langid")
-    out.mkdir(parents=True, exist_ok=True)
     samples = read_training_corpus(corpus)
-    path_a, path_b = out / "model-a.rlid", out / "model-b.rlid"
-    train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(path_a)
-    train(samples, cfg.langid_ngrams_b, cfg.langid_alpha).save(path_b)
-    counts = {"samples": len(samples)}
-    return _make_manifest("langid-train", cfg, [corpus], counts, [path_a, path_b], out)
+    with _Outputs("langid-train", Path(out_dir or Path(cfg.output_dir) / "langid")) as out:
+        train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(out.path("model-a.rlid"))
+        train(samples, cfg.langid_ngrams_b, cfg.langid_alpha).save(out.path("model-b.rlid"))
+        return out.commit(cfg, [corpus], {"samples": len(samples)})
 
 
 def _load_clean_context(cfg: PipelineConfig) -> dict:
@@ -363,8 +417,7 @@ def _load_clean_context(cfg: PipelineConfig) -> dict:
     # validate() checks this too, but library callers may set the paths later
     if bool(cfg.langid_model_a) != bool(cfg.langid_model_b):
         raise ConfigInvalid(_ONE_MODEL)
-    for path in filter(None, (cfg.langid_model_a, cfg.langid_model_b, cfg.emoji_map_path)):
-        _require_inputs([Path(path)], "clean input")
+    _check_outside_inputs("clean", cfg)
     if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)
         model_b = LangModel.load(cfg.langid_model_b)
@@ -427,65 +480,54 @@ def _batches(lines: Iterable[str], size: int) -> Iterator[list[str]]:
 def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
                 out_dir: str | Path | None = None) -> RunManifest:
     """Language-filter, normalize, filter, and emoji-translate each shard."""
-    src = Path(in_dir or Path(cfg.output_dir) / "ingest")
-    shard_files = _require_inputs(_sharded(src, "tweets-*.jsonl"), "deduped shards")
+    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "ingest"), "ingest")
     ctx = _load_clean_context(cfg)
-    out = Path(out_dir or Path(cfg.output_dir) / "clean")
-    out.mkdir(parents=True, exist_ok=True)
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
 
-    out_paths = []
-    for shard_file in shard_files:
-        dst = out / shard_file.name.replace("tweets-", "clean-")
-        out_paths.append(dst)
-        with open(shard_file, encoding="utf-8") as fh, \
-                open(dst, "w", encoding="utf-8") as sink:
-            batches = _batches((line for line in fh if line.strip()), 512)
-            for batch in ordered_map(_clean_batch, ctx, batches, cfg.workers):
-                for record, reason in batch:
-                    counts["read"] += 1
-                    if record:
-                        counts["emitted"] += 1
-                        sink.write(record)
-                        sink.write("\n")
-                    else:
-                        counts["rejected"][reason] += 1
-    _remove_stale(out, "clean-*.jsonl", out_paths)
-    return _make_manifest("clean", cfg, shard_files, counts, out_paths, out)
+    with _Outputs("clean", Path(out_dir or Path(cfg.output_dir) / "clean")) as out:
+        for shard_index, shard_file in enumerate(shard_files):
+            dst = out.path(f"clean-{shard_index:05}.jsonl")
+            with open(shard_file, encoding="utf-8") as fh, \
+                    open(dst, "w", encoding="utf-8") as sink:
+                batches = _batches((line for line in fh if line.strip()), 512)
+                for batch in ordered_map(_clean_batch, ctx, batches, cfg.workers):
+                    for record, reason in batch:
+                        counts["read"] += 1
+                        if record:
+                            counts["emitted"] += 1
+                            sink.write(record)
+                            sink.write("\n")
+                        else:
+                            counts["rejected"][reason] += 1
+        return out.commit(cfg, shard_files, counts)
 
 
 def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
                   out_dir: str | Path | None = None) -> RunManifest:
     """Split cleaned tweets into sentences and emit document files."""
-    src = Path(in_dir or Path(cfg.output_dir) / "clean")
-    shard_files = _require_inputs(_sharded(src, "clean-*.jsonl"), "clean shards")
-    out = Path(out_dir or Path(cfg.output_dir) / "segment")
-    out.mkdir(parents=True, exist_ok=True)
-
+    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "clean"), "clean")
+    _check_outside_inputs("segment", cfg)
     splitter = (SentenceSplitter(load_abbreviations(cfg.abbreviations_path))
                 if cfg.abbreviations_path else SentenceSplitter())
     counts = {"read": 0, "documents": 0, "sentences": 0}
-    out_paths = []
-    for shard_index, shard_file in enumerate(shard_files):
-        dst = out / f"corpus-{shard_index:05}.txt"
-        out_paths.append(dst)
 
-        def documents():
-            with open(shard_file, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    counts["read"] += 1
-                    sentences = split_sentences(parse_record(line).text, splitter)
-                    counts["sentences"] += len(sentences)
-                    yield Document(tuple(sentences))
+    def documents(shard_file: Path) -> Iterator[Document]:
+        with open(shard_file, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                counts["read"] += 1
+                sentences = split_sentences(parse_record(line).text, splitter)
+                counts["sentences"] += len(sentences)
+                yield Document(tuple(sentences))
 
-        with open(dst, "w", encoding="utf-8") as sink:
-            counts["documents"] += write_documents(documents(), sink)
-    _remove_stale(out, "corpus-*.txt", out_paths)
-    return _make_manifest("segment", cfg, shard_files, counts, out_paths, out)
+    with _Outputs("segment", Path(out_dir or Path(cfg.output_dir) / "segment")) as out:
+        for shard_index, shard_file in enumerate(shard_files):
+            with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
+                counts["documents"] += write_documents(documents(shard_file), sink)
+        return out.commit(cfg, shard_files, counts)
 
 
 def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
@@ -497,12 +539,9 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     """
     if not cfg.base_vocab_path:
         raise ConfigInvalid("vocab.base is not set")
+    _check_outside_inputs("vocab", cfg)
     base_path = Path(cfg.base_vocab_path)
-    _require_inputs([base_path], "base vocabulary")
-    src = Path(in_dir or Path(cfg.output_dir) / "ingest")
-    shard_files = _require_inputs(_sharded(src, "tweets-*.jsonl"), "deduped shards")
-    out = Path(out_dir or Path(cfg.output_dir) / "vocab")
-    out.mkdir(parents=True, exist_ok=True)
+    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "ingest"), "ingest")
 
     def texts():
         for shard_file in shard_files:
@@ -516,18 +555,16 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     base = Vocabulary.load(base_path)
     extended = extend_vocabulary(base, TWEET_TOKENS, top)
 
-    vocab_path = out / "vocab.txt"
-    extended.save(vocab_path)
-    report_path = out / "emoji-frequencies.tsv"
-    table.write_report(report_path)
     counts = {
         "base_tokens": len(base),
         "distinct_emojis": table.total_distinct,
         "selected_emojis": len(top),
         "extended_tokens": len(extended),
     }
-    return _make_manifest("vocab", cfg, shard_files + [base_path], counts,
-                          [vocab_path, report_path], out)
+    with _Outputs("vocab", Path(out_dir or Path(cfg.output_dir) / "vocab")) as out:
+        extended.save(out.path("vocab.txt"))
+        table.write_report(out.path("emoji-frequencies.tsv"))
+        return out.commit(cfg, shard_files + [base_path], counts)
 
 
 def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
@@ -535,41 +572,31 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
                         out_dir: str | Path | None = None,
                         debug_jsonl: bool = False) -> RunManifest:
     """Generate and serialize MLM/NSP instances per document shard."""
-    src = Path(in_dir or Path(cfg.output_dir) / "segment")
-    shard_files = _require_inputs(_sharded(src, "corpus-*.txt"), "document shards")
+    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "segment"), "segment")
     vocab_file = Path(vocab_path or Path(cfg.output_dir) / "vocab" / "vocab.txt")
     _require_inputs([vocab_file], "vocabulary")
-    out = Path(out_dir or Path(cfg.output_dir) / "pretrain")
-    out.mkdir(parents=True, exist_ok=True)
 
     vocab = Vocabulary.load(vocab_file)
     counts = {"documents": 0, "degenerate_documents": 0, "instances": 0}
-    out_paths = []
-    for shard_index, shard_file in enumerate(shard_files):
-        dst = out / f"pretrain-{shard_index:05}.rbtw"
-        out_paths.append(dst)
-        stats = BuildStats()
-        documents = read_document_file(shard_file)
-        build_records(documents, vocab, cfg.pretrain, dst,
-                      workers=cfg.workers, stats=stats)
-        if debug_jsonl:
-            debug_path = out / f"pretrain-{shard_index:05}.jsonl"
-            write_records_jsonl(read_records(dst), debug_path, cfg.pretrain)
-            out_paths.append(debug_path)
-        counts["documents"] += stats.documents
-        counts["degenerate_documents"] += stats.degenerate_documents
-        counts["instances"] += stats.instances
-    _remove_stale(out, "pretrain-*.rbtw", out_paths)
-    _remove_stale(out, "pretrain-*.jsonl", out_paths)
-    return _make_manifest("pretrain-data", cfg, shard_files + [vocab_file],
-                          counts, out_paths, out)
+    with _Outputs("pretrain-data", Path(out_dir or Path(cfg.output_dir) / "pretrain")) as out:
+        for shard_index, shard_file in enumerate(shard_files):
+            name = f"pretrain-{shard_index:05}"
+            dst = out.path(f"{name}.rbtw")
+            stats = BuildStats()
+            documents = read_document_file(shard_file)
+            build_records(documents, vocab, cfg.pretrain, dst,
+                          workers=cfg.workers, stats=stats)
+            if debug_jsonl:
+                write_records_jsonl(read_records(dst), out.path(f"{name}.jsonl"), cfg.pretrain)
+            counts["documents"] += stats.documents
+            counts["degenerate_documents"] += stats.degenerate_documents
+            counts["instances"] += stats.instances
+        return out.commit(cfg, shard_files + [vocab_file], counts)
 
 
 def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
     """Summarize an archive without transforming it."""
     inputs = _input_paths(cfg)
-    out = Path(out_dir or Path(cfg.output_dir) / "stats")
-    out.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
     words = 0
     entity_totals = {"mentions": 0, "hashtags": 0, "urls": 0, "emojis": 0}
@@ -585,7 +612,8 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     counts.pop("duplicates_text")
     counts["words"] = words
     counts["entities"] = entity_totals
-    return _make_manifest("stats", cfg, inputs, counts, [], out)
+    with _Outputs("stats", Path(out_dir or Path(cfg.output_dir) / "stats")) as out:
+        return out.commit(cfg, inputs, counts)
 
 
 def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
@@ -612,9 +640,13 @@ def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
     except TweetCorpusError as exc:
         if exc.stage is not None:
             raise
-        named = type(exc)(f"stage {stage}: {exc}")
-        named.stage = stage
-        raise named from exc
+        raise _named(stage, exc) from exc
+
+
+def _named(stage: str, exc: TweetCorpusError) -> TweetCorpusError:
+    named = type(exc)(f"stage {stage}: {exc}")
+    named.stage = stage
+    return named
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
@@ -623,45 +655,43 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     Vocabulary extension runs right after ingest because emoji counting
     needs the pre-translation text. An archive whose tweets are all
     rejected still succeeds: the corpus is empty, a warning is printed,
-    and the record stage is skipped. A stage that fails is recorded as
-    ``failed_stage`` in ``manifest-pipeline.json``.
+    and the record stage is skipped. A stage that fails, or whose
+    outside input file is missing (all are checked before ingest), is
+    recorded as ``failed_stage`` in ``manifest-pipeline.json``.
     """
     if not cfg.output_dir:
         raise ConfigInvalid("io.output_dir is not set")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest-pipeline.json").unlink(missing_ok=True)
 
-    counts: dict = {}
+    final = RunManifest(stage="pipeline", seed=cfg.seed, config=cfg.flat(),
+                        inputs={}, counts={}, outputs={})
+    counts = final.counts
     stage_manifests = []
-    for name in ("ingest", "vocab", "clean", "segment", "pretrain-data"):
-        if name == "pretrain-data" and counts["segment"]["documents"] < 2:
-            print("warning: fewer than 2 documents survived cleaning; "
-                  "skipping pretraining records", file=sys.stderr)
-            counts[name] = {"documents": counts["segment"]["documents"],
-                            "degenerate_documents": 0, "instances": 0, "skipped": True}
-            continue
-        try:
+    try:
+        for name in _OUTSIDE_INPUTS:
+            _check_outside_inputs(name, cfg)
+        for name in ("ingest", "vocab", "clean", "segment", "pretrain-data"):
+            if name == "pretrain-data" and counts["segment"]["documents"] < 2:
+                print("warning: fewer than 2 documents survived cleaning; "
+                      "skipping pretraining records", file=sys.stderr)
+                counts[name] = {"documents": counts["segment"]["documents"],
+                                "degenerate_documents": 0, "instances": 0, "skipped": True}
+                continue
             manifest = run_stage(name, cfg)
-        except TweetCorpusError:
-            counts["failed_stage"] = name
-            RunManifest(stage="pipeline", seed=cfg.seed, config=cfg.flat(),
-                        inputs={}, counts=counts, outputs={}).write(out)
-            raise
-        counts[name] = manifest.counts
-        stage_manifests.append(manifest)
+            counts[name] = manifest.counts
+            stage_manifests.append(manifest)
+    except TweetCorpusError as exc:
+        counts["failed_stage"] = name
+        final.write(out)
+        if exc.stage is None:  # an outside input, which run_stage has not named
+            raise _named(name, exc) from exc
+        raise
 
-    outputs: dict = {}
+    final.inputs = stage_manifests[0].inputs
     for manifest in stage_manifests:
         for name, digest in manifest.outputs.items():
-            outputs[f"{manifest.stage}/{name}"] = digest
-
-    final = RunManifest(
-        stage="pipeline",
-        seed=cfg.seed,
-        config=cfg.flat(),
-        inputs=stage_manifests[0].inputs,
-        counts=counts,
-        outputs=outputs,
-    )
+            final.outputs[f"{manifest.stage}/{name}"] = digest
     final.write(out)
     return final

@@ -9,6 +9,7 @@ recognition over 9 entity types with first-subword alignment.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -138,6 +139,20 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prf(tp, n_pred, n_gold) -> dict[str, float]:
+    """Precision, recall and F1 from counts; a zero denominator scores 0."""
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_gold if n_gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def _per_class(tp: Counter, n_pred: Counter, n_gold: Counter) -> dict[str, dict[str, float]]:
+    """``_prf`` and the gold support of every class that is gold or predicted."""
+    return {str(cls): {**_prf(tp[cls], n_pred[cls], n_gold[cls]), "support": float(n_gold[cls])}
+            for cls in sorted(n_gold.keys() | n_pred.keys())}
+
+
 def f1_multilabel(y_true, y_pred, averaging: str) -> float:
     """F1 under explicit micro/macro/weighted averaging.
 
@@ -147,10 +162,8 @@ def f1_multilabel(y_true, y_pred, averaging: str) -> float:
     t, p = _check_shapes(y_true, y_pred)
     tp, fp, fn = _per_label_confusion(t, p)
     if averaging == "micro":
-        tp_sum, fp_sum, fn_sum = tp.sum(), fp.sum(), fn.sum()
-        precision = tp_sum / (tp_sum + fp_sum) if tp_sum + fp_sum else 0.0
-        recall = tp_sum / (tp_sum + fn_sum) if tp_sum + fn_sum else 0.0
-        return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        tp_sum = tp.sum()
+        return _prf(tp_sum, tp_sum + fp.sum(), tp_sum + fn.sum())["f1"]
     per_label_p = _safe_div(tp, tp + fp)
     per_label_r = _safe_div(tp, tp + fn)
     per_label_f1 = _safe_div(2 * per_label_p * per_label_r, per_label_p + per_label_r)
@@ -185,45 +198,20 @@ def prf_singlelabel(y_true: Sequence, y_pred: Sequence, averaging: str) -> Metri
         raise LengthMismatch(f"{len(y_true)} gold vs {len(y_pred)} predicted")
     if averaging not in ("micro", "macro", "weighted"):
         raise ValueError(f"averaging must be micro/macro/weighted, got {averaging!r}")
-    classes = sorted(set(y_true) | set(y_pred))
-    per_class = {}
-    tps, fps, fns, supports = [], [], [], []
-    for cls in classes:
-        tp = sum(1 for t, p in zip(y_true, y_pred) if t == cls and p == cls)
-        fp = sum(1 for t, p in zip(y_true, y_pred) if t != cls and p == cls)
-        fn = sum(1 for t, p in zip(y_true, y_pred) if t == cls and p != cls)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[str(cls)] = {
-            "precision": precision, "recall": recall, "f1": f1,
-            "support": float(tp + fn),
-        }
-        tps.append(tp)
-        fps.append(fp)
-        fns.append(fn)
-        supports.append(tp + fn)
-
+    tp = Counter(t for t, p in zip(y_true, y_pred) if t == p)
+    per_class = _per_class(tp, Counter(y_pred), Counter(y_true))
     if averaging == "micro":
-        tp, fp, fn = sum(tps), sum(fps), sum(fns)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return MetricReport(metrics=_prf(sum(tp.values()), len(y_pred), len(y_true)),
+                            per_class=per_class)
+    rows = list(per_class.values())
+    if averaging == "macro":
+        weights = [1.0 / len(rows)] * len(rows)
     else:
-        rows = list(per_class.values())
-        if averaging == "macro":
-            weights = [1.0 / len(rows)] * len(rows)
-        else:
-            total = sum(supports)
-            weights = [s / total if total else 0.0 for s in supports]
-        precision = sum(w * r["precision"] for w, r in zip(weights, rows))
-        recall = sum(w * r["recall"] for w, r in zip(weights, rows))
-        f1 = sum(w * r["f1"] for w, r in zip(weights, rows))
-
-    return MetricReport(
-        metrics={"precision": precision, "recall": recall, "f1": f1},
-        per_class=per_class,
-    )
+        total = len(y_true)
+        weights = [r["support"] / total if total else 0.0 for r in rows]
+    metrics = {key: sum(w * r[key] for w, r in zip(weights, rows))
+               for key in ("precision", "recall", "f1")}
+    return MetricReport(metrics=metrics, per_class=per_class)
 
 
 # --- BIO / entity metrics ----------------------------------------------------
@@ -280,44 +268,22 @@ def entity_f1(true_tags, pred_tags, repair: bool = False) -> MetricReport:
     if len(gold_sents) != len(pred_sents):
         raise LengthMismatch(f"{len(gold_sents)} gold vs {len(pred_sents)} predicted sentences")
 
-    gold_count: dict[str, int] = {}
-    pred_count: dict[str, int] = {}
-    match_count: dict[str, int] = {}
+    gold_count: Counter = Counter()
+    pred_count: Counter = Counter()
+    match_count: Counter = Counter()
     for gold, pred in zip(gold_sents, pred_sents):
         if len(gold) != len(pred):
             raise LengthMismatch(f"sentence length {len(gold)} vs {len(pred)}")
         gold_spans = set(bio_decode(gold, repair=repair))
         pred_spans = set(bio_decode(pred, repair=repair))
-        for span in gold_spans:
-            gold_count[span[0]] = gold_count.get(span[0], 0) + 1
-        for span in pred_spans:
-            pred_count[span[0]] = pred_count.get(span[0], 0) + 1
-        for span in gold_spans & pred_spans:
-            match_count[span[0]] = match_count.get(span[0], 0) + 1
+        gold_count.update(span[0] for span in gold_spans)
+        pred_count.update(span[0] for span in pred_spans)
+        match_count.update(span[0] for span in gold_spans & pred_spans)
 
-    per_class = {}
-    types = sorted(set(gold_count) | set(pred_count))
-    for entity in types:
-        tp = match_count.get(entity, 0)
-        n_pred = pred_count.get(entity, 0)
-        n_gold = gold_count.get(entity, 0)
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[entity] = {
-            "precision": precision, "recall": recall, "f1": f1,
-            "support": float(n_gold),
-        }
-
-    tp = sum(match_count.values())
-    n_pred = sum(pred_count.values())
-    n_gold = sum(gold_count.values())
-    precision = tp / n_pred if n_pred else 0.0
-    recall = tp / n_gold if n_gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return MetricReport(
-        metrics={"precision": precision, "recall": recall, "f1": f1},
-        per_class=per_class,
+        metrics=_prf(sum(match_count.values()), sum(pred_count.values()),
+                     sum(gold_count.values())),
+        per_class=_per_class(match_count, pred_count, gold_count),
     )
 
 

@@ -7,7 +7,13 @@ import sys
 import pytest
 
 from tweetcorpus.cli import build_parser
-from tweetcorpus.pipeline import CONFIG_KEYS, build_config, stage_ingest, stage_langid_train
+from tweetcorpus.pipeline import (
+    CONFIG_KEYS,
+    build_config,
+    stage_clean,
+    stage_ingest,
+    stage_langid_train,
+)
 from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
 from conftest import EN_WORDS, RO_WORDS, make_text
@@ -319,6 +325,33 @@ def test_missing_clean_input_is_a_failed_stage(tmp_path, valid_inputs, absent):
     assert payload["counts"]["failed_stage"] == "clean"
     assert not (out / "clean").exists()
 
+
+
+def test_missing_abbreviations_names_the_segment_stage(tmp_path, valid_inputs):
+    cfg = build_config(overrides={"langid.model_a": str(valid_inputs["a"]),
+                                  "langid.model_b": str(valid_inputs["b"])})
+    stage_clean(cfg, valid_inputs["ingest"], tmp_path / "clean")
+    absent = tmp_path / "absent.txt"
+    proc = run_cli("segment", "--input-dir", str(tmp_path / "clean"),
+                   "--abbreviations", str(absent), "--output-dir", str(tmp_path / "segment"))
+    assert proc.returncode == 3
+    assert f"stage segment: missing input: {absent}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_pipeline_checks_the_abbreviations_before_any_stage(tmp_path, valid_inputs):
+    absent = tmp_path / "absent.txt"
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"segment.abbreviations = {absent}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS["pipeline"]]
+    proc = run_cli("--config", str(conf), "pipeline", *args, "--output-dir", str(out))
+    assert proc.returncode == 3
+    assert f"stage segment: missing input: {absent}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
+    assert payload["counts"]["failed_stage"] == "segment"
+    assert [p.name for p in out.iterdir()] == ["manifest-pipeline.json"]
 
 def test_every_config_flag_names_its_key_in_help():
     parser = build_parser()

@@ -1,9 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from tweetcorpus.errors import ConfigInvalid, InputMissing, TooFewDocuments
+from tweetcorpus.errors import ConfigInvalid, DataError, InputMissing, TooFewDocuments
+from tweetcorpus.ingest import serialize_record
 from tweetcorpus.pipeline import (
     build_config,
     file_digest,
@@ -352,7 +354,7 @@ def test_pipeline_failure_writes_partial_manifest(tmp_path):
         run_pipeline(cfg)
     payload = json.loads((tmp_path / "out" / "manifest-pipeline.json").read_text())
     assert payload["counts"]["failed_stage"] == "vocab"
-    assert "ingest" in payload["counts"]
+    assert not (tmp_path / "out" / "ingest").exists()
 
 
 def test_pipeline_records_a_failed_pretrain_data_stage(tmp_path):
@@ -450,3 +452,91 @@ def test_rerun_with_fewer_shards_leaves_no_stale_files(workspace, tmp_path):
         names = {p.name for p in (out / stage).iterdir()
                  if not p.name.startswith("manifest-")}
         assert names == set(manifest.outputs), stage
+
+
+def test_failed_rerun_leaves_no_outputs_of_either_run(workspace):
+    cfg, root = workspace
+    run_pipeline(cfg)
+    rng = random.Random(4)
+    small = root / "small.jsonl"
+    _write_archive(small, [make_text(rng, RO_WORDS, 8).capitalize() + "." for _ in range(3)])
+    # two documents in shard 0, one in shard 1: pretrain-data fails on shard 1
+    with pytest.raises(TooFewDocuments):
+        run_pipeline(build_config(overrides={**cfg.flat(), "io.input": str(small)}))
+    assert sorted(p.name for p in (root / "out" / "pretrain").iterdir()) == []
+
+
+def test_a_shard_no_manifest_lists_is_not_read(workspace):
+    cfg, root = workspace
+    ingest = stage_ingest(cfg)
+    stray = root / "out" / "ingest" / "tweets-00009.jsonl"
+    stray.write_text((root / "out" / "ingest" / "tweets-00000.jsonl").read_text())
+    assert stage_clean(cfg).counts["read"] == ingest.counts["emitted"]
+
+
+def test_a_write_that_fails_half_way_leaves_no_output(workspace, monkeypatch):
+    import tweetcorpus.pipeline
+
+    cfg, root = workspace
+    first = stage_ingest(cfg)
+    calls = []
+
+    def failing(tweet):
+        calls.append(tweet)
+        if len(calls) == 10:
+            raise OSError("no space left on device")
+        return serialize_record(tweet)
+
+    monkeypatch.setattr(tweetcorpus.pipeline, "serialize_record", failing)
+    with pytest.raises(OSError):
+        stage_ingest(cfg)
+    assert sorted(p.name for p in (root / "out" / "ingest").iterdir()) == []
+    monkeypatch.undo()
+    assert stage_ingest(cfg).outputs == first.outputs
+
+
+def test_a_missing_upstream_manifest_is_input_missing(workspace):
+    cfg, root = workspace
+    stage_ingest(cfg)
+    (root / "out" / "ingest" / "manifest-ingest.json").unlink()
+    with pytest.raises(InputMissing, match="manifest-ingest.json"):
+        stage_clean(cfg)
+
+
+@pytest.mark.parametrize("manifest", ["ingest/manifest-ingest.json",
+                                      "clean/manifest-clean.json"])
+def test_a_manifest_listing_a_path_outside_its_directory_is_rejected(workspace, manifest):
+    cfg, root = workspace
+    stage_ingest(cfg)
+    stage_clean(cfg)
+    victim = root / "out" / "victim.jsonl"
+    victim.write_text("{}\n")
+    path = root / "out" / manifest
+    payload = json.loads(path.read_text())
+    payload["outputs"]["../victim.jsonl"] = file_digest(victim)
+    path.write_text(json.dumps(payload))
+    # the upstream manifest is read for input; the clean one for deletion
+    with pytest.raises(DataError, match="victim"):
+        stage_clean(cfg)
+    assert victim.exists()
+
+
+def test_every_stage_input_carries_its_upstream_output_digest(workspace):
+    cfg, root = workspace
+    run_pipeline(cfg)
+    out = root / "out"
+    dirs = {"ingest": "ingest", "vocab": "vocab", "clean": "clean", "segment": "segment",
+            "pretrain-data": "pretrain"}
+    manifests = {stage: json.loads((out / d / f"manifest-{stage}.json").read_text())
+                 for stage, d in dirs.items()}
+    listed = {str(out / dirs[stage] / name): digest
+              for stage, manifest in manifests.items()
+              for name, digest in manifest["outputs"].items()}
+    checked = 0
+    for stage in ("vocab", "clean", "segment", "pretrain-data"):
+        for path, digest in manifests[stage]["inputs"].items():
+            if Path(path).parent.parent == out:  # in a stage directory
+                assert listed[path] == digest, (stage, path)
+                checked += 1
+    # two shards into each of vocab, clean and segment; pretrain-data adds vocab.txt
+    assert checked == 2 + 2 + 2 + 3
