@@ -9,16 +9,15 @@ only, never with archive size.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
 from .errors import InvalidEncoding, MalformedRecord
 from .hashing import fnv1a64_text
+from .normalize import collapse_whitespace
 
 _MAX_ID = 2**64 - 1
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def serialize_record(tweet: RawTweet) -> str:
 
 
 def text_dedup_key(text: str) -> int:
-    return fnv1a64_text(_WS_RE.sub(" ", text).strip().lower())
+    return fnv1a64_text(collapse_whitespace(text).lower())
 
 
 def dedup(

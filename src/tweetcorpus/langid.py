@@ -34,17 +34,17 @@ from .errors import (
     InsufficientLanguages,
     VersionMismatch,
 )
+from .normalize import collapse_whitespace
 
 MODEL_MAGIC = b"RLID"
 MODEL_VERSION = 1
 
 _STRIP_RE = re.compile(r"\b(USER|HTTPURL|HASHTAG)\b|\d+")
-_WS_RE = re.compile(r"\s+")
 
 
 def _prepare(text: str) -> str:
     # placeholders and digits carry no language signal
-    return _WS_RE.sub(" ", _STRIP_RE.sub(" ", text)).strip()
+    return collapse_whitespace(_STRIP_RE.sub(" ", text))
 
 
 def _ngram_orders(text: str, min_n: int) -> Iterator[Counter]:

@@ -1,17 +1,20 @@
-"""Tweet text normalization: placeholder tokens and emoji translation.
+r"""Tweet text normalization: placeholder tokens and emoji translation.
 
 Mentions, URLs, and hashtags become the placeholder words USER, HTTPURL,
 and HASHTAG; emoji sequences are translated to colon-delimited textual
 descriptions through a pluggable mapping file.
+
+The text contract of every layer: whitespace is ``re``'s ``\s``
+(``str.isspace``, what ``str.split`` breaks on) and a hashtag letter is
+``\w`` (``str.isalnum`` or ``_``), under ``unicodedata.unidata_version``.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 from pathlib import Path
-
-import regex
 
 from . import emojidata
 from .errors import DataError
@@ -20,18 +23,23 @@ from .errors import DataError
 # limit; the hashtag body allows any letter or digit script.
 MENTION_PATTERN = r"@[A-Za-z0-9_]{1,15}"
 URL_PATTERN = r"(https?://|www\.)[^\s]+"
-HASHTAG_PATTERN = r"#[\p{L}\p{N}_]+"
+HASHTAG_PATTERN = r"#\w+"
 
 MENTION_TOKEN = "USER"
 URL_TOKEN = "HTTPURL"
 HASHTAG_TOKEN = "HASHTAG"
 
-_MENTION_RE = regex.compile(MENTION_PATTERN)
-_URL_RE = regex.compile(URL_PATTERN)
-_HASHTAG_RE = regex.compile(HASHTAG_PATTERN)
-_WS_RE = regex.compile(r"\s+")
+_MENTION_RE = re.compile(MENTION_PATTERN)
+_URL_RE = re.compile(URL_PATTERN)
+_HASHTAG_RE = re.compile(HASHTAG_PATTERN)
+_WS_RE = re.compile(r"\s+")
 
 _BASIC_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"))
+
+
+def collapse_whitespace(text: str) -> str:
+    """Each whitespace run becomes one space, and the ends are stripped."""
+    return _WS_RE.sub(" ", text).strip()
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ def normalize_entities(text: str) -> str:
         out = _URL_RE.sub(URL_TOKEN, text)
         out = _MENTION_RE.sub(MENTION_TOKEN, out)
         out = _HASHTAG_RE.sub(HASHTAG_TOKEN, out)
-        out = _WS_RE.sub(" ", out).strip()
+        out = collapse_whitespace(out)
         if out == text:
             return out
         text = out
@@ -159,4 +167,4 @@ def translate_emojis(text: str, emoji_map: EmojiMap) -> str:
             continue
         found = search(text, i)
     out.append(text[i:])
-    return _WS_RE.sub(" ", "".join(out)).strip()
+    return collapse_whitespace("".join(out))

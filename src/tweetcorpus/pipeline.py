@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
-from .filtering import FilterConfig, RejectReason, apply_filters
+from .filtering import FilterConfig, RejectReason, apply_filters, word_count
 from .ingest import IngestStats, dedup, parse_record, read_archive, serialize_record
 from .langid import LangModel, agreement_filter, read_training_corpus, train
 from .normalize import (
@@ -361,8 +361,8 @@ class _Outputs:
             partial.unlink(missing_ok=True)
 
 
-# The files from outside the pipeline that each stage reads, by config field.
-# run_pipeline checks every row before ingest, before any stage writes.
+# The files from outside the pipeline that each stage reads, by config field
+# (vocab.base must be set). run_pipeline checks them all before ingest.
 _OUTSIDE_INPUTS = {
     "vocab": ("base_vocab_path",),
     "clean": ("langid_model_a", "langid_model_b", "emoji_map_path"),
@@ -371,6 +371,8 @@ _OUTSIDE_INPUTS = {
 
 
 def _check_outside_inputs(stage: str, cfg: PipelineConfig) -> None:
+    if stage == "vocab" and not cfg.base_vocab_path:
+        raise ConfigInvalid("vocab.base is not set")
     for name in _OUTSIDE_INPUTS[stage]:
         path = getattr(cfg, name)
         if path and not Path(path).exists():
@@ -537,8 +539,6 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     Runs on the deduped (pre-translation) shards so emoji frequencies
     see the original emoji characters.
     """
-    if not cfg.base_vocab_path:
-        raise ConfigInvalid("vocab.base is not set")
     _check_outside_inputs("vocab", cfg)
     base_path = Path(cfg.base_vocab_path)
     shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "ingest"), "ingest")
@@ -603,7 +603,7 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     for path in inputs:
         for tweet in read_archive(path, stats):
             stats.emitted += 1
-            words += len(tweet.text.split())
+            words += word_count(tweet.text)
             counts = count_entities(tweet.text)
             for key in entity_totals:
                 entity_totals[key] += getattr(counts, key)

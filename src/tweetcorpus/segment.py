@@ -6,16 +6,16 @@ line, one empty line between documents, trailing newline at EOF.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .errors import EmptyText, MalformedLayout, SinkFailure
+from .normalize import collapse_whitespace
 
 DEFAULT_TERMINATORS = frozenset({".", "!", "?", "…"})
-
-_WS_RE = re.compile(r"\s+")
 
 
 def load_abbreviations(path) -> frozenset[str]:
@@ -65,7 +65,7 @@ def split_sentences(text: str, splitter: SentenceSplitter | None = None) -> list
     a known abbreviation. Whitespace runs are collapsed to single
     spaces first, so no sentence ever contains a newline.
     """
-    text = _WS_RE.sub(" ", text).strip()
+    text = collapse_whitespace(text)
     if not text:
         raise EmptyText("cannot split empty text")
     splitter = splitter or _default_splitter()
@@ -84,9 +84,7 @@ def split_sentences(text: str, splitter: SentenceSplitter | None = None) -> list
                 continue
         sentences.append(text[start:end])
         start = end + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
+    sentences.append(text[start:])  # never empty: start is 0 or at a capital or digit
     return sentences
 
 
@@ -147,10 +145,6 @@ def read_document_file(path) -> Iterator[Document]:
         yield from read_documents(fh)
 
 
-_SPLITTER_CACHE: list[SentenceSplitter] = []
-
-
+@functools.cache
 def _default_splitter() -> SentenceSplitter:
-    if not _SPLITTER_CACHE:
-        _SPLITTER_CACHE.append(SentenceSplitter())
-    return _SPLITTER_CACHE[0]
+    return SentenceSplitter()

@@ -53,9 +53,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.id_of
 
-    def has_tweet_tokens(self) -> bool:
-        return all(tok in self.id_of for tok in TWEET_TOKENS)
-
     @property
     def replacement_pool(self) -> tuple[int, ...]:
         """Ids legal as random masking replacements: everything except

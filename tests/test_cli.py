@@ -353,6 +353,19 @@ def test_pipeline_checks_the_abbreviations_before_any_stage(tmp_path, valid_inpu
     assert payload["counts"]["failed_stage"] == "segment"
     assert [p.name for p in out.iterdir()] == ["manifest-pipeline.json"]
 
+
+def test_pipeline_without_base_vocab_fails_before_ingest(tmp_path, valid_inputs):
+    out = tmp_path / "nb"
+    proc = run_cli("pipeline", "--input", str(valid_inputs["archive"]),
+                   "--output-dir", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.count("vocab.base is not set") == 1
+    assert "config error: stage vocab: vocab.base is not set" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
+    assert payload["counts"]["failed_stage"] == "vocab"
+    assert not (out / "ingest").exists()
+
 def test_every_config_flag_names_its_key_in_help():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,0 +1,97 @@
+"""Every text layer agrees on whitespace and letters.
+
+Whitespace is ``str.isspace`` (what ``str.split`` breaks on) and a
+hashtag letter is ``str.isalnum`` or ``_``, under this Python's
+``unicodedata``; the package runs without the ``regex`` engine.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import unicodedata
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import tweetcorpus
+from tweetcorpus.filtering import word_count
+from tweetcorpus.ingest import text_dedup_key
+from tweetcorpus.langid import _prepare
+from tweetcorpus.normalize import (
+    count_entities,
+    default_emoji_map,
+    normalize_entities,
+    translate_emojis,
+)
+from tweetcorpus.segment import split_sentences
+
+# every character str.split breaks on that a tweet may plausibly hold,
+# U+001C..U+001F (which the third-party regex engine's \s leaves out)
+# among them
+SEPARATORS = "\t\n\x1c\x1d\x1e\x1f\x85\xa0 　 "
+WORD_CHARS = "aăâbcdefgiîlmnoprsștțuzAĂÂBDÎMSȘȚZ0123456789."
+
+CONTRACT_TEXT = st.text(alphabet=WORD_CHARS + SEPARATORS, min_size=1, max_size=60)
+
+EMOJI_MAP = default_emoji_map()
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONTRACT_TEXT.filter(lambda text: text.split()))
+def test_layers_agree_on_whitespace(text):
+    normalized = normalize_entities(text)
+    assert normalized == " ".join(text.split())
+    assert translate_emojis(normalized, EMOJI_MAP) == normalized
+    assert " ".join(split_sentences(text)) == normalized
+    assert word_count(normalized) == word_count(text) == len(text.split())
+    assert text_dedup_key(text) == text_dedup_key(normalized)
+    assert _prepare(text) == _prepare(normalized)
+
+
+def test_url_ends_at_an_information_separator():
+    assert normalize_entities("vezi http://x.ro\x1cacum") == "vezi HTTPURL acum"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.one_of(st.characters(categories=["L", "N"]), st.just("_")),
+               min_size=1, max_size=8))
+def test_every_letter_and_digit_stays_in_the_hashtag(word):
+    assert count_entities("#" + word).hashtags == 1
+    assert normalize_entities("#" + word) == "HASHTAG"
+
+
+def test_one_hashtag_holds_every_letter_and_digit():
+    word = "_" + "".join(chr(cp) for cp in range(sys.maxunicode + 1)
+                         if unicodedata.category(chr(cp))[0] in "LN")
+    assert count_entities("#" + word).hashtags == 1
+    assert normalize_entities("#" + word) == "HASHTAG"
+
+
+_WITHOUT_REGEX = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    sys.modules["regex"] = None  # any import of regex now raises ImportError
+    import tweetcorpus
+    for module in pkgutil.iter_modules(tweetcorpus.__path__):
+        importlib.import_module(f"tweetcorpus.{module.name}")
+    from tweetcorpus.pipeline import _load_clean_context, build_config, clean_tweet_text
+    ctx = _load_clean_context(build_config())
+    for text in sys.argv[1:]:
+        print(clean_tweet_text(text, ctx))
+""")
+
+
+def test_package_runs_without_regex():
+    src = str(Path(tweetcorpus.__file__).resolve().parent.parent)
+    tweets = ["@ion vezi https://x.ro #știri azi e frumos \U0001F600",
+              "Azi\x1cplouă mult la munte, vezi http://x.ro\x1cacum",
+              "prea scurt"]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_REGEX, *tweets],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "('USER vezi HTTPURL HASHTAG azi e frumos :grinning face:', 'none')",
+        "('Azi plouă mult la munte, vezi HTTPURL acum', 'none')",
+        "(None, 'too_short')",
+    ]
