@@ -1,16 +1,19 @@
 """Unicode emoji detection without third-party data dependencies.
 
 Embeds the Extended_Pictographic and Emoji_Presentation ranges from the
-Unicode emoji-data tables (15.1) plus a small scanner that groups code
-points into emoji sequences: ZWJ chains, flag (regional-indicator)
-pairs, keycaps, skin-tone and variation-selector extensions, and tag
-sequences all count as a single emoji.
+Unicode emoji-data tables (15.1) and compiles the emoji-sequence grammar
+into one ``re`` pattern, ``EMOJI_RE``. ZWJ chains, flag
+(regional-indicator) pairs, keycaps, skin-tone and variation-selector
+extensions, and tag sequences all match as a single emoji.
 
-Only a few code points can start a sequence: the Extended_Pictographic
-ranges, regional indicators, skin-tone modifiers and keycap bases. They
-form one compiled ``re`` character class (``START_CLASS``), and the
-scanner jumps between candidate positions with ``search`` instead of
-trying every character in Python.
+Each element of a sequence opens with ``START_CLASS``, the class of
+every code point that can start one: the Extended_Pictographic ranges,
+regional indicators, skin-tone modifiers and keycap bases. A
+one-character lookbehind then picks the element's branch from the
+character just matched. The leading class matters for speed: it gives
+``re`` a prefix character set, so ``finditer`` and ``search`` skip
+straight to candidate positions instead of trying the alternation at
+every character.
 """
 
 import re
@@ -75,16 +78,13 @@ EMOJI_PRESENTATION = (
     (0x1FACE, 0x1FADB), (0x1FAE0, 0x1FAE8), (0x1FAF0, 0x1FAF8),
 )
 
-ZWJ = "‍"
-VS15 = "︎"
-VS16 = "️"
-COMBINING_KEYCAP = "⃣"
-KEYCAP_BASES = "0123456789#*"
+ZWJ = "\u200d"
+VARIATION_SELECTORS = "\ufe0e\ufe0f"  # VS15 (text), VS16 (emoji)
 
-_RI_LO, _RI_HI = 0x1F1E6, 0x1F1FF
-_SKIN_LO, _SKIN_HI = 0x1F3FB, 0x1F3FF
-_TAG_LO, _TAG_HI = 0xE0020, 0xE007F
-_TAG_END = 0xE007F
+_RI = ((0x1F1E6, 0x1F1FF),)  # regional indicators
+_SKIN = ((0x1F3FB, 0x1F3FF),)  # skin-tone modifiers
+_TAG = ((0xE0020, 0xE007F),)  # tag characters; U+E007F ends a tag run
+_KEYCAP_BASES = tuple((ord(ch), ord(ch)) for ch in "0123456789#*")
 
 
 def char_class(ranges) -> re.Pattern:
@@ -102,121 +102,53 @@ def char_class(ranges) -> re.Pattern:
     return re.compile(f"[{body}]")
 
 
-# Every code point at which a sequence can start (see ``_match_element``).
-START_RANGES = (EXTENDED_PICTOGRAPHIC + ((_RI_LO, _RI_HI), (_SKIN_LO, _SKIN_HI))
-                + tuple((ord(ch), ord(ch)) for ch in KEYCAP_BASES))
+# Every code point at which a sequence can start. The four kinds are
+# disjoint, so the character an element opens with selects one branch.
+START_RANGES = EXTENDED_PICTOGRAPHIC + _RI + _SKIN + _KEYCAP_BASES
 START_CLASS = char_class(START_RANGES)
 
 
-def _build_index(ranges):
-    starts = [lo for lo, _ in ranges]
-    return starts, list(ranges)
+def _sequence_pattern() -> str:
+    start, ep, ri, skin, tag, keycap_base = (
+        char_class(ranges).pattern for ranges in (
+            START_RANGES, EXTENDED_PICTOGRAPHIC, _RI, _SKIN, _TAG, _KEYCAP_BASES))
+    vs = f"[{VARIATION_SELECTORS}]"
+    element = (
+        f"{start}(?:"
+        f"(?<={ri}){ri}?"  # a flag pair, or a lone regional indicator
+        f"|(?<={skin})"  # a lone skin-tone modifier
+        f"|(?<={keycap_base})\ufe0f?\u20e3"  # a keycap needs U+20E3
+        # a pictograph: up to one variation selector and one skin tone in
+        # either order, then a tag run counted only when U+E007F ends it
+        f"|(?<={ep})(?:{vs}{skin}?|{skin}{vs}?)?(?:{tag}*\U000E007F(?!{tag}))?"
+        ")")
+    return f"{element}(?:{ZWJ}{element})*"
 
 
-_EP_STARTS, _EP_RANGES = _build_index(EXTENDED_PICTOGRAPHIC)
-_PRES_STARTS, _PRES_RANGES = _build_index(EMOJI_PRESENTATION)
+# Greedy: ZWJ-joined elements fold into one match, so a family sequence
+# or a flag pair is a single emoji.
+EMOJI_RE = re.compile(_sequence_pattern())
 
 
-def _in_ranges(cp: int, starts, ranges) -> bool:
-    idx = bisect_right(starts, cp) - 1
-    return idx >= 0 and cp <= ranges[idx][1]
-
-
-def is_pictographic(ch: str) -> bool:
-    return _in_ranges(ord(ch), _EP_STARTS, _EP_RANGES)
+_PRES_STARTS = [lo for lo, _ in EMOJI_PRESENTATION]
 
 
 def has_emoji_presentation(ch: str) -> bool:
-    return _in_ranges(ord(ch), _PRES_STARTS, _PRES_RANGES)
-
-
-def _is_regional_indicator(ch: str) -> bool:
-    return _RI_LO <= ord(ch) <= _RI_HI
-
-
-def _is_skin_tone(ch: str) -> bool:
-    return _SKIN_LO <= ord(ch) <= _SKIN_HI
-
-
-def _consume_extensions(text: str, j: int) -> int:
-    # up to one variation selector and one skin-tone modifier, any order
-    n = len(text)
-    seen_vs = seen_skin = False
-    while j < n:
-        ch = text[j]
-        if not seen_vs and ch in (VS15, VS16):
-            seen_vs = True
-            j += 1
-        elif not seen_skin and _is_skin_tone(ch):
-            seen_skin = True
-            j += 1
-        else:
-            break
-    return j
-
-
-def _match_element(text: str, i: int):
-    """One ZWJ-chain element: pictographic base plus its extensions."""
-    n = len(text)
-    if i >= n:
-        return None
-    ch = text[i]
-    if _is_regional_indicator(ch):
-        if i + 1 < n and _is_regional_indicator(text[i + 1]):
-            return i + 2
-        return i + 1
-    if _is_skin_tone(ch):
-        return i + 1
-    if ch in KEYCAP_BASES:
-        j = i + 1
-        if j < n and text[j] == VS16:
-            j += 1
-        if j < n and text[j] == COMBINING_KEYCAP:
-            return j + 1
-        return None
-    if is_pictographic(ch):
-        j = _consume_extensions(text, i + 1)
-        # tag sequence (subdivision flags): only valid when terminated
-        if j < n and _TAG_LO <= ord(text[j]) <= _TAG_HI:
-            k = j
-            while k < n and _TAG_LO <= ord(text[k]) <= _TAG_HI:
-                k += 1
-            if ord(text[k - 1]) == _TAG_END:
-                return k
-        return j
-    return None
+    cp = ord(ch)
+    idx = bisect_right(_PRES_STARTS, cp) - 1
+    return idx >= 0 and cp <= EMOJI_PRESENTATION[idx][1]
 
 
 def match_emoji(text: str, i: int):
-    """Length of the emoji sequence starting at ``i``, or ``None``.
-
-    Greedy: ZWJ-joined elements are folded into one match, so a family
-    sequence or a flag pair is a single emoji.
-    """
-    end = _match_element(text, i)
-    if end is None:
-        return None
-    n = len(text)
-    while end < n and text[end] == ZWJ:
-        nxt = _match_element(text, end + 1)
-        if nxt is None:
-            break
-        end = nxt
-    return end
+    """End of the emoji sequence starting at ``i``, or ``None``."""
+    found = EMOJI_RE.match(text, i)
+    return None if found is None else found.end()
 
 
 def iter_emoji_spans(text: str):
     """Yield (start, end) for every emoji sequence in ``text``."""
-    search = START_CLASS.search
-    found = search(text)
-    while found is not None:
-        i = found.start()
-        end = match_emoji(text, i)
-        if end is not None:
-            yield i, end
-            found = search(text, end)
-        else:
-            found = search(text, i + 1)
+    for found in EMOJI_RE.finditer(text):
+        yield found.span()
 
 
 def count_emoji(text: str) -> int:

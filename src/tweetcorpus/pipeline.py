@@ -455,6 +455,10 @@ def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
     return translate_emojis(normalized, ctx["emoji_map"]), RejectReason.NONE.value
 
 
+# Archive lines per task of the clean stage's ordered map.
+CLEAN_BATCH = 512
+
+
 def _clean_batch(ctx: dict, lines: list[str]) -> list[tuple[str, str]]:
     out = []
     for line in lines:
@@ -493,7 +497,7 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
             dst = out.path(f"clean-{shard_index:05}.jsonl")
             with open(shard_file, encoding="utf-8") as fh, \
                     open(dst, "w", encoding="utf-8") as sink:
-                batches = _batches((line for line in fh if line.strip()), 512)
+                batches = _batches((line for line in fh if line.strip()), CLEAN_BATCH)
                 for batch in ordered_map(_clean_batch, ctx, batches, cfg.workers):
                     for record, reason in batch:
                         counts["read"] += 1

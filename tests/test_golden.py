@@ -3,9 +3,10 @@
 The other tests compare one run against another, so a change to the
 RNG protocol, the tokenizer or the record byte format would pass them
 unnoticed. This fixture pins the sha256 of the vocabulary, the corpus
-and the record file, at one and at two workers. A second case pins the
-records of a shard with literal [CLS] and [SEP] words, where masking
-scans each sequence for its candidates.
+and the record file, at one and at two workers, and at two workers
+with batches small enough that both parallel stages start a pool. A
+further case pins the records of a shard with literal [CLS] and [SEP]
+words, where masking scans each sequence for its candidates.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import random
 
 import pytest
 
+from tweetcorpus import parallel, pipeline, pretrain
 from tweetcorpus.pipeline import (
     build_config,
     run_pipeline,
@@ -92,10 +94,9 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_golden_digests(fixture_inputs, workers):
+def _check_golden_run(fixture_inputs, name, workers):
     root, archive, corpus, base_vocab = fixture_inputs
-    out = root / f"out-{workers}"
+    out = root / f"out-{name}"
     cfg = build_config(overrides={
         "io.input": str(archive),
         "io.output_dir": str(out),
@@ -106,15 +107,38 @@ def test_golden_digests(fixture_inputs, workers):
         "pretrain.max_predictions_per_seq": 6,
         "pretrain.dupe_factor": 5,
     })
-    stage_langid_train(cfg, corpus, root / f"models-{workers}")
-    cfg.langid_model_a = str(root / f"models-{workers}" / "model-a.rlid")
-    cfg.langid_model_b = str(root / f"models-{workers}" / "model-b.rlid")
+    stage_langid_train(cfg, corpus, root / f"models-{name}")
+    cfg.langid_model_a = str(root / f"models-{name}" / "model-a.rlid")
+    cfg.langid_model_b = str(root / f"models-{name}" / "model-b.rlid")
     run_pipeline(cfg)
-    assert {name: _sha256(out / name) for name in GOLDEN} == GOLDEN
+    assert {path: _sha256(out / path) for path in GOLDEN} == GOLDEN
 
     stage_pretrain_data(cfg, out_dir=out / "debug", debug_jsonl=True)
     assert _sha256(out / "debug" / "pretrain-00000.rbtw") == GOLDEN["pretrain/pretrain-00000.rbtw"]
     assert _sha256(out / "debug" / "pretrain-00000.jsonl") == GOLDEN_JSONL
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_digests(fixture_inputs, workers):
+    _check_golden_run(fixture_inputs, str(workers), workers)
+
+
+def test_golden_digests_through_a_pool(fixture_inputs, monkeypatch):
+    # The fixture is one clean batch and two pretrain chunks, which
+    # ``ordered_map`` runs in process even at 2 workers. Smaller batches
+    # and chunks give each map enough items to start a pool.
+    monkeypatch.setattr(pipeline, "CLEAN_BATCH", 16)
+    monkeypatch.setattr(pretrain, "CHUNK_PAIRS", 64)
+    pooled = []
+    real_pool = parallel.multiprocessing.Pool
+
+    def spy_pool(*args, **kwargs):
+        pooled.append(kwargs["initargs"][0].__name__)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(parallel.multiprocessing, "Pool", spy_pool)
+    _check_golden_run(fixture_inputs, "pooled", 2)
+    assert {"_clean_batch", "_record_chunk"} <= set(pooled)
 
 
 # ``build_records`` on a shard whose sentences hold the literal words

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 import regex
@@ -206,15 +207,89 @@ def test_default_map_loads():
 
 
 # --- reference scanners ------------------------------------------------------
-# The per-character loops the prefiltered scanner replaced: every position
-# is tried in turn. The fast paths must agree with them exactly.
+# The per-character matcher that ``emojidata.EMOJI_RE`` replaced, and loops
+# that try every position in turn. The pattern and the fast paths must
+# agree with them exactly.
+
+_RI_LO, _RI_HI = 0x1F1E6, 0x1F1FF
+_SKIN_LO, _SKIN_HI = 0x1F3FB, 0x1F3FF
+_TAG_LO, _TAG_HI = 0xE0020, 0xE007F
+_EP_STARTS = [lo for lo, _ in emojidata.EXTENDED_PICTOGRAPHIC]
+
+
+def _is_pictographic(ch):
+    cp = ord(ch)
+    idx = bisect_right(_EP_STARTS, cp) - 1
+    return idx >= 0 and cp <= emojidata.EXTENDED_PICTOGRAPHIC[idx][1]
+
+
+def _consume_extensions(text, j):
+    # up to one variation selector and one skin-tone modifier, any order
+    n = len(text)
+    seen_vs = seen_skin = False
+    while j < n:
+        ch = text[j]
+        if not seen_vs and ch in ("\ufe0e", "\ufe0f"):
+            seen_vs = True
+            j += 1
+        elif not seen_skin and _SKIN_LO <= ord(ch) <= _SKIN_HI:
+            seen_skin = True
+            j += 1
+        else:
+            break
+    return j
+
+
+def _match_element(text, i):
+    """One ZWJ-chain element: pictographic base plus its extensions."""
+    n = len(text)
+    if i >= n:
+        return None
+    ch = text[i]
+    if _RI_LO <= ord(ch) <= _RI_HI:
+        if i + 1 < n and _RI_LO <= ord(text[i + 1]) <= _RI_HI:
+            return i + 2
+        return i + 1
+    if _SKIN_LO <= ord(ch) <= _SKIN_HI:
+        return i + 1
+    if ch in "0123456789#*":
+        j = i + 1
+        if j < n and text[j] == "\ufe0f":
+            j += 1
+        if j < n and text[j] == "\u20e3":
+            return j + 1
+        return None
+    if _is_pictographic(ch):
+        j = _consume_extensions(text, i + 1)
+        # tag sequence (subdivision flags): only valid when terminated
+        if j < n and _TAG_LO <= ord(text[j]) <= _TAG_HI:
+            k = j
+            while k < n and _TAG_LO <= ord(text[k]) <= _TAG_HI:
+                k += 1
+            if text[k - 1] == "\U000E007F":
+                return k
+        return j
+    return None
+
+
+def reference_match_emoji(text, i):
+    end = _match_element(text, i)
+    if end is None:
+        return None
+    n = len(text)
+    while end < n and text[end] == "\u200d":
+        nxt = _match_element(text, end + 1)
+        if nxt is None:
+            break
+        end = nxt
+    return end
 
 
 def reference_emoji_spans(text):
     spans = []
     i, n = 0, len(text)
     while i < n:
-        end = emojidata.match_emoji(text, i)
+        end = reference_match_emoji(text, i)
         if end is not None:
             spans.append((i, end))
             i = end
@@ -228,7 +303,7 @@ def reference_translate(text, emoji_map):
     i, n = 0, len(text)
     while i < n:
         key = emoji_map.longest_match(text, i)
-        seq_end = emojidata.match_emoji(text, i)
+        seq_end = reference_match_emoji(text, i)
         if key is not None and (seq_end is None or len(key) >= seq_end - i):
             out.append(f" :{emoji_map.entries[key]}: ")
             i += len(key)
@@ -247,7 +322,11 @@ SCANNER_ALPHABET = (
      "\U0001F3F4", "\U0001F1F7", "\U0001F1F4", "\U0001F1E6", "\U0001F3FB",
      "\U0001F3FF", "‍", "︎", "️"]
     # tag characters, the combining keycap, keycap bases
-    + ["\U000E0067", "\U000E0062", "\U000E007F", "⃣", "1", "7", "#", "*"]
+    + ["\U000E0067", "\U000E0062", "\U000E0020", "\U000E007F",
+       "⃣", "1", "7", "#", "*"]
+    # the code points just outside the regional-indicator, skin-tone and
+    # pictographic ranges
+    + ["\U0001F1E5", "\U0001F3FA", "\U0001F400"]
     # ASCII letters and whitespace, and the custom map's key characters
     + list("abcXYZ") + [" ", "\n", "\t"] + ["<", "3", ":", ")"]
 )
@@ -261,10 +340,45 @@ DEFAULT_MAP = default_emoji_map()
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(SCANNER_ALPHABET), max_size=40).map("".join))
 def test_prefiltered_scanner_matches_reference(text):
+    for i in range(len(text) + 1):
+        assert emojidata.match_emoji(text, i) == reference_match_emoji(text, i), i
     assert list(emojidata.iter_emoji_spans(text)) == reference_emoji_spans(text)
     assert emojidata.count_emoji(text) == len(reference_emoji_spans(text))
     assert translate_emojis(text, DEFAULT_MAP) == reference_translate(text, DEFAULT_MAP)
     assert translate_emojis(text, CUSTOM_MAP) == reference_translate(text, CUSTOM_MAP)
+
+
+# These blocks hold every code point the grammar names except the
+# variation selectors, which the tries below append. The same check over
+# all 0x110000 code points also passes, but takes about 15 s.
+SWEPT_BLOCKS = (range(0x0000, 0x3400), range(0x1F000, 0x20000), range(0xE0000, 0xE0080))
+
+
+def test_pattern_matches_reference_on_every_code_point_of_the_emoji_blocks():
+    for block in SWEPT_BLOCKS:
+        for cp in block:
+            ch = chr(cp)
+            for text in (ch, ch + "\ufe0f", ch + "\U0001F3FB", "\U0001F600\u200d" + ch):
+                assert emojidata.match_emoji(text, 0) == reference_match_emoji(text, 0), \
+                    (hex(cp), text)
+
+
+BLACK_FLAG, TAG_G, TAG_B, CANCEL_TAG = "\U0001F3F4", "\U000E0067", "\U000E0062", "\U000E007F"
+
+
+@pytest.mark.parametrize("text, end", [
+    # a tag run that does not end in U+E007F is not consumed
+    (BLACK_FLAG + TAG_G + TAG_B, 1),
+    (BLACK_FLAG + TAG_G + CANCEL_TAG + TAG_B, 1),
+    # a run is consumed whole when its last character is U+E007F, even
+    # with another U+E007F inside it
+    (BLACK_FLAG + TAG_G + TAG_B + CANCEL_TAG, 4),
+    (BLACK_FLAG + TAG_G + CANCEL_TAG + TAG_B + CANCEL_TAG, 5),
+    (BLACK_FLAG + TAG_G + TAG_B + CANCEL_TAG + "a", 4),
+])
+def test_tag_runs(text, end):
+    assert reference_match_emoji(text, 0) == end
+    assert emojidata.match_emoji(text, 0) == end
 
 
 def test_custom_map_keys_still_translate():

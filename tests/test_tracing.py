@@ -28,23 +28,15 @@ def tracing(monkeypatch):
     return tracing
 
 
-# With a literal [SEP] word in the archive, masking scans every sequence
-# for its candidates; without one, it takes them from the layout.
-@pytest.mark.parametrize("structural_word", ["", "[SEP]"], ids=["layout", "scan"])
-def test_traced_call_counts_match_the_manifest(tmp_path, tracing, structural_word):
-    rng = random.Random(17)
+def _run_traced(tmp_path, tracing, texts, dupe_factor=3):
+    """One-worker pipeline over ``texts`` (the language gate is off)."""
     archive = tmp_path / "raw.jsonl"
     with open(archive, "w", encoding="utf-8") as fh:
-        for i in range(30):
-            sentences = [make_text(rng, RO_WORDS, rng.randint(5, 9)).capitalize() + "."
-                         for _ in range(rng.randint(1, 4))]
-            if i % 4 == 0 and structural_word:
-                sentences.insert(1, f"Cuvantul {structural_word} apare aici.")
-            fh.write(json.dumps({"id": i, "text": " ".join(sentences)}) + "\n")
+        for i, text in enumerate(texts):
+            fh.write(json.dumps({"id": i, "text": text}, ensure_ascii=False) + "\n")
     base_vocab = tmp_path / "base-vocab.txt"
     base_vocab.write_text("\n".join(list(STRUCTURAL_TOKENS) + sorted(set(RO_WORDS))) + "\n",
                           encoding="utf-8")
-    dupe_factor = 3
     cfg = build_config(overrides={
         "io.input": str(archive),
         "io.output_dir": str(tmp_path / "out"),
@@ -57,6 +49,23 @@ def test_traced_call_counts_match_the_manifest(tmp_path, tracing, structural_wor
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     with tracing.Tracer() as tracer:
         manifest = run_pipeline(cfg)
+    return tracer, manifest
+
+
+# With a literal [SEP] word in the archive, masking scans every sequence
+# for its candidates; without one, it takes them from the layout.
+@pytest.mark.parametrize("structural_word", ["", "[SEP]"], ids=["layout", "scan"])
+def test_traced_call_counts_match_the_manifest(tmp_path, tracing, structural_word):
+    rng = random.Random(17)
+    texts = []
+    for i in range(30):
+        sentences = [make_text(rng, RO_WORDS, rng.randint(5, 9)).capitalize() + "."
+                     for _ in range(rng.randint(1, 4))]
+        if i % 4 == 0 and structural_word:
+            sentences.insert(1, f"Cuvantul {structural_word} apare aici.")
+        texts.append(" ".join(sentences))
+    dupe_factor = 3
+    tracer, manifest = _run_traced(tmp_path, tracing, texts, dupe_factor)
     _, calls = tracer.totals()
 
     built = manifest.counts["pretrain-data"]
@@ -66,3 +75,29 @@ def test_traced_call_counts_match_the_manifest(tmp_path, tracing, structural_wor
         (built["documents"] - built["degenerate_documents"]) * dupe_factor)
     corpus = (tmp_path / "out" / "segment" / "corpus-00000.txt").read_text(encoding="utf-8")
     assert ("[SEP]" in corpus) == (structural_word == "[SEP]")
+
+
+# One emoji sequence each: a pictograph, a flag pair, a ZWJ family, a
+# keycap, a skin-toned pictograph and a tag-sequence flag.
+EMOJI_SEQUENCES = ("\U0001F600", "\U0001F1F7\U0001F1F4",
+                   "\U0001F468\u200d\U0001F469\u200d\U0001F467", "1\ufe0f\u20e3",
+                   "\U0001F44D\U0001F3FD",
+                   "\U0001F3F4\U000E0067\U000E0062\U000E0073\U000E0063\U000E0074\U000E007F")
+
+
+def test_traced_emoji_spans_count_every_scan(tmp_path, tracing):
+    # vocab scans every ingested tweet once and clean's entity count scans
+    # it once more; a scan that bypasses ``iter_emoji_spans`` (a
+    # ``findall`` shortcut, say) would hide its spans from the benchmark
+    rng = random.Random(23)
+    texts, sequences = [], 0
+    for i in range(24):
+        emojis = [rng.choice(EMOJI_SEQUENCES) for _ in range(i % 4)]
+        sequences += len(emojis)
+        words = make_text(rng, RO_WORDS, rng.randint(6, 10)).capitalize().split()
+        texts.append(" ".join(words + emojis) + f" numarul {i}.")
+    tracer, manifest = _run_traced(tmp_path, tracing, texts)
+
+    assert manifest.counts["ingest"]["emitted"] == len(texts)
+    assert sequences > 0
+    assert tracer.counters["emojidata.spans"] == 2 * sequences
