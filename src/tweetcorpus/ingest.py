@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
 from .errors import InvalidEncoding, MalformedRecord
@@ -18,6 +18,9 @@ from .hashing import fnv1a64_text
 from .normalize import collapse_whitespace
 
 _MAX_ID = 2**64 - 1
+_EPOCH = datetime(1970, 1, 1)
+_MIN_TS, _MAX_TS = -62135596800, 253402300799  # 0001-01-01, 9999-12-31T23:59:59 UTC
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,10 @@ def _parse_timestamp(value: str) -> int:
         raise MalformedRecord(f"bad created_at: {value!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    seconds = int(dt.timestamp())
+    if not _MIN_TS <= seconds <= _MAX_TS:  # serialize_record writes UTC years 1..9999
+        raise MalformedRecord(f"created_at outside UTC years 1..9999: {value!r}")
+    return seconds
 
 
 def parse_record(line: str | bytes) -> RawTweet:
@@ -100,11 +106,11 @@ def serialize_record(tweet: RawTweet) -> str:
     """Inverse of parse_record: parse_record(serialize_record(t)) == t."""
     obj: dict = {"id": tweet.id, "text": tweet.text}
     if tweet.created_at:
-        dt = datetime.fromtimestamp(tweet.created_at, tz=timezone.utc)
-        obj["created_at"] = dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+        # isoformat pads the year to 4 digits; strftime("%Y") may not
+        obj["created_at"] = (_EPOCH + timedelta(seconds=tweet.created_at)).isoformat() + "Z"
     if tweet.declared_lang is not None:
         obj["lang"] = tweet.declared_lang
-    return json.dumps(obj, ensure_ascii=False)
+    return _encode(obj)
 
 
 def text_dedup_key(text: str) -> int:

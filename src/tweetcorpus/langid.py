@@ -39,12 +39,16 @@ from .normalize import collapse_whitespace
 MODEL_MAGIC = b"RLID"
 MODEL_VERSION = 1
 
-_STRIP_RE = re.compile(r"\b(USER|HTTPURL|HASHTAG)\b|\d+")
+_PLACEHOLDER_RE = re.compile(r"\b(USER|HTTPURL|HASHTAG)\b")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 def _prepare(text: str) -> str:
-    # placeholders and digits carry no language signal
-    return collapse_whitespace(_STRIP_RE.sub(" ", text))
+    # placeholders and digits carry no language signal; a placeholder
+    # holds no digit and touches none (\b), so two passes strip both
+    if "USER" in text or "HTTPURL" in text or "HASHTAG" in text:
+        text = _PLACEHOLDER_RE.sub(" ", text)
+    return collapse_whitespace(_DIGITS_RE.sub(" ", text))
 
 
 def _ngram_orders(text: str, min_n: int) -> Iterator[Counter]:

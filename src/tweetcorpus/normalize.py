@@ -32,14 +32,13 @@ HASHTAG_TOKEN = "HASHTAG"
 _MENTION_RE = re.compile(MENTION_PATTERN)
 _URL_RE = re.compile(URL_PATTERN)
 _HASHTAG_RE = re.compile(HASHTAG_PATTERN)
-_WS_RE = re.compile(r"\s+")
 
 _BASIC_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"))
 
 
 def collapse_whitespace(text: str) -> str:
     """Each whitespace run becomes one space, and the ends are stripped."""
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,15 @@ def normalize_entities(text: str) -> str:
     Rewrites until a fixpoint is reached so the operation is idempotent
     even on adversarial inputs such as stacked markers ("@@name"); the
     loop converges because every effective pass consumes at least one
-    marker character.
+    marker character. Output without "@", "#", "http" or "www." is a
+    fixpoint already: no pattern matches it, and it is collapsed.
     """
     while True:
         out = _URL_RE.sub(URL_TOKEN, text)
         out = _MENTION_RE.sub(MENTION_TOKEN, out)
         out = _HASHTAG_RE.sub(HASHTAG_TOKEN, out)
         out = collapse_whitespace(out)
-        if out == text:
+        if out == text or not ("@" in out or "#" in out or "http" in out or "www." in out):
             return out
         text = out
 

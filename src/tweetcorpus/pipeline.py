@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
 from .filtering import FilterConfig, RejectReason, apply_filters, word_count
-from .ingest import IngestStats, dedup, parse_record, read_archive, serialize_record
+from .ingest import IngestStats, RawTweet, dedup, parse_record, read_archive, serialize_record
 from .langid import LangModel, agreement_filter, read_training_corpus, train
 from .normalize import (
     EmojiMap,
@@ -467,8 +467,8 @@ def _clean_batch(ctx: dict, lines: list[str]) -> list[tuple[str, str]]:
         if cleaned is None:
             out.append(("", reason))
         else:
-            out.append((serialize_record(dataclasses.replace(tweet, text=cleaned)),
-                        reason))
+            out.append((serialize_record(RawTweet(tweet.id, cleaned, tweet.created_at,
+                                                  tweet.declared_lang)), reason))
     return out
 
 

@@ -215,6 +215,29 @@ def test_end_to_end_pipeline_subcommand(tmp_path):
     assert (tmp_path / "out" / "pretrain" / "pretrain-00000.rbtw").exists()
 
 
+def test_pipeline_keeps_a_created_at_before_the_year_1000(tmp_path):
+    # a year below 1000 must come out zero-padded (strftime("%Y") does
+    # not pad it on glibc), or the next stage cannot parse it back; an
+    # offset that moves the instant past 9999 makes the line malformed
+    rng = random.Random(9)
+    stamps = ["0999-06-01T12:00:00Z", "9999-12-31T23:59:59-01:00", None, None]
+    archive = tmp_path / "raw.jsonl"
+    with open(archive, "w", encoding="utf-8") as fh:
+        for i, stamp in enumerate(stamps):
+            text = ". ".join(make_text(rng, RO_WORDS, 6).capitalize() for _ in range(2)) + "."
+            fh.write(json.dumps({"id": i, "text": text, "created_at": stamp}) + "\n")
+    base_vocab = tmp_path / "base.txt"
+    base_vocab.write_text("\n".join(list(STRUCTURAL_TOKENS) + sorted(set(RO_WORDS))) + "\n",
+                          encoding="utf-8")
+    proc = run_cli("pipeline", "--input", str(archive), "--output-dir", str(tmp_path / "out"),
+                   "--base-vocab", str(base_vocab), "--max-seq-length", "32")
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (counts["ingest"]["malformed"], counts["clean"]["emitted"]) == (1, 3)
+    cleaned = (tmp_path / "out" / "clean" / "clean-00000.jsonl").read_text(encoding="utf-8")
+    assert json.loads(cleaned.splitlines()[0])["created_at"] == "0999-06-01T12:00:00Z"
+
+
 def test_filter_flags_override(tmp_path):
     archive = tmp_path / "raw.jsonl"
     archive.write_text(json.dumps({"id": 1, "text": "doar trei cuvinte"}) + "\n",

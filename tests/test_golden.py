@@ -6,7 +6,8 @@ unnoticed. This fixture pins the sha256 of the vocabulary, the corpus
 and the record file, at one and at two workers, and at two workers
 with batches small enough that both parallel stages start a pool. A
 further case pins the records of a shard with literal [CLS] and [SEP]
-words, where masking scans each sequence for its candidates.
+words, where masking scans each sequence for its candidates, and
+another the ingest and clean shards, the bytes of the record codec.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ from tweetcorpus import parallel, pipeline, pretrain
 from tweetcorpus.pipeline import (
     build_config,
     run_pipeline,
+    stage_clean,
+    stage_ingest,
     stage_langid_train,
     stage_pretrain_data,
 )
@@ -170,3 +173,55 @@ def test_golden_records_with_structural_words():
         count = build_records(docs, vocab, cfg, buf, workers=workers, stats=stats)
         assert count == stats.instances
         assert (count, hashlib.sha256(buf.getvalue()).hexdigest()) == GOLDEN_STRUCTURAL_WORDS
+
+
+# The record codec's bytes: an ingest shard and a clean shard written
+# from an archive with ``created_at`` in every accepted spelling (``Z``,
+# ``±hh:mm`` offsets, fractional seconds, years 1000-9999), ``lang``
+# fields and non-ASCII text.
+GOLDEN_CODEC = {
+    "ingest/tweets-00000.jsonl":
+        "5963715168cada400cc1905ed9998983c158dfef5e83b83408e3612632e7d432",
+    "clean/clean-00000.jsonl":
+        "d3d305ac00b84a5f45d711e3f008011f65de60f2cf456b5f094bdbcf412dcb69",
+}
+
+_CODEC_EXTRAS = ("", " ăâîșț ȘȚ", " “ghilimele” și «altele»", " naïve café",
+                 " 中文 字", " tab\tși linie", ' "citat" \\ bară', "  spațiu")
+
+
+def _created_at(rng: random.Random, i: int) -> str | None:
+    fixed = ("1000-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "1969-12-31T23:59:59Z",
+             "1970-01-01T00:00:01+00:00", "2008-01-01T00:00:00.999999Z")
+    if i < len(fixed):
+        return fixed[i]
+    if i % 7 == 0:
+        return None
+    stamp = "%04d-%02d-%02dT%02d:%02d:%02d" % (
+        rng.randint(1001, 9998), rng.randint(1, 12), rng.randint(1, 28),
+        rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59))
+    if rng.random() < 0.3:
+        stamp += rng.choice((".%03d" % rng.randint(0, 999), ".%06d" % rng.randint(0, 999999)))
+    return stamp + rng.choice(("Z", "+00:00", "+02:00", "+03:00", "-05:30", "+14:00", "-12:00"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_record_codec_shards(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(pipeline, "CLEAN_BATCH", 16)  # 2 workers start a pool
+    rng = random.Random(77)
+    archive = tmp_path / "raw.jsonl"
+    with open(archive, "w", encoding="utf-8") as fh:
+        for i in range(96):
+            obj = {"id": i - (i % 19 == 18), "text": _tweet(rng) + rng.choice(_CODEC_EXTRAS)}
+            created_at = _created_at(rng, i)
+            if created_at is not None:
+                obj["created_at"] = created_at
+            if i % 3:
+                obj["lang"] = rng.choice(("ro", "en", "und"))
+            fh.write(json.dumps(obj, ensure_ascii=bool(i % 2)) + "\n")
+    out = tmp_path / "out"
+    cfg = build_config(overrides={"io.input": str(archive), "io.output_dir": str(out),
+                                  "io.workers": workers})
+    manifests = [stage_ingest(cfg), stage_clean(cfg)]
+    assert [m.counts["emitted"] for m in manifests] == [91, 91]
+    assert {path: _sha256(out / path) for path in GOLDEN_CODEC} == GOLDEN_CODEC

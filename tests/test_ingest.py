@@ -1,4 +1,6 @@
+import json
 import random
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,15 +57,57 @@ def test_parse_invalid_utf8_bytes():
         parse_record(b'{"id":1,"text":"\xff\xfe"}')
 
 
+# created_at of 0001-01-01T00:00:00Z, 1000-01-01T00:00:00Z and
+# 9999-12-31T23:59:59Z: parse_record accepts UTC years 1..9999
+YEAR_1, YEAR_1000, YEAR_9999_END = -62135596800, -30610224000, 253402300799
+
+
 @given(
     st.integers(min_value=0, max_value=2**64 - 1),
     st.text(min_size=1).filter(lambda s: s.strip()),
-    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=YEAR_1, max_value=YEAR_9999_END),
     st.one_of(st.none(), st.sampled_from(["ro", "en", "und"])),
 )
 def test_serialize_parse_roundtrip(tweet_id, text, created_at, lang):
     tweet = RawTweet(tweet_id, text, created_at, lang)
     assert parse_record(serialize_record(tweet)) == tweet
+
+
+def reference_serialize_record(tweet):
+    """json.dumps and strftime per record: what the codec must write."""
+    obj = {"id": tweet.id, "text": tweet.text}
+    if tweet.created_at:
+        dt = datetime.fromtimestamp(tweet.created_at, tz=timezone.utc)
+        obj["created_at"] = dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if tweet.declared_lang is not None:
+        obj["lang"] = tweet.declared_lang
+    return json.dumps(obj, ensure_ascii=False)
+
+
+# from the year 1000 on, strftime("%Y") writes 4 digits on every platform
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.text(),
+    st.one_of(st.just(0), st.integers(min_value=YEAR_1000, max_value=YEAR_9999_END)),
+    st.one_of(st.none(), st.text(max_size=3)),
+)
+def test_serialize_matches_json_dumps_and_strftime(tweet_id, text, created_at, lang):
+    tweet = RawTweet(tweet_id, text, created_at, lang)
+    assert serialize_record(tweet) == reference_serialize_record(tweet)
+
+
+@pytest.mark.parametrize("stamp", [
+    "0001-01-01T00:00:00Z", "0009-02-03T04:05:06Z", "0999-06-01T12:00:00Z",
+    "0999-12-31T23:59:59Z"])
+def test_serialize_pads_years_below_1000(stamp):
+    line = json.dumps({"id": 1, "text": "a", "created_at": stamp})
+    assert serialize_record(parse_record(line)) == line
+
+
+@pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-00:01", "0001-01-01T00:00:00+00:01"])
+def test_parse_rejects_an_instant_outside_utc_years_1_to_9999(stamp):
+    with pytest.raises(MalformedRecord, match="created_at"):
+        parse_record(json.dumps({"id": 1, "text": "a", "created_at": stamp}))
 
 
 def test_dedup_id_collision_keeps_first():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -242,6 +243,39 @@ def test_ngram_range_validation():
         train(samples, (1, 6))
     with pytest.raises(ValueError):
         train(samples, (1, 1), smoothing_alpha=0)
+
+
+# --- text preparation --------------------------------------------------------
+
+
+def reference_prepare(text):
+    """Placeholders and digit runs stripped by one alternation, then
+    whitespace collapsed by ``\\s``."""
+    stripped = re.sub(r"\b(USER|HTTPURL|HASHTAG)\b|\d+", " ", text)
+    return re.sub(r"\s+", " ", stripped).strip()
+
+
+# letters, "_", ASCII and non-ASCII digits (ARABIC-INDIC THREE, FULLWIDTH
+# ONE) and separators; placeholder words land glued to any of them
+PREPARE_TEXT = st.lists(
+    st.one_of(st.text(alphabet="abăȘ_09\u0663\uff11 \t\xa0.-", min_size=1, max_size=4),
+              st.sampled_from(["USER", "HTTPURL", "HASHTAG", "USERS", "XUSER"])),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(PREPARE_TEXT)
+def test_prepare_matches_the_one_pass_strip(text):
+    assert langid._prepare(text) == reference_prepare(text)
+
+
+@pytest.mark.parametrize("text", [
+    "USER", "USER1", "1USER", "\u0663HASHTAG", "HASHTAG\uff11", "_HTTPURL", "HTTPURL_",
+    "aUSER", "USERb", "USER.HASHTAG", "12 USER 34", "HASHTAG-HTTPURL", "USERUSER",
+])
+def test_prepare_strips_placeholders_only_as_whole_words(text):
+    assert langid._prepare(text) == reference_prepare(text)
 
 
 # --- reference classifier ----------------------------------------------------

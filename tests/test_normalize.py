@@ -1,4 +1,5 @@
 import random
+import re
 from bisect import bisect_right
 
 import pytest
@@ -90,6 +91,38 @@ ENTITY_TEXT = st.lists(
 def test_normalize_is_idempotent(text):
     once = normalize_entities(text)
     assert normalize_entities(once) == once
+
+
+def reference_normalize_entities(text):
+    """The unconditional fixpoint loop: stop only when a whole pass,
+    whitespace collapse by ``\\s`` included, changes nothing."""
+    while True:
+        out = re.sub(URL_PATTERN, "HTTPURL", text)
+        out = re.sub(MENTION_PATTERN, "USER", out)
+        out = re.sub(HASHTAG_PATTERN, "HASHTAG", out)
+        out = re.sub(r"\s+", " ", out).strip()
+        if out == text:
+            return out
+        text = out
+
+
+@pytest.mark.parametrize("text", [
+    "@@ion", "##x#y", "http://@a", "wwww.x", "#USER", "@#@x", "#@ab #",
+    "@@@@a b", "###www1", "www.@x @ http:// #", "x@y#z http://a@b#c",
+])
+def test_normalize_matches_the_fixpoint_loop_on_stacked_markers(text):
+    assert normalize_entities(text) == reference_normalize_entities(text)
+
+
+MARKER_TEXT = st.lists(st.sampled_from(
+    ["@", "#", "http", "https", "://", "www", ".", "w", "a", "_", "1", "é", "USER",
+     " ", "\t", "\x1c", ":", "/"]), max_size=14).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(MARKER_TEXT, ENTITY_TEXT))
+def test_normalize_matches_the_fixpoint_loop(text):
+    assert normalize_entities(text) == reference_normalize_entities(text)
 
 
 # fresh copies of the pinned patterns: residue detection must not reuse

@@ -6,6 +6,7 @@ hashtag letter is ``str.isalnum`` or ``_``, under this Python's
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ from tweetcorpus.filtering import word_count
 from tweetcorpus.ingest import text_dedup_key
 from tweetcorpus.langid import _prepare
 from tweetcorpus.normalize import (
+    collapse_whitespace,
     count_entities,
     default_emoji_map,
     normalize_entities,
@@ -47,6 +49,12 @@ def test_layers_agree_on_whitespace(text):
     assert word_count(normalized) == word_count(text) == len(text.split())
     assert text_dedup_key(text) == text_dedup_key(normalized)
     assert _prepare(text) == _prepare(normalized)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONTRACT_TEXT)
+def test_collapse_matches_the_whitespace_pattern(text):
+    assert collapse_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 
 
 def test_url_ends_at_an_information_separator():

@@ -68,6 +68,14 @@ def test_traced_call_counts_match_the_manifest(tmp_path, tracing, structural_wor
     tracer, manifest = _run_traced(tmp_path, tracing, texts, dupe_factor)
     _, calls = tracer.totals()
 
+    # the record codec: ingest writes each kept tweet and clean each
+    # cleaned one; ingest parses each archive line, vocab and clean each
+    # ingested tweet, and segment each cleaned one
+    ingested, cleaned = manifest.counts["ingest"], manifest.counts["clean"]
+    assert calls["ingest.serialize_record"] == ingested["emitted"] + cleaned["emitted"]
+    assert calls["ingest.parse_record"] == (
+        ingested["read"] + 2 * ingested["emitted"] + cleaned["emitted"])
+
     built = manifest.counts["pretrain-data"]
     assert built["instances"] > 0
     assert calls["pretrain.mask_sequence"] == built["instances"]
