@@ -65,7 +65,10 @@ def parse_record(line: str | bytes) -> RawTweet:
 
     Required fields: id (integer or decimal string), text (non-empty
     string). Optional: created_at (RFC 3339, defaults to epoch 0) and
-    lang (ISO 639-1 code).
+    lang (ISO 639-1 code). A text or lang holding a lone surrogate,
+    which UTF-8 cannot encode, is malformed; in a line that is UTF-8
+    text only a ``\\uD800``-``\\uDFFF`` escape yields one, so only lines
+    with a backslash are checked.
     """
     if isinstance(line, bytes):
         try:
@@ -98,6 +101,11 @@ def parse_record(line: str | bytes) -> RawTweet:
     lang = obj.get("lang")
     if lang is not None and not isinstance(lang, str):
         raise MalformedRecord("lang must be a string")
+    if "\\" in line:
+        try:
+            (text + (lang or "")).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecord("text or lang holds a lone surrogate") from exc
 
     return RawTweet(id=raw_id, text=text, created_at=created_at, declared_lang=lang)
 

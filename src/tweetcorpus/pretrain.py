@@ -19,6 +19,11 @@ RNG protocol per (document, duplicate), in draw order:
    picking its start sentence; unused chunk sentences are pushed back;
 4. the longer segment is truncated from its end, without randomness;
 5. masking (see mask_sequence) continues on the same stream.
+
+Every ``randint``, ``randrange`` and ``sample`` above is made in place
+by ``_below`` and ``_sample``: the same ``getrandbits`` calls, in the
+same order, that those ``random.Random`` methods make, so they take the
+same values from the same state without the methods' Python wrappers.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import ceil, log
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -103,6 +109,44 @@ class PretrainInstance:
         }
 
 
+def _below(getrandbits, n: int) -> int:
+    """``Random._randbelow_with_getrandbits(n)``: a draw from [0, n)."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def _sample(getrandbits, population: Sequence[int], k: int) -> list[int]:
+    """``Random.sample(population, k)``, 0 <= k <= len(population): the
+    same draws in the same order, so the same result and final state."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:  # pool swap: draw below the n - i items not yet taken
+        pool = list(population)
+        for left in range(n, n - k, -1):
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[left - 1]
+    else:  # set rejection: redraw below n until an index not yet taken
+        selected = set()
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result.append(population[j])
+    return result
+
+
 def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConfig,
                   rng: random.Random, candidates: Sequence[int] | None = None,
                   ) -> tuple[list[int], list[int], list[int]]:
@@ -118,6 +162,11 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
     below mask_token_frac -> [MASK]; below mask_token_frac + keep_frac
     -> unchanged; otherwise one ``randrange`` over the replacement pool
     (vocabulary minus [CLS]/[SEP]/[MASK]/[PAD]) picks a random token.
+
+    The ``sample`` and ``randrange`` draws are made in place from
+    ``rng.getrandbits``, exactly as those methods make them, so ``rng``
+    must be a ``random.Random`` whose draws come from ``getrandbits``:
+    the standard library's default.
     """
     if candidates is None:
         cls_id, sep_id = vocab.cls_id, vocab.sep_id
@@ -126,7 +175,8 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
         raise NoCandidates("sequence contains only [CLS]/[SEP]")
     count = min(cfg.max_predictions_per_seq,
                 max(1, int(round(cfg.masked_lm_prob * len(candidates)))))
-    positions = sorted(rng.sample(candidates, count))
+    getrandbits = rng.getrandbits
+    positions = sorted(_sample(getrandbits, candidates, count))
 
     pool = vocab.replacement_pool
     mask_id, mask_cutoff = vocab.mask_id, cfg.mask_token_frac
@@ -139,7 +189,7 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
         if r < mask_cutoff:
             masked[pos] = mask_id
         elif r >= keep_cutoff:  # between the cutoffs the token is kept
-            masked[pos] = pool[rng.randrange(len(pool))]
+            masked[pos] = pool[_below(getrandbits, len(pool))]
     return masked, positions, labels
 
 
@@ -163,10 +213,11 @@ def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_ind
     ``all_docs`` holds the [CLS] or [SEP] id, the masking candidates are
     taken from the ``[CLS] A [SEP] B [SEP]`` layout, not scanned for."""
     document = all_docs[doc_index]
+    getrandbits = rng.getrandbits
     max_num_tokens = cfg.max_seq_length - 3
     target_seq_length = max_num_tokens
     if rng.random() < cfg.short_seq_prob:
-        target_seq_length = rng.randint(2, max_num_tokens)
+        target_seq_length = 2 + _below(getrandbits, max_num_tokens - 1)
 
     instances = []
     current_chunk: list[Sequence[int]] = []
@@ -179,18 +230,18 @@ def _instances_for_document(all_docs: Sequence[Sequence[Sequence[int]]], doc_ind
         if i == len(document) - 1 or current_length >= target_seq_length:
             a_end = 1
             if len(current_chunk) >= 2:
-                a_end = rng.randint(1, len(current_chunk) - 1)
+                a_end = 1 + _below(getrandbits, len(current_chunk) - 1)
             tokens_a = list(chain.from_iterable(current_chunk[:a_end]))
 
             tokens_b: list[int] = []
             if len(current_chunk) == 1 or rng.random() < cfg.nsp_random_prob:
                 is_random_next = True
                 target_b_length = target_seq_length - len(tokens_a)
-                j = rng.randrange(len(all_docs) - 1)
+                j = _below(getrandbits, len(all_docs) - 1)
                 if j >= doc_index:
                     j += 1
                 foreign = all_docs[j]
-                start = rng.randint(0, len(foreign) - 1)
+                start = _below(getrandbits, len(foreign))
                 for k in range(start, len(foreign)):
                     tokens_b.extend(foreign[k])
                     if len(tokens_b) >= target_b_length:
@@ -283,13 +334,6 @@ def _chunk_instances(context: tuple, bounds: tuple[int, int]) -> Iterator[tuple]
         yield from _instances_for_document(docs, i, rng, vocab, cfg, layout)
 
 
-def _instance_chunk(context: tuple, bounds: tuple[int, int]) -> list[PretrainInstance]:
-    return [PretrainInstance(tuple(ids), (0,) * a_len + (1,) * (len(ids) - a_len),
-                             is_random_next, tuple(positions), tuple(labels))
-            for ids, a_len, is_random_next, positions, labels
-            in _chunk_instances(context, bounds)]
-
-
 def _record_chunk(context: tuple, bounds: tuple[int, int]) -> tuple[int, bytes]:
     frames = [_frame(ids, bytes(a_len) + b"\x01" * (len(ids) - a_len),
                      is_random_next, positions, labels)
@@ -304,13 +348,19 @@ def build_instances(documents: Iterable[Document], vocab: Vocabulary,
     """Generate instances in (document index, duplicate index) order.
 
     Requires at least two non-degenerate documents so a foreign document
-    always exists for random-next sampling.
+    always exists for random-next sampling. The instances are unpacked
+    from the frames that ``build_records`` writes, so they equal the
+    records on disk.
     """
     context, chunks = _prepare(documents, vocab, cfg, stats)
-    for instances in ordered_map(_instance_chunk, context, chunks, workers):
+    for built, frames in ordered_map(_record_chunk, context, chunks, workers):
         if stats:
-            stats.instances += len(instances)
-        yield from instances
+            stats.instances += built
+        view, at = memoryview(frames), 0
+        while at < len(view):
+            (size,) = _U32.unpack_from(view, at)
+            yield _unpack_instance(view[at + 4:at + 4 + size], size)
+            at += size + 8
 
 
 def build_records(documents: Iterable[Document], vocab: Vocabulary,
@@ -363,12 +413,12 @@ def _frame(token_ids: Sequence[int], segments: bytes, is_random_next: bool,
 
 
 @lru_cache(maxsize=4096)
-def _payload_layout(n: int, m: int) -> struct.Struct:
-    """The whole payload of n tokens and m predictions as one struct."""
-    return struct.Struct(f"<I{n}I{n}BBI{2 * m}I")
+def _words(n: int) -> struct.Struct:
+    """n little-endian u32 words."""
+    return struct.Struct(f"<{n}I")
 
 
-def _unpack_instance(buffer: bytes, size: int) -> PretrainInstance:
+def _unpack_instance(buffer: bytes | memoryview, size: int) -> PretrainInstance:
     """The instance whose payload is ``buffer[:size]``."""
     if size < 4:
         raise CorruptRecord("payload shorter than its declared contents")
@@ -382,13 +432,11 @@ def _unpack_instance(buffer: bytes, size: int) -> PretrainInstance:
         raise CorruptRecord("payload shorter than its declared contents")
     if end != size:
         raise CorruptRecord(f"{size - end} trailing bytes in payload")
-    values = _payload_layout(n, m).unpack_from(buffer)
-    ids_end = 1 + n
-    segs_end = ids_end + n
-    labels_at = segs_end + 2 + m
-    return PretrainInstance(values[1:ids_end], values[ids_end:segs_end],
-                            bool(values[segs_end]), values[segs_end + 2:labels_at],
-                            values[labels_at:])
+    predictions = _words(m)
+    return PretrainInstance(_words(n).unpack_from(buffer, 4),
+                            tuple(buffer[4 * n + 4:m_at - 1]), bool(buffer[m_at - 1]),
+                            predictions.unpack_from(buffer, m_at + 4),
+                            predictions.unpack_from(buffer, m_at + 4 + 4 * m))
 
 
 def _open(sink, mode: str):

@@ -88,6 +88,22 @@ def test_ingest_and_stats_roundtrip(tmp_path):
     assert counts["words"] > 0
 
 
+def test_ingest_counts_a_lone_surrogate_as_malformed(tmp_path):
+    # "\ud800" and "\udc00" are JSON escapes: the lines are valid UTF-8
+    # and valid JSON, but no UTF-8 shard can hold the values they decode to
+    archive = tmp_path / "raw.jsonl"
+    archive.write_text(
+        '{"id":1,"text":"Azi plouă mult la munte \\ud800 e frig"}\n'
+        '{"id":2,"text":"Mâine e soare","lang":"r\\udc00"}\n'
+        '{"id":3,"text":"Un zâmbet \\ud83d\\ude00 și gata","lang":"ro"}\n', encoding="utf-8")
+    proc = run_cli("ingest", "--input", str(archive), "--output-dir", str(tmp_path / "ing"))
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (counts["read"], counts["malformed"], counts["emitted"]) == (3, 2, 1)
+    shard = (tmp_path / "ing" / "tweets-00000.jsonl").read_text(encoding="utf-8")
+    assert json.loads(shard)["text"] == "Un zâmbet 😀 și gata"
+
+
 def test_stats_empty_input_exits_zero(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

@@ -5,7 +5,7 @@ import zlib
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tweetcorpus.pretrain as pretrain
 
@@ -57,18 +57,31 @@ def test_mask_requires_candidates(word_vocab):
 
 
 def test_mask_replay_oracle(word_vocab):
-    """Replay the documented RNG protocol step by step."""
-    cfg = PretrainConfig(max_predictions_per_seq=5, seed=0)
+    """Replay the documented RNG protocol step by step: 3 of 17
+    candidates, Random.sample's pool branch."""
+    _replay_mask_protocol(word_vocab, n_candidates=17, max_predictions=5)
+
+
+def test_mask_replay_oracle_set_branch(word_vocab):
+    """18 of 120 candidates: more than Random.sample's set size of 85,
+    so it takes the set branch."""
+    _replay_mask_protocol(word_vocab, n_candidates=120, max_predictions=20)
+
+
+def _replay_mask_protocol(word_vocab, n_candidates, max_predictions):
+    cfg = PretrainConfig(max_predictions_per_seq=max_predictions, seed=0)
     v = word_vocab
-    body = [v.id_of[t] for t in
-            ("salut lume astazi vreme frumoasa soare multa bucurie prieteni "
-             "oras munte mare carte scoala copii paine lapte").split()]
+    words = [v.id_of[t] for t in RO_WORDS]
+    body = [words[i % len(words)] for i in range(n_candidates)]
     ids = [v.cls_id] + body[:8] + [v.sep_id] + body[8:] + [v.sep_id]
 
-    got = mask_sequence(ids, v, cfg, random.Random(99))
+    rng = random.Random(99)
+    got = mask_sequence(ids, v, cfg, rng)
+    got_state = rng.getstate()
 
     rng = random.Random(99)
     candidates = [i for i, t in enumerate(ids) if t not in (v.cls_id, v.sep_id)]
+    assert len(candidates) == n_candidates
     k = min(cfg.max_predictions_per_seq,
             max(1, int(round(cfg.masked_lm_prob * len(candidates)))))
     positions = sorted(rng.sample(candidates, k))
@@ -86,6 +99,70 @@ def test_mask_replay_oracle(word_vocab):
             expect_masked[pos] = pool[rng.randrange(len(pool))]
 
     assert got == (expect_masked, positions, expect_labels)
+    assert got_state == rng.getstate()
+
+
+def test_draws_come_from_getrandbits():
+    """_below and _sample repeat the draws of Random._randbelow_with_getrandbits;
+    if Random._randbelow is anything else, pretrain's in-place draws no
+    longer match the random.Random methods they stand for."""
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
+        "random.Random draws differently on this interpreter: pretrain._below "
+        "and pretrain._sample must be brought in line with it")
+
+
+def _equal_draws(seed, ours, theirs):
+    """``ours(getrandbits)`` and ``theirs(rng)`` from the same seed: their
+    results and the generators' states afterwards."""
+    mine, reference = random.Random(seed), random.Random(seed)
+    got = ours(mine.getrandbits)
+    want = theirs(reference)
+    return got, want, mine.getstate(), reference.getstate()
+
+
+def _assert_sample_like_random(seed, n, k):
+    population = list(range(1000, 1000 + n))
+    got, want, state, reference_state = _equal_draws(
+        seed, lambda bits: pretrain._sample(bits, population, k),
+        lambda rng: rng.sample(population, k))
+    assert got == want
+    assert state == reference_state
+    assert population == list(range(1000, 1000 + n))
+
+
+# Random.sample swaps in a pool when n <= 21, or n <= 21 + 4 ** ceil(log(3k, 4))
+# for k > 5 (85 for k in 6..21, 277 for k in 22..85), and else rejects
+# indices already in a set: n = 1, k = n, and each side of both sizes.
+@pytest.mark.parametrize("n, k", [
+    (1, 0), (1, 1), (5, 5), (21, 5), (22, 5), (21, 21), (22, 1),
+    (85, 6), (86, 6), (85, 21), (86, 21), (120, 18), (277, 22), (278, 22),
+])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_makes_the_draws_of_random_sample_at_the_edges(n, k, seed):
+    _assert_sample_like_random(seed, n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_sample_makes_the_draws_of_random_sample(seed, data):
+    n = data.draw(st.integers(1, 300), label="n")
+    _assert_sample_like_random(seed, n, data.draw(st.integers(0, min(n, 40)), label="k"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 2 ** 40),
+       low=st.integers(-5, 5))
+@example(seed=0, n=1, low=0)
+@example(seed=0, n=2 ** 31, low=1)
+def test_below_makes_the_draws_of_randrange_and_randint(seed, n, low):
+    for ours, theirs in [
+        (lambda bits: pretrain._below(bits, n), lambda rng: rng.randrange(n)),
+        (lambda bits: low + pretrain._below(bits, n), lambda rng: rng.randint(low, low + n - 1)),
+    ]:
+        got, want, state, reference_state = _equal_draws(seed, ours, theirs)
+        assert got == want
+        assert state == reference_state
 
 
 @settings(max_examples=300, deadline=None)
