@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, pipeline, tasks
 from .errors import ConfigError, ConfigInvalid, DataError, TweetCorpusError
-from .pipeline import CONFIG_KEYS, GLOBAL, PipelineConfig, build_config, parse_config_file
+from .pipeline import CONFIG_KEYS, GLOBAL, STAGES, PipelineConfig, build_config, parse_config_file
 from .tasks import threshold_intensities
 from .vocab import Vocabulary
 
@@ -58,6 +58,10 @@ def build_parser() -> _Parser:
     def add_sub(name, help_text):
         sub = subs.add_parser(name, help=help_text)
         _add_config_flags(sub, name)
+        upstream = name in STAGES and STAGES[name].upstream
+        if upstream:
+            sub.add_argument("--input-dir", help=f"{upstream} output directory; "
+                             "its manifest lists the shards")
         return sub
 
     add_sub("ingest", "parse and dedup raw archives")
@@ -65,17 +69,11 @@ def build_parser() -> _Parser:
     sub = add_sub("langid-train", "train the two agreement models")
     sub.add_argument("--corpus", required=True, help="code<TAB>text training file")
 
-    sub = add_sub("clean", "language filter, normalize, filter, emojis")
-    sub.add_argument("--input-dir", help="ingest output directory; its manifest lists the shards")
-
-    sub = add_sub("segment", "split tweets into document files")
-    sub.add_argument("--input-dir", help="clean output directory; its manifest lists the shards")
-
-    sub = add_sub("vocab", "extend the base vocabulary")
-    sub.add_argument("--input-dir", help="ingest output directory; its manifest lists the shards")
+    add_sub("clean", "language filter, normalize, filter, emojis")
+    add_sub("segment", "split tweets into document files")
+    add_sub("vocab", "extend the base vocabulary")
 
     sub = add_sub("pretrain-data", "generate MLM/NSP records")
-    sub.add_argument("--input-dir", help="segment output directory; its manifest lists the shards")
     sub.add_argument("--vocab", help="vocabulary file")
     sub.add_argument("--debug-jsonl", action="store_true",
                      help="also write line-delimited JSON twins of the records")

@@ -66,11 +66,12 @@ def parse_record(line: str | bytes) -> RawTweet:
     Required fields: id (integer or decimal string), text (non-empty
     string). Optional: created_at (RFC 3339, defaults to epoch 0) and
     lang (ISO 639-1 code). A text or lang holding a lone surrogate,
-    which UTF-8 cannot encode, is malformed; in a line that is UTF-8
-    text only a ``\\uD800``-``\\uDFFF`` escape yields one, so only lines
-    with a backslash are checked.
+    which UTF-8 cannot encode, is malformed. Every ``str`` line is
+    checked; in a line decoded from bytes only a ``\\uD800``-``\\uDFFF``
+    escape yields one, so only those with a backslash are.
     """
-    if isinstance(line, bytes):
+    decoded = isinstance(line, bytes)
+    if decoded:
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -101,7 +102,7 @@ def parse_record(line: str | bytes) -> RawTweet:
     lang = obj.get("lang")
     if lang is not None and not isinstance(lang, str):
         raise MalformedRecord("lang must be a string")
-    if "\\" in line:
+    if not decoded or "\\" in line:
         try:
             (text + (lang or "")).encode("utf-8")
         except UnicodeEncodeError as exc:

@@ -86,18 +86,13 @@ class LangModel:
 
     def __init__(self, languages: Sequence[str], ngram_range: tuple[int, int],
                  smoothing_alpha: float, log_priors: dict[str, float],
-                 log_likelihoods: dict[str, dict[str, float]],
-                 log_unseen: dict[str, float], vocabulary: frozenset[str]):
+                 log_unseen: dict[str, float], rows: dict[str, tuple[float, ...]]):
         self.languages = list(languages)
         self.ngram_range = ngram_range
         self.smoothing_alpha = smoothing_alpha
         self.log_priors = log_priors
-        self.log_likelihoods = log_likelihoods
         self.log_unseen = log_unseen
-        self.vocabulary = vocabulary
-        self.rows = {gram: tuple(log_likelihoods[lang].get(gram, log_unseen[lang])
-                                 for lang in self.languages)
-                     for gram in vocabulary}
+        self.rows = rows  # the n-gram vocabulary: gram -> one log-likelihood per language
         self.prior_row = tuple(log_priors[lang] for lang in self.languages)
 
     def classify(self, text: str) -> list[LangScore]:
@@ -148,20 +143,17 @@ def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1,
 
     log_priors = {}
     log_unseen = {}
-    log_likelihoods: dict[str, dict[str, float]] = {lang: {} for lang in languages}
+    columns = []
     for lang in languages:
         counts = gram_counts[lang]
         total = sum(counts.values())
         denom = math.log(total + smoothing_alpha * v)
         log_priors[lang] = math.log(sample_counts[lang] / total_samples)
-        log_unseen[lang] = math.log(smoothing_alpha) - denom
-        table = log_likelihoods[lang]
-        for gram in vocab:
-            c = counts.get(gram, 0)
-            if c:
-                table[gram] = math.log(c + smoothing_alpha) - denom
+        log_unseen[lang] = unseen = math.log(smoothing_alpha) - denom
+        columns.append([math.log(c + smoothing_alpha) - denom if (c := counts[gram]) else unseen
+                        for gram in vocab])
     return LangModel(languages, (min_n, max_n), smoothing_alpha,
-                     log_priors, log_likelihoods, log_unseen, frozenset(vocab))
+                     log_priors, log_unseen, dict(zip(vocab, zip(*columns))))
 
 
 def _ranked(model: LangModel, counters: Sequence[Counter]) -> list[tuple[str, float]]:
@@ -243,7 +235,7 @@ def save_model(model: LangModel, path: str | Path) -> None:
     float64 little-endian log-likelihood rows (one column per language,
     unseen entries materialized). Grams are sorted, so identical models
     produce identical bytes."""
-    vocab = sorted(model.vocabulary)
+    vocab = sorted(model.rows)
     if not vocab:
         raise CorruptRecord("refusing to save a model with an empty vocabulary")
     with open(path, "wb") as out:
@@ -280,16 +272,12 @@ def load_model(path: str | Path) -> LangModel:
             log_priors[lang] = prior
             log_unseen[lang] = unseen
         (n_grams,) = struct.unpack("<I", _read_exact(fh, 4))
-        log_likelihoods: dict[str, dict[str, float]] = {lang: {} for lang in languages}
-        vocab = []
+        row_format = "<%dd" % n_langs
+        rows = {}
         for _ in range(n_grams):
             gram = _read_str(fh)
-            vocab.append(gram)
-            row = struct.unpack("<%dd" % n_langs, _read_exact(fh, 8 * n_langs))
-            for lang, value in zip(languages, row):
-                log_likelihoods[lang][gram] = value
-    return LangModel(languages, (min_n, max_n), alpha, log_priors,
-                     log_likelihoods, log_unseen, frozenset(vocab))
+            rows[gram] = struct.unpack(row_format, _read_exact(fh, 8 * n_langs))
+    return LangModel(languages, (min_n, max_n), alpha, log_priors, log_unseen, rows)
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str]]:

@@ -1,12 +1,13 @@
 """Stage orchestration: config, manifests, and the end-to-end pipeline.
 
 Stages hand off through plain per-shard files, so any stage can be
-re-run in isolation. Every stage writes a JSON manifest with its config
-snapshot, input digests, counters and output digests, and the next
-stage reads the files that manifest lists and no others. A stage
-commits its outputs as a unit (``_Outputs``): no half-written file ever
-has a final name, and the manifest comes last. Re-running with the same
-inputs and seed reproduces identical bytes.
+re-run in isolation. Each stage is declared once, in ``STAGES``. Every
+stage writes a JSON manifest with its config snapshot, the digests of
+every file it read, counters and output digests, and the next stage
+reads the files that manifest lists and no others. A stage run
+(``_Outputs``) finds its inputs and commits its outputs as a unit: no
+half-written file ever has a final name, and the manifest comes last.
+Re-running with the same inputs and seed reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
@@ -63,6 +65,30 @@ from .vocab import (
 )
 
 
+class Stage(NamedTuple):
+    runner: str  # the function of this module that runs the stage
+    directory: str  # its default output directory under io.output_dir
+    upstream: str | None = None  # the stage whose manifest lists its inputs
+    outside: tuple[str, ...] = ()  # config fields naming the outside files it reads
+
+
+# Every stage, declared once. The pipeline runs ingest and each stage that
+# has an upstream, in this order: vocab counts emoji before clean
+# translates them.
+STAGES = {
+    "ingest": Stage("stage_ingest", "ingest"),
+    "vocab": Stage("stage_vocab", "vocab", "ingest", ("base_vocab_path",)),
+    "clean": Stage("stage_clean", "clean", "ingest",
+                   ("langid_model_a", "langid_model_b", "emoji_map_path")),
+    "segment": Stage("stage_segment", "segment", "clean", ("abbreviations_path",)),
+    "pretrain-data": Stage("stage_pretrain_data", "pretrain", "segment"),
+    "langid-train": Stage("stage_langid_train", "langid"),
+    "stats": Stage("stage_stats", "stats"),
+    "pipeline": Stage("run_pipeline", ""),
+}
+PIPELINE = ("ingest", *(name for name, stage in STAGES.items() if stage.upstream))
+
+
 def _key(key: str, default, flag: str | None = None, commands: tuple[str, ...] = (),
          help: str = ""):
     """A field holding config key ``key``; ``flag`` sets it on ``commands``."""
@@ -73,8 +99,6 @@ def _key(key: str, default, flag: str | None = None, commands: tuple[str, ...] =
 # The subcommands that take a flag; GLOBAL flags go before or after any.
 GLOBAL = ("*",)
 _ARCHIVES = ("ingest", "stats", "pipeline")
-_STAGES = ("ingest", "langid-train", "clean", "segment", "vocab", "pretrain-data",
-           "stats", "pipeline")
 _CLEAN = ("clean", "pipeline")
 _RECORDS = ("pretrain-data", "pipeline")
 
@@ -93,7 +117,7 @@ class PipelineConfig:
     """
 
     input: str = _key("io.input", "", "--input", _ARCHIVES, "archive(s), comma separated")
-    output_dir: str = _key("io.output_dir", "", "--output-dir", _STAGES, "output directory")
+    output_dir: str = _key("io.output_dir", "", "--output-dir", tuple(STAGES), "output directory")
     shards: int = _key("io.shards", 1, "--shards", GLOBAL, "output shard count")
     workers: int = _key("io.workers", 1, "--workers", GLOBAL, "worker process count")
     seed: int = _key("seed", 0, "--seed", GLOBAL, "global RNG seed")
@@ -276,8 +300,9 @@ class RunManifest:
         return path
 
 
-def _require_inputs(paths: list[Path], what: str) -> list[Path]:
-    if not paths:
+def _require_inputs(paths: list[Path], what: str = "") -> list[Path]:
+    """``paths``, each of which must exist; with ``what``, at least one."""
+    if not paths and what:
         raise InputMissing(f"no {what} found")
     for p in paths:
         if not p.exists():
@@ -289,6 +314,18 @@ def _input_paths(cfg: PipelineConfig) -> list[Path]:
     if not cfg.input:
         raise ConfigInvalid("io.input is not set")
     return _require_inputs([Path(p) for p in cfg.input.split(",") if p], "input files")
+
+
+def _stage_dir(stage: str, cfg: PipelineConfig) -> Path:
+    return Path(cfg.output_dir) / STAGES[stage].directory
+
+
+def _outside_files(stage: str, cfg: PipelineConfig) -> list[Path]:
+    """The outside files ``stage`` reads that are set; each must exist, and vocab.base be set."""
+    if stage == "vocab" and not cfg.base_vocab_path:
+        raise ConfigInvalid("vocab.base is not set")
+    return _require_inputs([Path(getattr(cfg, name)) for name in STAGES[stage].outside
+                            if getattr(cfg, name)])
 
 
 def _listed(manifest: Path) -> list[str]:
@@ -305,31 +342,39 @@ def _listed(manifest: Path) -> list[str]:
     return names
 
 
-def _upstream(src: Path, stage: str) -> list[Path]:
-    """The files that ``stage`` wrote into ``src``, as its manifest lists them."""
-    return _require_inputs([src / name for name in _listed(src / f"manifest-{stage}.json")],
-                           f"{stage} outputs")
-
-
 class _Outputs:
-    """The files one stage writes into ``directory``, committed as a unit.
+    """One run of ``stage``: what it reads, and the files it writes, committed as a unit.
 
-    Entering deletes the stage's old manifest, then the files it lists,
-    so no reader sees a mix of two runs. ``path(name)`` hands out the
-    partial path that output ``name`` is written to, which matches no
-    ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit`` moves every
-    output into place and the manifest last, so a manifest lists only
-    complete files. Leaving the block unlinks every partial file still
-    there: a stage that raises leaves neither outputs nor a manifest.
+    ``out_dir`` and ``in_dir`` default to the stage's and its upstream's
+    ``STAGES`` directory. Entering reads the upstream manifest's files
+    into ``upstream`` and checks the outside files, so a missing input
+    fails before anything is deleted; then it deletes the old manifest
+    and the files it lists, so no reader sees a mix of two runs.
+    ``path(name)`` hands out the partial path of output ``name``, which
+    matches no ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit``
+    records every input, then moves every output into place and the
+    manifest last. Leaving unlinks every partial file still there: a
+    stage that raises leaves neither outputs nor a manifest.
     """
 
-    def __init__(self, stage: str, directory: Path):
+    def __init__(self, stage: str, cfg: PipelineConfig, out_dir: str | Path | None = None,
+                 in_dir: str | Path | None = None):
         self.stage = stage
-        self.directory = directory
-        self.manifest_path = directory / f"manifest-{stage}.json"
+        self.cfg = cfg
+        self.directory = Path(out_dir or _stage_dir(stage, cfg))
+        self.in_dir = in_dir
+        self.manifest_path = self.directory / f"manifest-{stage}.json"
         self.partials: dict[str, Path] = {}
 
     def __enter__(self) -> "_Outputs":
+        self.upstream: list[Path] = []
+        source = STAGES[self.stage].upstream
+        if source:
+            src = Path(self.in_dir or _stage_dir(source, self.cfg))
+            self.upstream = _require_inputs(
+                [src / name for name in _listed(src / f"manifest-{source}.json")],
+                f"{source} outputs")
+        self.outside = _outside_files(self.stage, self.cfg)
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.manifest_path.exists():
             names = _listed(self.manifest_path)
@@ -342,11 +387,14 @@ class _Outputs:
         self.partials[name] = self.directory / f".{name}.partial"
         return self.partials[name]
 
-    def commit(self, cfg: PipelineConfig, inputs: Iterable[Path], counts: dict) -> RunManifest:
+    def commit(self, counts: dict, extra_inputs: Iterable[Path] = ()) -> RunManifest:
+        """The manifest of the upstream files, ``extra_inputs`` (the
+        archives, the corpus or the vocabulary) and the outside files."""
+        inputs = [*self.upstream, *extra_inputs, *self.outside]
         manifest = RunManifest(
             stage=self.stage,
-            seed=cfg.seed,
-            config=cfg.flat(),
+            seed=self.cfg.seed,
+            config=self.cfg.flat(),
             inputs={str(p): file_digest(p) for p in inputs},
             counts=counts,
             outputs={name: file_digest(p) for name, p in self.partials.items()},
@@ -361,24 +409,6 @@ class _Outputs:
             partial.unlink(missing_ok=True)
 
 
-# The files from outside the pipeline that each stage reads, by config field
-# (vocab.base must be set). run_pipeline checks them all before ingest.
-_OUTSIDE_INPUTS = {
-    "vocab": ("base_vocab_path",),
-    "clean": ("langid_model_a", "langid_model_b", "emoji_map_path"),
-    "segment": ("abbreviations_path",),
-}
-
-
-def _check_outside_inputs(stage: str, cfg: PipelineConfig) -> None:
-    if stage == "vocab" and not cfg.base_vocab_path:
-        raise ConfigInvalid("vocab.base is not set")
-    for name in _OUTSIDE_INPUTS[stage]:
-        path = getattr(cfg, name)
-        if path and not Path(path).exists():
-            raise InputMissing(f"missing input: {Path(path)}")
-
-
 # --- stages ------------------------------------------------------------------
 
 
@@ -391,7 +421,7 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         for path in inputs:
             yield from read_archive(path, stats)
 
-    with _Outputs("ingest", Path(out_dir or Path(cfg.output_dir) / "ingest")) as out:
+    with _Outputs("ingest", cfg, out_dir) as out:
         with ExitStack() as files:
             sinks = [files.enter_context(open(out.path(f"tweets-{i:05}.jsonl"), "w",
                                               encoding="utf-8")) for i in range(cfg.shards)]
@@ -399,7 +429,7 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
                 sink = sinks[k % cfg.shards]
                 sink.write(serialize_record(tweet))
                 sink.write("\n")
-        return out.commit(cfg, inputs, dataclasses.asdict(stats))
+        return out.commit(dataclasses.asdict(stats), inputs)
 
 
 def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
@@ -408,10 +438,10 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
     corpus = Path(corpus)
     _require_inputs([corpus], "language training corpus")
     samples = read_training_corpus(corpus)
-    with _Outputs("langid-train", Path(out_dir or Path(cfg.output_dir) / "langid")) as out:
+    with _Outputs("langid-train", cfg, out_dir) as out:
         train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(out.path("model-a.rlid"))
         train(samples, cfg.langid_ngrams_b, cfg.langid_alpha).save(out.path("model-b.rlid"))
-        return out.commit(cfg, [corpus], {"samples": len(samples)})
+        return out.commit({"samples": len(samples)}, [corpus])
 
 
 def _load_clean_context(cfg: PipelineConfig) -> dict:
@@ -419,7 +449,6 @@ def _load_clean_context(cfg: PipelineConfig) -> dict:
     # validate() checks this too, but library callers may set the paths later
     if bool(cfg.langid_model_a) != bool(cfg.langid_model_b):
         raise ConfigInvalid(_ONE_MODEL)
-    _check_outside_inputs("clean", cfg)
     if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)
         model_b = LangModel.load(cfg.langid_model_b)
@@ -473,27 +502,19 @@ def _clean_batch(ctx: dict, lines: list[str]) -> list[tuple[str, str]]:
 
 
 def _batches(lines: Iterable[str], size: int) -> Iterator[list[str]]:
-    batch: list[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    lines = iter(lines)
+    return iter(lambda: list(islice(lines, size)), [])
 
 
 def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
                 out_dir: str | Path | None = None) -> RunManifest:
     """Language-filter, normalize, filter, and emoji-translate each shard."""
-    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "ingest"), "ingest")
-    ctx = _load_clean_context(cfg)
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
-
-    with _Outputs("clean", Path(out_dir or Path(cfg.output_dir) / "clean")) as out:
-        for shard_index, shard_file in enumerate(shard_files):
+    with _Outputs("clean", cfg, out_dir, in_dir) as out:
+        ctx = _load_clean_context(cfg)
+        for shard_index, shard_file in enumerate(out.upstream):
             dst = out.path(f"clean-{shard_index:05}.jsonl")
             with open(shard_file, encoding="utf-8") as fh, \
                     open(dst, "w", encoding="utf-8") as sink:
@@ -507,19 +528,15 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
                             sink.write("\n")
                         else:
                             counts["rejected"][reason] += 1
-        return out.commit(cfg, shard_files, counts)
+        return out.commit(counts)
 
 
 def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
                   out_dir: str | Path | None = None) -> RunManifest:
     """Split cleaned tweets into sentences and emit document files."""
-    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "clean"), "clean")
-    _check_outside_inputs("segment", cfg)
-    splitter = (SentenceSplitter(load_abbreviations(cfg.abbreviations_path))
-                if cfg.abbreviations_path else SentenceSplitter())
     counts = {"read": 0, "documents": 0, "sentences": 0}
 
-    def documents(shard_file: Path) -> Iterator[Document]:
+    def documents(shard_file: Path, splitter: SentenceSplitter) -> Iterator[Document]:
         with open(shard_file, encoding="utf-8") as fh:
             for line in fh:
                 if not line.strip():
@@ -529,11 +546,13 @@ def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
                 counts["sentences"] += len(sentences)
                 yield Document(tuple(sentences))
 
-    with _Outputs("segment", Path(out_dir or Path(cfg.output_dir) / "segment")) as out:
-        for shard_index, shard_file in enumerate(shard_files):
+    with _Outputs("segment", cfg, out_dir, in_dir) as out:
+        splitter = (SentenceSplitter(load_abbreviations(cfg.abbreviations_path))
+                    if cfg.abbreviations_path else SentenceSplitter())
+        for shard_index, shard_file in enumerate(out.upstream):
             with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
-                counts["documents"] += write_documents(documents(shard_file), sink)
-        return out.commit(cfg, shard_files, counts)
+                counts["documents"] += write_documents(documents(shard_file, splitter), sink)
+        return out.commit(counts)
 
 
 def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
@@ -543,32 +562,26 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     Runs on the deduped (pre-translation) shards so emoji frequencies
     see the original emoji characters.
     """
-    _check_outside_inputs("vocab", cfg)
-    base_path = Path(cfg.base_vocab_path)
-    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "ingest"), "ingest")
-
-    def texts():
+    def texts(shard_files: list[Path]) -> Iterator[str]:
         for shard_file in shard_files:
             with open(shard_file, encoding="utf-8") as fh:
                 for line in fh:
                     if line.strip():
                         yield parse_record(line).text
 
-    table = count_emoji_frequencies(texts())
-    top = select_top_emojis(table, cfg.emoji_fraction) if table.total_distinct else []
-    base = Vocabulary.load(base_path)
-    extended = extend_vocabulary(base, TWEET_TOKENS, top)
-
-    counts = {
-        "base_tokens": len(base),
-        "distinct_emojis": table.total_distinct,
-        "selected_emojis": len(top),
-        "extended_tokens": len(extended),
-    }
-    with _Outputs("vocab", Path(out_dir or Path(cfg.output_dir) / "vocab")) as out:
+    with _Outputs("vocab", cfg, out_dir, in_dir) as out:
+        table = count_emoji_frequencies(texts(out.upstream))
+        top = select_top_emojis(table, cfg.emoji_fraction) if table.total_distinct else []
+        base = Vocabulary.load(cfg.base_vocab_path)
+        extended = extend_vocabulary(base, TWEET_TOKENS, top)
         extended.save(out.path("vocab.txt"))
         table.write_report(out.path("emoji-frequencies.tsv"))
-        return out.commit(cfg, shard_files + [base_path], counts)
+        return out.commit({
+            "base_tokens": len(base),
+            "distinct_emojis": table.total_distinct,
+            "selected_emojis": len(top),
+            "extended_tokens": len(extended),
+        })
 
 
 def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
@@ -576,26 +589,22 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
                         out_dir: str | Path | None = None,
                         debug_jsonl: bool = False) -> RunManifest:
     """Generate and serialize MLM/NSP instances per document shard."""
-    shard_files = _upstream(Path(in_dir or Path(cfg.output_dir) / "segment"), "segment")
-    vocab_file = Path(vocab_path or Path(cfg.output_dir) / "vocab" / "vocab.txt")
+    vocab_file = Path(vocab_path or _stage_dir("vocab", cfg) / "vocab.txt")
     _require_inputs([vocab_file], "vocabulary")
-
     vocab = Vocabulary.load(vocab_file)
     counts = {"documents": 0, "degenerate_documents": 0, "instances": 0}
-    with _Outputs("pretrain-data", Path(out_dir or Path(cfg.output_dir) / "pretrain")) as out:
-        for shard_index, shard_file in enumerate(shard_files):
+    with _Outputs("pretrain-data", cfg, out_dir, in_dir) as out:
+        for shard_index, shard_file in enumerate(out.upstream):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
             stats = BuildStats()
-            documents = read_document_file(shard_file)
-            build_records(documents, vocab, cfg.pretrain, dst,
+            build_records(read_document_file(shard_file), vocab, cfg.pretrain, dst,
                           workers=cfg.workers, stats=stats)
             if debug_jsonl:
                 write_records_jsonl(read_records(dst), out.path(f"{name}.jsonl"), cfg.pretrain)
-            counts["documents"] += stats.documents
-            counts["degenerate_documents"] += stats.degenerate_documents
-            counts["instances"] += stats.instances
-        return out.commit(cfg, shard_files + [vocab_file], counts)
+            for key in counts:
+                counts[key] += getattr(stats, key)
+        return out.commit(counts, [vocab_file])
 
 
 def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
@@ -616,8 +625,8 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     counts.pop("duplicates_text")
     counts["words"] = words
     counts["entities"] = entity_totals
-    with _Outputs("stats", Path(out_dir or Path(cfg.output_dir) / "stats")) as out:
-        return out.commit(cfg, inputs, counts)
+    with _Outputs("stats", cfg, out_dir) as out:
+        return out.commit(counts, inputs)
 
 
 def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
@@ -626,21 +635,12 @@ def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
     A stage's error is raised again with ``stage <name>: `` in front,
     once: the pipeline's message names the stage that failed inside it.
     """
-    runners = {
-        "ingest": stage_ingest,
-        "langid-train": stage_langid_train,
-        "clean": stage_clean,
-        "segment": stage_segment,
-        "vocab": stage_vocab,
-        "pretrain-data": stage_pretrain_data,
-        "stats": stage_stats,
-        "pipeline": run_pipeline,
-    }
-    if stage not in runners:
+    if stage not in STAGES:
         raise ConfigInvalid(f"unknown stage {stage!r} (task-prep and eval "
                             "take dataset paths; use the CLI or tasks module)")
     try:
-        return runners[stage](cfg, **kwargs)
+        # looked up when called, so a wrapper set on this module sees the stage
+        return globals()[STAGES[stage].runner](cfg, **kwargs)
     except TweetCorpusError as exc:
         if exc.stage is not None:
             raise
@@ -674,9 +674,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     counts = final.counts
     stage_manifests = []
     try:
-        for name in _OUTSIDE_INPUTS:
-            _check_outside_inputs(name, cfg)
-        for name in ("ingest", "vocab", "clean", "segment", "pretrain-data"):
+        for name in PIPELINE:
+            _outside_files(name, cfg)
+        for name in PIPELINE:
             if name == "pretrain-data" and counts["segment"]["documents"] < 2:
                 print("warning: fewer than 2 documents survived cleaning; "
                       "skipping pretraining records", file=sys.stderr)

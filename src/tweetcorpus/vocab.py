@@ -92,9 +92,6 @@ class EmojiFrequencyTable:
         for start, end in emojidata.iter_emoji_spans(text):
             self.counts[text[start:end]] += 1
 
-    def merge(self, other: "EmojiFrequencyTable") -> None:
-        self.counts.update(other.counts)
-
     def write_report(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as out:
             for emoji_seq, count in sorted(

@@ -366,6 +366,21 @@ def test_missing_clean_input_is_a_failed_stage(tmp_path, valid_inputs, absent):
 
 
 
+def test_a_clean_with_a_missing_emoji_map_keeps_the_previous_outputs(tmp_path, valid_inputs):
+    out = tmp_path / "clean"
+    models = ("--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]))
+    run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
+            *models, check=True)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "manifest-clean.json" in before and len(before) > 1
+    absent = tmp_path / "absent.tsv"
+    proc = run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
+                   *models, "--emoji-map", str(absent))
+    assert proc.returncode == 3
+    assert f"stage clean: missing input: {absent}" in proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_missing_abbreviations_names_the_segment_stage(tmp_path, valid_inputs):
     cfg = build_config(overrides={"langid.model_a": str(valid_inputs["a"]),
                                   "langid.model_b": str(valid_inputs["b"])})

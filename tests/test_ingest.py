@@ -57,6 +57,19 @@ def test_parse_invalid_utf8_bytes():
         parse_record(b'{"id":1,"text":"\xff\xfe"}')
 
 
+# A str line can hold a literal lone surrogate, with no backslash in it;
+# UTF-8 bytes can only spell one as an escape.
+@pytest.mark.parametrize("line", [
+    '{"id":1,"text":"a \ud800 b"}',
+    '{"id":1,"text":"a b","lang":"\udc00"}',
+    '{"id":1,"text":"a \\ud800 b"}',
+    b'{"id":1,"text":"a \\udc00 b"}',
+], ids=["str-text", "str-lang", "str-escape", "bytes-escape"])
+def test_parse_rejects_a_lone_surrogate(line):
+    with pytest.raises(MalformedRecord, match="lone surrogate"):
+        parse_record(line)
+
+
 # created_at of 0001-01-01T00:00:00Z, 1000-01-01T00:00:00Z and
 # 9999-12-31T23:59:59Z: parse_record accepts UTC years 1..9999
 YEAR_1, YEAR_1000, YEAR_9999_END = -62135596800, -30610224000, 253402300799

@@ -226,11 +226,9 @@ def test_likelihoods_sum_to_one_per_language():
     rng = random.Random(51)
     samples = make_bilingual_samples(rng, 30)
     model = train(samples, (1, 2), 0.7)
-    for lang in model.languages:
-        table = model.log_likelihoods[lang]
-        unseen = model.log_unseen[lang]
-        mass = sum(math.exp(table.get(gram, unseen)) for gram in model.vocabulary)
-        assert mass == pytest.approx(1.0, abs=1e-9)
+    for k, lang in enumerate(model.languages):
+        mass = sum(math.exp(row[k]) for row in model.rows.values())
+        assert mass == pytest.approx(1.0, abs=1e-9), lang
 
 
 def test_ngram_range_validation():
@@ -279,8 +277,9 @@ def test_prepare_strips_placeholders_only_as_whole_words(text):
 
 
 # --- reference classifier ----------------------------------------------------
-# The dict-per-language scoring loop the row tables replaced. Scores must be
-# equal to the last bit, not approximately.
+# A plain per-language scoring loop over n-grams counted one slice at a time,
+# reading the model's rows. Scores must be equal to the last bit, not
+# approximately.
 
 
 def reference_classify(model, text):
@@ -292,14 +291,12 @@ def reference_classify(model, text):
     for n in range(min_n, max_n + 1):
         for i in range(len(stripped) - n + 1):
             grams[stripped[i:i + n]] += 1
-    known = [(gram, count) for gram, count in grams.items() if gram in model.vocabulary]
+    known = [(model.rows[gram], count) for gram, count in grams.items() if gram in model.rows]
     scores = {}
-    for lang in model.languages:
-        table = model.log_likelihoods[lang]
-        unseen = model.log_unseen[lang]
+    for k, lang in enumerate(model.languages):
         total = model.log_priors[lang]
-        for gram, count in known:
-            total += count * table.get(gram, unseen)
+        for row, count in known:
+            total += count * row[k]
         scores[lang] = total
     peak = max(scores.values())
     exps = {lang: math.exp(s - peak) for lang, s in scores.items()}

@@ -7,6 +7,8 @@ import pytest
 from tweetcorpus.errors import ConfigInvalid, DataError, InputMissing, TooFewDocuments
 from tweetcorpus.ingest import serialize_record
 from tweetcorpus.pipeline import (
+    PIPELINE,
+    STAGES,
     build_config,
     file_digest,
     parse_config_file,
@@ -540,3 +542,72 @@ def test_every_stage_input_carries_its_upstream_output_digest(workspace):
                 checked += 1
     # two shards into each of vocab, clean and segment; pretrain-data adds vocab.txt
     assert checked == 2 + 2 + 2 + 3
+
+
+def test_the_stage_table_matches_the_benchmark_copy(monkeypatch):
+    # bench/harness.py keeps its own copy on purpose: drift fails here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import harness
+
+    assert tuple((name, STAGES[name].runner) for name in PIPELINE) == harness.STAGES
+    assert {name: STAGES[name].directory for name in PIPELINE} == harness.MANIFEST_DIRS
+
+
+def _write_outside_files(root):
+    emoji_map = root / "emoji.tsv"
+    emoji_map.write_text("\U0001F600\tfata zambitoare\n", encoding="utf-8")
+    abbreviations = root / "abbreviations.txt"
+    abbreviations.write_text("dl\nnr\n", encoding="utf-8")
+    return emoji_map, abbreviations
+
+
+def test_every_manifest_lists_every_file_its_stage_read(workspace):
+    cfg, root = workspace
+    emoji_map, abbreviations = _write_outside_files(root)
+    cfg.emoji_map_path, cfg.abbreviations_path = str(emoji_map), str(abbreviations)
+    run_pipeline(cfg)
+    out = root / "out"
+    manifests = {stage: json.loads((out / d / f"manifest-{stage}.json").read_text())
+                 for stage, d in (("ingest", "ingest"), ("vocab", "vocab"), ("clean", "clean"),
+                                  ("segment", "segment"), ("pretrain-data", "pretrain"))}
+
+    def outputs(stage, d):
+        return [str(out / d / name) for name in manifests[stage]["outputs"]]
+
+    expected = {
+        "ingest": [cfg.input],
+        "vocab": outputs("ingest", "ingest") + [cfg.base_vocab_path],
+        "clean": outputs("ingest", "ingest") + [cfg.langid_model_a, cfg.langid_model_b,
+                                                 str(emoji_map)],
+        "segment": outputs("clean", "clean") + [str(abbreviations)],
+        "pretrain-data": outputs("segment", "segment") + [str(out / "vocab" / "vocab.txt")],
+    }
+    for stage, paths in expected.items():
+        assert sorted(manifests[stage]["inputs"]) == sorted(paths), stage
+        for path in paths:
+            assert manifests[stage]["inputs"][path] == file_digest(path), (stage, path)
+
+
+def test_unset_outside_files_are_not_listed(workspace):
+    cfg, root = workspace
+    cfg.langid_model_a = cfg.langid_model_b = ""
+    ingest = stage_ingest(cfg)
+    clean = stage_clean(cfg)
+    segment = stage_segment(cfg)
+    out = root / "out"
+    assert sorted(clean.inputs) == sorted(str(out / "ingest" / name) for name in ingest.outputs)
+    assert sorted(segment.inputs) == sorted(str(out / "clean" / name) for name in clean.outputs)
+
+
+def test_editing_the_emoji_map_in_place_changes_the_clean_manifest_inputs(workspace):
+    cfg, root = workspace
+    emoji_map, _ = _write_outside_files(root)
+    cfg.emoji_map_path = str(emoji_map)
+    stage_ingest(cfg)
+    before = stage_clean(cfg)
+    emoji_map.write_text("\U0001F600\tzambet\n", encoding="utf-8")
+    after = stage_clean(cfg)
+    assert after.config == before.config
+    assert after.inputs[str(emoji_map)] != before.inputs[str(emoji_map)]
+    assert after.inputs[str(emoji_map)] == file_digest(emoji_map)
+    assert after.outputs != before.outputs

@@ -9,11 +9,12 @@ benchmark reports against the pipeline's own manifest.
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tweetcorpus.pipeline import build_config, run_pipeline
+from tweetcorpus.pipeline import PIPELINE, STAGES, build_config, run_pipeline
 from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
 from conftest import RO_WORDS, make_text
@@ -109,3 +110,15 @@ def test_traced_emoji_spans_count_every_scan(tmp_path, tracing):
     assert manifest.counts["ingest"]["emitted"] == len(texts)
     assert sequences > 0
     assert tracer.counters["emojidata.spans"] == 2 * sequences
+
+
+def test_the_pipeline_runs_each_stage_once_through_its_traced_name(tmp_path, tracing):
+    # run_stage looks each stage up on the module when it calls it, so the
+    # tracer's wrappers see every stage the pipeline runs
+    rng = random.Random(29)
+    texts = [make_text(rng, RO_WORDS, 8).capitalize() + ". " +
+             make_text(rng, RO_WORDS, 6).capitalize() + "." for _ in range(12)]
+    tracer, _ = _run_traced(tmp_path, tracing, texts)
+    spans = Counter(name for name in tracer.names if name.startswith("pipeline.stage_"))
+    assert spans == {f"pipeline.{STAGES[name].runner}": 1 for name in PIPELINE}
+    assert len(spans) == 5
