@@ -19,6 +19,7 @@ from .normalize import collapse_whitespace
 
 _MAX_ID = 2**64 - 1
 _EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
 _MIN_TS, _MAX_TS = -62135596800, 253402300799  # 0001-01-01, 9999-12-31T23:59:59 UTC
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -54,7 +55,7 @@ def _parse_timestamp(value: str) -> int:
         raise MalformedRecord(f"bad created_at: {value!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    seconds = int(dt.timestamp())
+    seconds = (dt - _UTC_EPOCH) // timedelta(seconds=1)  # floor, before 1970 too
     if not _MIN_TS <= seconds <= _MAX_TS:  # serialize_record writes UTC years 1..9999
         raise MalformedRecord(f"created_at outside UTC years 1..9999: {value!r}")
     return seconds

@@ -301,12 +301,14 @@ class RunManifest:
 
 
 def _require_inputs(paths: list[Path], what: str = "") -> list[Path]:
-    """``paths``, each of which must exist; with ``what``, at least one."""
+    """``paths``, each an existing non-directory; with ``what``, at least one."""
     if not paths and what:
         raise InputMissing(f"no {what} found")
     for p in paths:
         if not p.exists():
             raise InputMissing(f"missing input: {p}")
+        if p.is_dir():
+            raise InputMissing(f"input is a directory: {p}")
     return paths
 
 
@@ -326,6 +328,14 @@ def _outside_files(stage: str, cfg: PipelineConfig) -> list[Path]:
         raise ConfigInvalid("vocab.base is not set")
     return _require_inputs([Path(getattr(cfg, name)) for name in STAGES[stage].outside
                             if getattr(cfg, name)])
+
+
+def _shard_lines(path: Path) -> Iterator[bytes]:
+    """The non-blank lines of a shard file, as bytes."""
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.isspace():
+                yield line
 
 
 def _listed(manifest: Path) -> list[str]:
@@ -488,7 +498,7 @@ def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
 CLEAN_BATCH = 512
 
 
-def _clean_batch(ctx: dict, lines: list[str]) -> list[tuple[str, str]]:
+def _clean_batch(ctx: dict, lines: list[bytes]) -> list[tuple[str, str]]:
     out = []
     for line in lines:
         tweet = parse_record(line)
@@ -501,7 +511,7 @@ def _clean_batch(ctx: dict, lines: list[str]) -> list[tuple[str, str]]:
     return out
 
 
-def _batches(lines: Iterable[str], size: int) -> Iterator[list[str]]:
+def _batches(lines: Iterable[bytes], size: int) -> Iterator[list[bytes]]:
     lines = iter(lines)
     return iter(lambda: list(islice(lines, size)), [])
 
@@ -516,9 +526,8 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
         ctx = _load_clean_context(cfg)
         for shard_index, shard_file in enumerate(out.upstream):
             dst = out.path(f"clean-{shard_index:05}.jsonl")
-            with open(shard_file, encoding="utf-8") as fh, \
-                    open(dst, "w", encoding="utf-8") as sink:
-                batches = _batches((line for line in fh if line.strip()), CLEAN_BATCH)
+            with open(dst, "w", encoding="utf-8") as sink:
+                batches = _batches(_shard_lines(shard_file), CLEAN_BATCH)
                 for batch in ordered_map(_clean_batch, ctx, batches, cfg.workers):
                     for record, reason in batch:
                         counts["read"] += 1
@@ -537,14 +546,11 @@ def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
     counts = {"read": 0, "documents": 0, "sentences": 0}
 
     def documents(shard_file: Path, splitter: SentenceSplitter) -> Iterator[Document]:
-        with open(shard_file, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                counts["read"] += 1
-                sentences = split_sentences(parse_record(line).text, splitter)
-                counts["sentences"] += len(sentences)
-                yield Document(tuple(sentences))
+        for line in _shard_lines(shard_file):
+            counts["read"] += 1
+            sentences = split_sentences(parse_record(line).text, splitter)
+            counts["sentences"] += len(sentences)
+            yield Document(tuple(sentences))
 
     with _Outputs("segment", cfg, out_dir, in_dir) as out:
         splitter = (SentenceSplitter(load_abbreviations(cfg.abbreviations_path))
@@ -562,15 +568,9 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     Runs on the deduped (pre-translation) shards so emoji frequencies
     see the original emoji characters.
     """
-    def texts(shard_files: list[Path]) -> Iterator[str]:
-        for shard_file in shard_files:
-            with open(shard_file, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        yield parse_record(line).text
-
     with _Outputs("vocab", cfg, out_dir, in_dir) as out:
-        table = count_emoji_frequencies(texts(out.upstream))
+        table = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
+                                        for line in _shard_lines(shard))
         top = select_top_emojis(table, cfg.emoji_fraction) if table.total_distinct else []
         base = Vocabulary.load(cfg.base_vocab_path)
         extended = extend_vocabulary(base, TWEET_TOKENS, top)

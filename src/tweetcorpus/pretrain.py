@@ -34,6 +34,7 @@ import struct
 import sys
 import zlib
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -58,6 +59,7 @@ RECORD_MAGIC = b"RBTW"
 RECORD_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
 _U32 = struct.Struct("<I")
+RECORD_BLOCK = 1 << 20  # bytes per read of a record file, as file_digest reads
 
 
 @dataclass(frozen=True)
@@ -307,9 +309,10 @@ def tokenize_documents(documents: Iterable[Document], vocab: Vocabulary,
 CHUNK_PAIRS = 512
 
 
-def _prepare(documents: Iterable[Document], vocab: Vocabulary, cfg: PretrainConfig,
-             stats: BuildStats | None) -> tuple[tuple, Iterator[tuple[int, int]]]:
-    """The map's context and its chunks of pair indices."""
+def _built_chunks(documents: Iterable[Document], vocab: Vocabulary, cfg: PretrainConfig,
+                  workers: int, stats: BuildStats | None) -> Iterator[tuple[int, bytes]]:
+    """Each chunk's ``(count, frames)``, in pair order. The documents are
+    tokenized and checked at the call, before any chunk is built."""
     cfg.validate()
     tok_docs = tokenize_documents(documents, vocab, stats)
     if len(tok_docs) < 2:
@@ -322,23 +325,20 @@ def _prepare(documents: Iterable[Document], vocab: Vocabulary, cfg: PretrainConf
                      for doc in tok_docs for sentence in doc)
     pairs = len(tok_docs) * cfg.dupe_factor
     chunks = ((lo, min(lo + CHUNK_PAIRS, pairs)) for lo in range(0, pairs, CHUNK_PAIRS))
-    return (tok_docs, vocab, cfg, layout), chunks
-
-
-def _chunk_instances(context: tuple, bounds: tuple[int, int]) -> Iterator[tuple]:
-    docs, vocab, cfg, layout = context
-    rng = random.Random()
-    for pair in range(*bounds):
-        i, d = divmod(pair, cfg.dupe_factor)
-        rng.seed(mix64(cfg.seed, i, d))  # the state of Random(mix64(...))
-        yield from _instances_for_document(docs, i, rng, vocab, cfg, layout)
+    return ordered_map(_record_chunk, (tok_docs, vocab, cfg, layout), chunks, workers)
 
 
 def _record_chunk(context: tuple, bounds: tuple[int, int]) -> tuple[int, bytes]:
-    frames = [_frame(ids, bytes(a_len) + b"\x01" * (len(ids) - a_len),
-                     is_random_next, positions, labels)
-              for ids, a_len, is_random_next, positions, labels
-              in _chunk_instances(context, bounds)]
+    docs, vocab, cfg, layout = context
+    rng = random.Random()
+    frames: list[bytes] = []
+    for pair in range(*bounds):
+        i, d = divmod(pair, cfg.dupe_factor)
+        rng.seed(mix64(cfg.seed, i, d))  # the state of Random(mix64(...))
+        frames += [_frame(ids, bytes(a_len) + b"\x01" * (len(ids) - a_len),
+                          is_random_next, positions, labels)
+                   for ids, a_len, is_random_next, positions, labels
+                   in _instances_for_document(docs, i, rng, vocab, cfg, layout)]
     return len(frames), b"".join(frames)
 
 
@@ -352,15 +352,11 @@ def build_instances(documents: Iterable[Document], vocab: Vocabulary,
     from the frames that ``build_records`` writes, so they equal the
     records on disk.
     """
-    context, chunks = _prepare(documents, vocab, cfg, stats)
-    for built, frames in ordered_map(_record_chunk, context, chunks, workers):
+    for built, frames in _built_chunks(documents, vocab, cfg, workers, stats):
         if stats:
             stats.instances += built
-        view, at = memoryview(frames), 0
-        while at < len(view):
-            (size,) = _U32.unpack_from(view, at)
-            yield _unpack_instance(view[at + 4:at + 4 + size], size)
-            at += size + 8
+        for payload in _walk(frames)[0]:
+            yield _unpack_instance(payload)
 
 
 def build_records(documents: Iterable[Document], vocab: Vocabulary,
@@ -372,17 +368,7 @@ def build_records(documents: Iterable[Document], vocab: Vocabulary,
     Every chunk of pairs is packed into framed records where it is
     built, so this process only writes bytes. Returns the record count.
     """
-    context, chunks = _prepare(documents, vocab, cfg, stats)
-    out, owned = _open(sink, "wb")
-    count = 0
-    try:
-        _write_header(out, cfg)
-        for built, frames in ordered_map(_record_chunk, context, chunks, workers):
-            out.write(frames)
-            count += built
-    finally:
-        if owned:
-            out.close()
+    count = _write_file(sink, cfg, _built_chunks(documents, vocab, cfg, workers, stats))
     if stats:
         stats.instances += count
     return count
@@ -418,38 +404,64 @@ def _words(n: int) -> struct.Struct:
     return struct.Struct(f"<{n}I")
 
 
-def _unpack_instance(buffer: bytes | memoryview, size: int) -> PretrainInstance:
-    """The instance whose payload is ``buffer[:size]``."""
+def _unpack_instance(payload: memoryview) -> PretrainInstance:
+    """The instance whose payload is ``payload``."""
+    size = len(payload)
     if size < 4:
         raise CorruptRecord("payload shorter than its declared contents")
-    (n,) = _U32.unpack_from(buffer)
+    (n,) = _U32.unpack_from(payload)
     m_at = 5 * n + 5
     if m_at + 4 > size:
         raise CorruptRecord("payload shorter than its declared contents")
-    (m,) = _U32.unpack_from(buffer, m_at)
+    (m,) = _U32.unpack_from(payload, m_at)
     end = m_at + 4 + 8 * m
     if end > size:
         raise CorruptRecord("payload shorter than its declared contents")
     if end != size:
         raise CorruptRecord(f"{size - end} trailing bytes in payload")
     predictions = _words(m)
-    return PretrainInstance(_words(n).unpack_from(buffer, 4),
-                            tuple(buffer[4 * n + 4:m_at - 1]), bool(buffer[m_at - 1]),
-                            predictions.unpack_from(buffer, m_at + 4),
-                            predictions.unpack_from(buffer, m_at + 4 + 4 * m))
+    return PretrainInstance(_words(n).unpack_from(payload, 4),
+                            tuple(payload[4 * n + 4:m_at - 1]), bool(payload[m_at - 1]),
+                            predictions.unpack_from(payload, m_at + 4),
+                            predictions.unpack_from(payload, m_at + 4 + 4 * m))
+
+
+def _walk(buffer: bytes) -> tuple[list[memoryview], int]:
+    """The CRC-checked payloads of the whole frames at the start of
+    ``buffer``, and the offset where the rest (a partial frame) starts."""
+    view, end = memoryview(buffer), len(buffer)
+    payloads, at = [], 0
+    while at + 4 <= end:
+        stop = at + 8 + _U32.unpack_from(view, at)[0]
+        if stop > end:
+            break
+        payload = view[at + 4:stop - 4]
+        if zlib.crc32(payload) != _U32.unpack_from(view, stop - 4)[0]:
+            raise CorruptRecord("payload CRC mismatch")
+        payloads.append(payload)
+        at = stop
+    return payloads, at
 
 
 def _open(sink, mode: str):
-    if isinstance(sink, (str, Path)):
-        return open(sink, mode), True
-    return sink, False
+    """A context that opens a path and closes it, or leaves an open file as it is."""
+    return open(sink, mode) if isinstance(sink, (str, Path)) else nullcontext(sink)
 
 
-def _write_header(out: BinaryIO, cfg: PretrainConfig) -> None:
+def _write_file(sink: BinaryIO | str | Path, cfg: PretrainConfig,
+                chunks: Iterable[tuple[int, bytes]]) -> int:
+    """Write the header, then each ``(count, frames)`` chunk's frames, as a
+    record file; returns the sum of the counts."""
     header = _HEADER.pack(RECORD_MAGIC, RECORD_VERSION,
                           cfg.max_seq_length, cfg.max_predictions_per_seq)
-    out.write(header)
-    out.write(_U32.pack(zlib.crc32(header)))
+    count = 0
+    with _open(sink, "wb") as out:
+        out.write(header)
+        out.write(_U32.pack(zlib.crc32(header)))
+        for built, frames in chunks:
+            out.write(frames)
+            count += built
+    return count
 
 
 def write_records(instances: Iterable[PretrainInstance], sink: BinaryIO | str | Path,
@@ -460,10 +472,7 @@ def write_records(instances: Iterable[PretrainInstance], sink: BinaryIO | str | 
     and carries its own CRC32 so corruption anywhere in the file is
     detectable.
     """
-    out, owned = _open(sink, "wb")
-    try:
-        _write_header(out, cfg)
-        count = 0
+    def frames() -> Iterator[tuple[int, bytes]]:
         for inst in instances:
             if len(inst.token_ids) > cfg.max_seq_length:
                 raise DataError(
@@ -479,13 +488,10 @@ def write_records(instances: Iterable[PretrainInstance], sink: BinaryIO | str | 
                 raise DataError(
                     f"{len(inst.masked_label_ids)} masked labels for "
                     f"{len(inst.masked_positions)} masked positions")
-            out.write(_frame(inst.token_ids, bytes(inst.segment_ids), inst.is_random_next,
-                             inst.masked_positions, inst.masked_label_ids))
-            count += 1
-        return count
-    finally:
-        if owned:
-            out.close()
+            yield 1, _frame(inst.token_ids, bytes(inst.segment_ids), inst.is_random_next,
+                            inst.masked_positions, inst.masked_label_ids)
+
+    return _write_file(sink, cfg, frames())
 
 
 @dataclass
@@ -514,43 +520,36 @@ def read_records(source: BinaryIO | str | Path,
                  header_out: list | None = None) -> Iterator[PretrainInstance]:
     """Stream instances back; raises CorruptRecord on any damage.
 
-    Pass a list as ``header_out`` to also receive the RecordHeader.
+    Pass a list as ``header_out`` to also receive the RecordHeader. The
+    file is read ``RECORD_BLOCK`` bytes at a time, and the CRC of every
+    whole frame in a read is checked before its first instance is yielded.
     """
-    fh, owned = _open(source, "rb")
-    try:
+    with _open(source, "rb") as fh:
         header = read_header(fh)
         if header_out is not None:
             header_out.append(header)
-        while True:
-            prefix = fh.read(4)
-            if not prefix:
-                break
-            if len(prefix) != 4:
-                raise CorruptRecord("truncated record length prefix")
-            (size,) = _U32.unpack(prefix)
-            body = fh.read(size + 4)
-            if len(body) != size + 4:
-                raise CorruptRecord("truncated record body")
-            (crc,) = _U32.unpack_from(body, size)
-            if zlib.crc32(memoryview(body)[:size]) != crc:
-                raise CorruptRecord("payload CRC mismatch")
-            inst = _unpack_instance(body, size)
-            if len(inst.token_ids) > header.max_seq_length:
-                raise CorruptRecord("record exceeds file max_seq_length")
-            if len(inst.masked_positions) > header.max_predictions_per_seq:
-                raise CorruptRecord("record exceeds file max_predictions_per_seq")
-            yield inst
-    finally:
-        if owned:
-            fh.close()
+        rest = b""
+        while block := fh.read(RECORD_BLOCK):
+            rest += block
+            payloads, at = _walk(rest)
+            for payload in payloads:
+                inst = _unpack_instance(payload)
+                if len(inst.token_ids) > header.max_seq_length:
+                    raise CorruptRecord("record exceeds file max_seq_length")
+                if len(inst.masked_positions) > header.max_predictions_per_seq:
+                    raise CorruptRecord("record exceeds file max_predictions_per_seq")
+                yield inst
+            rest = rest[at:]
+    if rest:
+        raise CorruptRecord("truncated record body" if len(rest) >= 4
+                            else "truncated record length prefix")
 
 
 def write_records_jsonl(instances: Iterable[PretrainInstance],
                         sink, cfg: PretrainConfig) -> int:
     """Line-delimited JSON twin of the binary format, for debugging."""
-    out, owned = _open(sink, "w")
-    try:
-        count = 0
+    count = 0
+    with _open(sink, "w") as out:
         out.write(json.dumps({
             "max_seq_length": cfg.max_seq_length,
             "max_predictions_per_seq": cfg.max_predictions_per_seq,
@@ -558,7 +557,4 @@ def write_records_jsonl(instances: Iterable[PretrainInstance],
         for inst in instances:
             out.write(json.dumps(inst.as_dict()) + "\n")
             count += 1
-        return count
-    finally:
-        if owned:
-            out.close()
+    return count

@@ -379,6 +379,12 @@ def test_a_clean_with_a_missing_emoji_map_keeps_the_previous_outputs(tmp_path, v
     assert proc.returncode == 3
     assert f"stage clean: missing input: {absent}" in proc.stderr
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # a directory is no emoji map either
+    proc = run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
+                   *models, "--emoji-map", str(tmp_path))
+    assert proc.returncode == 3
+    assert f"stage clean: input is a directory: {tmp_path}" in proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_missing_abbreviations_names_the_segment_stage(tmp_path, valid_inputs):

@@ -117,6 +117,17 @@ def test_serialize_pads_years_below_1000(stamp):
     assert serialize_record(parse_record(line)) == line
 
 
+@pytest.mark.parametrize("stamp, written", [
+    ("1969-12-31T23:59:59.5Z", "1969-12-31T23:59:59Z"),
+    ("1969-12-31T23:59:58.5Z", "1969-12-31T23:59:58Z"),
+    ("2022-03-01T10:00:00.7Z", "2022-03-01T10:00:00Z"),
+    ("9999-12-31T23:59:59.999999Z", "9999-12-31T23:59:59Z"),
+])
+def test_fractional_seconds_round_down(stamp, written):
+    tweet = parse_record(json.dumps({"id": 1, "text": "a", "created_at": stamp}))
+    assert json.loads(serialize_record(tweet))["created_at"] == written
+
+
 @pytest.mark.parametrize("stamp", ["9999-12-31T23:59:59-00:01", "0001-01-01T00:00:00+00:01"])
 def test_parse_rejects_an_instant_outside_utc_years_1_to_9999(stamp):
     with pytest.raises(MalformedRecord, match="created_at"):

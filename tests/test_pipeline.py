@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from tweetcorpus.ingest import serialize_record
 from tweetcorpus.pipeline import (
     PIPELINE,
     STAGES,
+    _require_inputs,
     build_config,
     file_digest,
     parse_config_file,
@@ -611,3 +613,11 @@ def test_editing_the_emoji_map_in_place_changes_the_clean_manifest_inputs(worksp
     assert after.inputs[str(emoji_map)] != before.inputs[str(emoji_map)]
     assert after.inputs[str(emoji_map)] == file_digest(emoji_map)
     assert after.outputs != before.outputs
+
+
+def test_a_directory_is_no_input_but_a_fifo_is(tmp_path):
+    fifo = tmp_path / "archive.jsonl"
+    os.mkfifo(fifo)
+    assert _require_inputs([fifo]) == [fifo]
+    with pytest.raises(InputMissing, match=f"^input is a directory: {tmp_path}$"):
+        _require_inputs([fifo, tmp_path])

@@ -413,6 +413,7 @@ def test_build_records_equals_written_instances(word_vocab, monkeypatch, documen
                              stats=stats) == want_count
         assert buf.getvalue() == want
         assert stats == want_stats
+        assert _build(docs, word_vocab, cfg, workers) == list(read_records(io.BytesIO(want)))
 
 
 def _scanning_mask_sequence(token_ids, vocab, cfg, rng, candidates=None):
@@ -508,7 +509,7 @@ def test_records_header_self_describes():
     write_records([_random_instance(rng, cfg) for _ in range(3)], buf, cfg)
     buf.seek(0)
     out = []
-    list(read_records(buf, header_out=out))
+    next(read_records(buf, header_out=out))  # filled before the first instance
     assert out[0].max_seq_length == 32
     assert out[0].max_predictions_per_seq == 4
 
@@ -535,7 +536,18 @@ def test_version_mismatch_with_valid_header_crc():
         list(read_records(io.BytesIO(data)))
 
 
-def test_truncated_file_detected():
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+def test_reading_in_blocks_gives_the_same_instances(monkeypatch, block):
+    cfg = PretrainConfig(max_seq_length=48, max_predictions_per_seq=6)
+    rng = random.Random(6)
+    instances = [_random_instance(rng, cfg) for _ in range(40)]
+    buf = io.BytesIO()
+    write_records(instances, buf, cfg)
+    monkeypatch.setattr(pretrain, "RECORD_BLOCK", block)
+    assert list(read_records(io.BytesIO(buf.getvalue()))) == instances
+
+
+def test_truncated_file_detected(monkeypatch):
     cfg = PretrainConfig()
     buf = io.BytesIO()
     write_records([_random_instance(random.Random(4), cfg)], buf, cfg)
@@ -544,6 +556,32 @@ def test_truncated_file_detected():
         list(read_records(io.BytesIO(data[:len(data) - 3])))
     with pytest.raises(CorruptRecord):
         list(read_records(io.BytesIO(data[:10])))
+
+    # a cut at every offset of a 3-record file, whatever the read size
+    cfg = PretrainConfig(max_seq_length=12, max_predictions_per_seq=3)
+    instances = [_random_instance(random.Random(k), cfg) for k in range(3)]
+    buf = io.BytesIO()
+    write_records(instances, buf, cfg)
+    data = buf.getvalue()
+    starts, at = [], 18  # the header and its CRC
+    while at < len(data):
+        starts.append(at)
+        at += 8 + struct.unpack_from("<I", data, at)[0]
+    for block in (1, 7, 64, 1 << 20):
+        monkeypatch.setattr(pretrain, "RECORD_BLOCK", block)
+        for cut in range(len(data)):
+            whole = sum(1 for start in starts if start <= cut)
+            if cut < 18:
+                message = "file too short for a record header"
+            elif cut in starts:
+                assert list(read_records(io.BytesIO(data[:cut]))) == instances[:whole - 1]
+                continue
+            elif cut - starts[whole - 1] < 4:
+                message = "truncated record length prefix"
+            else:
+                message = "truncated record body"
+            with pytest.raises(CorruptRecord, match=f"^{message}$"):
+                list(read_records(io.BytesIO(data[:cut])))
 
 
 def _frame(payload: bytes) -> bytes:
