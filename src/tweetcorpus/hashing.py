@@ -1,8 +1,12 @@
-"""Stable 64-bit hashing used for text dedup keys and per-task RNG seeds.
+"""Stable 64-bit hashing for the per-task RNG seeds.
 
-Python's builtin ``hash`` is salted per process, so both the dedup state
-and the per-(document, duplicate) seed derivation use FNV-1a, which is
-cheap and produces identical values on every platform and run.
+Python's builtin ``hash`` is salted per process, so the per-(document,
+duplicate) seed derivation, ``mix64``, uses the FNV-1a step function,
+which gives identical values on every platform and run; the RNG
+protocol and every record byte depend on it. In the pipeline FNV-1a
+feeds only ``mix64``: ingest's dedup keys are BLAKE2b digests
+(``ingest.text_dedup_key``), and no stage calls ``fnv1a64`` or
+``fnv1a64_text``, the FNV-1a hash of a whole byte string or text.
 """
 
 FNV_OFFSET = 0xCBF29CE484222325

@@ -1,23 +1,28 @@
 """Streaming archive ingestion: parse line-delimited JSON and dedup.
 
-A tweet is dropped when either its id or the FNV-1a hash of its
-whitespace-collapsed, lowercased text was already seen; the first
-occurrence always wins. State grows with the number of unique tweets
-only, never with archive size.
+A tweet is dropped when either its id or the key of its canonical text
+(whitespace-collapsed, lowercased) was already seen; the first
+occurrence always wins. The key is the unsalted 64-bit BLAKE2b digest
+of that text, the same on every platform and run. State grows with the
+number of unique tweets only, never with archive size.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
 from .errors import InvalidEncoding, MalformedRecord
+# fnv1a64_text stays importable from here: the traced benchmark
+# (bench/tracing.py) wraps it under this name.
 from .hashing import fnv1a64_text
 from .normalize import collapse_whitespace
 
 _MAX_ID = 2**64 - 1
+_MAX_ID_DIGITS = 20  # len(str(_MAX_ID))
 _EPOCH = datetime(1970, 1, 1)
 _UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
 _MIN_TS, _MAX_TS = -62135596800, 253402300799  # 0001-01-01, 9999-12-31T23:59:59 UTC
@@ -64,12 +69,15 @@ def _parse_timestamp(value: str) -> int:
 def parse_record(line: str | bytes) -> RawTweet:
     """Parse one archive line into a RawTweet.
 
-    Required fields: id (integer or decimal string), text (non-empty
-    string). Optional: created_at (RFC 3339, defaults to epoch 0) and
-    lang (ISO 639-1 code). A text or lang holding a lone surrogate,
-    which UTF-8 cannot encode, is malformed. Every ``str`` line is
-    checked; in a line decoded from bytes only a ``\\uD800``-``\\uDFFF``
-    escape yields one, so only those with a backslash are.
+    Required fields: id (integer or string of at most 20 ASCII
+    digits), text (non-empty string). Optional: created_at (RFC 3339,
+    defaults to epoch 0) and lang (ISO 639-1 code). Any line that is
+    not such a record raises MalformedRecord, among them JSON nested
+    past the recursion limit and integers past ``int``'s digit limit.
+    A text or lang holding a lone surrogate, which UTF-8 cannot encode,
+    is malformed. Every ``str`` line is checked; in a line decoded from
+    bytes only a ``\\uD800``-``\\uDFFF`` escape yields one, so only
+    those with a backslash are.
     """
     decoded = isinstance(line, bytes)
     if decoded:
@@ -79,13 +87,15 @@ def parse_record(line: str | bytes) -> RawTweet:
             raise InvalidEncoding(str(exc)) from exc
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and an integer over the digit limit
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
         raise MalformedRecord("record must be an object with id and text")
 
     raw_id = obj["id"]
-    if isinstance(raw_id, str) and raw_id.isdigit():
+    if (isinstance(raw_id, str) and raw_id.isascii() and raw_id.isdigit()
+            and len(raw_id) <= _MAX_ID_DIGITS):
         raw_id = int(raw_id)
     if not isinstance(raw_id, int) or isinstance(raw_id, bool) or not 0 <= raw_id <= _MAX_ID:
         raise MalformedRecord(f"id must be an unsigned 64-bit integer, got {obj['id']!r}")
@@ -124,7 +134,9 @@ def serialize_record(tweet: RawTweet) -> str:
 
 
 def text_dedup_key(text: str) -> int:
-    return fnv1a64_text(collapse_whitespace(text).lower())
+    """The 64-bit BLAKE2b digest of the canonical text, little-endian."""
+    canonical = collapse_whitespace(text).lower().encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(canonical, digest_size=8).digest(), "little")
 
 
 def dedup(
@@ -151,10 +163,17 @@ def dedup(
         yield tweet
 
 
-def read_archive(path, stats: IngestStats | None = None) -> Iterator[RawTweet]:
-    """Stream an archive file, counting malformed and undecodable lines."""
+def read_archive(path, stats: IngestStats | None = None,
+                 digests: dict | None = None) -> Iterator[RawTweet]:
+    """Stream an archive file, counting malformed and undecodable lines.
+
+    Once the stream is exhausted, ``digests[path]`` is the sha256 of
+    every byte it read: the file is read once, so it may be a FIFO.
+    """
+    sha = hashlib.sha256()
     with open(path, "rb") as fh:
         for raw in fh:
+            sha.update(raw)
             raw = raw.strip()
             if not raw:
                 continue
@@ -165,3 +184,5 @@ def read_archive(path, stats: IngestStats | None = None) -> Iterator[RawTweet]:
             except (MalformedRecord, InvalidEncoding):
                 if stats:
                     stats.malformed += 1
+    if digests is not None:
+        digests[path] = sha.hexdigest()

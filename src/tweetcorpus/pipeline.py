@@ -21,7 +21,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
 from .errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
@@ -397,15 +397,20 @@ class _Outputs:
         self.partials[name] = self.directory / f".{name}.partial"
         return self.partials[name]
 
-    def commit(self, counts: dict, extra_inputs: Iterable[Path] = ()) -> RunManifest:
+    def commit(self, counts: dict, extra_inputs: Iterable[Path] = (),
+               digested: Mapping[Path, str] | None = None) -> RunManifest:
         """The manifest of the upstream files, ``extra_inputs`` (the
-        archives, the corpus or the vocabulary) and the outside files."""
-        inputs = [*self.upstream, *extra_inputs, *self.outside]
+        corpus or the vocabulary), the outside files and the files in
+        ``digested`` (the archives). A file in ``digested`` is recorded
+        with the sha256 its stage took as it read it and is not opened
+        again, so an archive may be a FIFO."""
+        inputs = {str(p): file_digest(p) for p in [*self.upstream, *extra_inputs, *self.outside]}
+        inputs.update((str(p), digest) for p, digest in (digested or {}).items())
         manifest = RunManifest(
             stage=self.stage,
             seed=self.cfg.seed,
             config=self.cfg.flat(),
-            inputs={str(p): file_digest(p) for p in inputs},
+            inputs=inputs,
             counts=counts,
             outputs={name: file_digest(p) for name, p in self.partials.items()},
         )
@@ -426,10 +431,11 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     """Parse archives, dedup, and write round-robin shard files."""
     inputs = _input_paths(cfg)
     stats = IngestStats()
+    digests: dict[Path, str] = {}
 
     def tweets():
         for path in inputs:
-            yield from read_archive(path, stats)
+            yield from read_archive(path, stats, digests)
 
     with _Outputs("ingest", cfg, out_dir) as out:
         with ExitStack() as files:
@@ -439,7 +445,7 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
                 sink = sinks[k % cfg.shards]
                 sink.write(serialize_record(tweet))
                 sink.write("\n")
-        return out.commit(dataclasses.asdict(stats), inputs)
+        return out.commit(dataclasses.asdict(stats), digested=digests)
 
 
 def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
@@ -611,10 +617,11 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     """Summarize an archive without transforming it."""
     inputs = _input_paths(cfg)
     stats = IngestStats()
+    digests: dict[Path, str] = {}
     words = 0
     entity_totals = {"mentions": 0, "hashtags": 0, "urls": 0, "emojis": 0}
     for path in inputs:
-        for tweet in read_archive(path, stats):
+        for tweet in read_archive(path, stats, digests):
             stats.emitted += 1
             words += word_count(tweet.text)
             counts = count_entities(tweet.text)
@@ -626,7 +633,7 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     counts["words"] = words
     counts["entities"] = entity_totals
     with _Outputs("stats", cfg, out_dir) as out:
-        return out.commit(counts, inputs)
+        return out.commit(counts, digested=digests)
 
 
 def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:

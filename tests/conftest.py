@@ -19,6 +19,18 @@ EN_WORDS = (
 ).split()
 
 
+# Archive lines that each must count as malformed. The first four once
+# escaped parse_record as a bare ValueError or RecursionError; the last
+# once parsed as id 3.
+HOSTILE_LINES = {
+    "integer_over_4300_digits": '{"id":1,"text":"a","n":' + "1" * 4301 + "}",
+    "id_over_4300_digits": '{"id":1' + "0" * 4400 + ',"text":"a"}',
+    "nested_100000_deep": '{"id":1,"text":"a","n":' + "[" * 100_000 + "]" * 100_000 + "}",
+    "superscript_digit_id": '{"id":"\u00b2","text":"a"}',
+    "arabic_indic_digit_id": '{"id":"\u0663","text":"a"}',
+}
+
+
 def make_text(rng: random.Random, words, n_words: int) -> str:
     return " ".join(rng.choice(words) for _ in range(n_words))
 

@@ -1,8 +1,11 @@
 import argparse
+import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -19,9 +22,9 @@ from tweetcorpus.vocab import STRUCTURAL_TOKENS
 from conftest import EN_WORDS, RO_WORDS, make_text
 
 
-def run_cli(*argv, check=False):
+def run_cli(*argv, check=False, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "tweetcorpus.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -35,6 +38,32 @@ def test_print_config_lists_defaults():
     assert lines["pretrain.dupe_factor"] == "10"
     assert lines["pretrain.masked_lm_prob"] == "0.15"
     assert lines["vocab.emoji_fraction"] == "0.25"
+
+
+def test_ingest_reads_a_fifo_once_and_records_the_digest_of_what_it_read(tmp_path):
+    fifo = tmp_path / "archive.jsonl"
+    os.mkfifo(fifo)
+    data = '{"id":1,"text":"Azi plouă la munte"}\n\n{"id":2,"text":"Mâine e soare"}'.encode()
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        # a second open of the FIFO would block forever; the timeout kills it
+        proc = run_cli("ingest", "--input", str(fifo), "--output-dir", str(tmp_path / "out"),
+                       timeout=60)
+    finally:
+        if writer.is_alive():  # the CLI never opened the FIFO: let the writer go
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest-ingest.json").read_text())
+    assert manifest["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
+    assert manifest["counts"]["emitted"] == 2
 
 
 def test_usage_error_exits_1():

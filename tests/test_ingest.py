@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from datetime import datetime, timezone
@@ -12,8 +13,12 @@ from tweetcorpus.ingest import (
     RawTweet,
     dedup,
     parse_record,
+    read_archive,
     serialize_record,
+    text_dedup_key,
 )
+
+from conftest import HOSTILE_LINES
 
 
 def test_parse_basic_fields():
@@ -50,6 +55,47 @@ def test_parse_rejects_malformed(line):
 
 def test_parse_decimal_string_id():
     assert parse_record('{"id":"99","text":"a"}').id == 99
+
+
+@pytest.mark.parametrize("tweet_id", ["0", "18446744073709551615", "00000000000000000007"])
+def test_parse_accepts_an_id_of_at_most_20_ascii_digits(tweet_id):
+    assert parse_record(json.dumps({"id": tweet_id, "text": "a"})).id == int(tweet_id)
+
+
+@pytest.mark.parametrize("tweet_id", ["000000000000000000007", "18446744073709551616", "+7", " 7"])
+def test_parse_rejects_a_longer_or_signed_id_string(tweet_id):
+    with pytest.raises(MalformedRecord, match="id must be"):
+        parse_record(json.dumps({"id": tweet_id, "text": "a"}))
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+def test_parse_rejects_a_hostile_line_as_malformed(name):
+    line = HOSTILE_LINES[name]
+    for form in (line, line.encode("utf-8")):
+        with pytest.raises(MalformedRecord):
+            parse_record(form)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+def test_read_archive_counts_a_hostile_line_as_malformed(tmp_path, name):
+    path = tmp_path / "archive.jsonl"
+    path.write_text('{"id":1,"text":"inainte"}\n' + HOSTILE_LINES[name]
+                    + '\n{"id":2,"text":"dupa"}\n', encoding="utf-8")
+    stats = IngestStats()
+    assert [t.text for t in read_archive(path, stats)] == ["inainte", "dupa"]
+    assert (stats.read, stats.malformed) == (3, 1)
+
+
+def test_read_archive_digests_every_byte_it_reads(tmp_path):
+    path = tmp_path / "archive.jsonl"
+    data = b'  {"id":1,"text":"a"}  \r\n\n\t\nnot json\n{"id":2,"text":"b"}'
+    path.write_bytes(data)
+    digests = {}
+    tweets = read_archive(path, digests=digests)
+    assert next(tweets).id == 1
+    assert digests == {}  # only a whole file's digest is recorded
+    assert [t.id for t in tweets] == [2]
+    assert digests == {path: hashlib.sha256(data).hexdigest()}
 
 
 def test_parse_invalid_utf8_bytes():
@@ -203,3 +249,41 @@ def test_dedup_state_growth_matches_unique_count():
     list(dedup(iter(tweets + tweets), state=state))
     assert len(state.seen_ids) == 100
     assert len(state.seen_text_hashes) == 100
+
+
+# Pinned: a change of key function fails here, not only in a collision.
+@pytest.mark.parametrize("text, key", [
+    ("salut lume", 0xD7043B440A000597),
+    ("Mâine plouă în Țara Făgărașului", 0xA6275A3307A020FA),
+    ("ȘI ĂȘTIA", 0xCE599314DBCB34CE),
+    ("\U0001F469\u200D\U0001F469\u200D\U0001F467\u200D\U0001F466 familie", 0x7C5972372C4FF0F5),
+], ids=["ascii", "diacritics", "upper_diacritics", "emoji_zwj"])
+def test_text_dedup_key_is_pinned(text, key):
+    assert text_dedup_key(text) == key
+
+
+@pytest.mark.parametrize("variant", ["SALUT LUME", "  Salut \t LUME\n", "salut\u00a0\u2003lume"])
+def test_case_and_whitespace_variants_share_a_key(variant):
+    assert text_dedup_key(variant) == text_dedup_key("salut lume")
+
+
+def test_diacritic_and_case_variants_of_romanian_share_a_key():
+    assert text_dedup_key("și ăștia") == text_dedup_key("ȘI ĂȘTIA")
+    assert text_dedup_key("si astia") != text_dedup_key("și ăștia")
+
+
+TEXTS = st.sampled_from(["salut lume", "Salut  LUME", " salut\tlume ", "ȘI ăștia",
+                         "și ĂȘTIA", "\U0001F600 da", "\U0001F600  DA", "altceva"])
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), TEXTS), max_size=30))
+def test_dedup_keeps_what_a_canonical_text_oracle_keeps(pairs):
+    tweets = [RawTweet(tweet_id, text) for tweet_id, text in pairs]
+    seen_ids, seen_texts, kept = set(), set(), []
+    for tweet in tweets:
+        canonical = " ".join(tweet.text.split()).lower()
+        if tweet.id not in seen_ids and canonical not in seen_texts:
+            kept.append(tweet)
+            seen_ids.add(tweet.id)
+            seen_texts.add(canonical)
+    assert list(dedup(iter(tweets))) == kept

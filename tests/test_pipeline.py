@@ -25,7 +25,7 @@ from tweetcorpus.pipeline import (
 )
 from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
-from conftest import EN_WORDS, RO_WORDS, make_text
+from conftest import EN_WORDS, HOSTILE_LINES, RO_WORDS, make_text
 
 
 def test_parse_config_file(tmp_path):
@@ -278,6 +278,28 @@ def test_stats_stage_zero_input(tmp_path):
     assert manifest.counts["read"] == 0
     assert manifest.counts["emitted"] == 0
     assert manifest.counts["words"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+def test_ingest_counts_a_hostile_line_as_malformed(tmp_path, name):
+    archive = tmp_path / "raw.jsonl"
+    _write_archive(archive, ["inainte de linie", "dupa linie"])
+    with open(archive, "a", encoding="utf-8") as fh:
+        fh.write(HOSTILE_LINES[name] + "\n")
+    cfg = build_config(overrides={"io.input": str(archive), "io.output_dir": str(tmp_path)})
+    counts = stage_ingest(cfg).counts
+    assert (counts["read"], counts["malformed"], counts["emitted"]) == (3, 1, 2)
+
+
+def test_archive_digests_are_taken_as_the_archives_are_read(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _write_archive(first, ["unu doi trei", "patru cinci"])
+    second.write_bytes(b'\n  {"id":9,"text":"fara newline la final"}  ')
+    cfg = build_config(overrides={"io.input": f"{first},{second},{first}",
+                                  "io.output_dir": str(tmp_path / "out")})
+    expected = {str(p): file_digest(p) for p in (first, second)}
+    assert stage_ingest(cfg).inputs == expected
+    assert stage_stats(cfg).inputs == expected
 
 
 def test_missing_input_raises(tmp_path):
