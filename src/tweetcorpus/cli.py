@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,20 +121,23 @@ _STAGE_ARGS = {"corpus": "corpus", "input_dir": "in_dir", "vocab": "vocab_path",
                "output_dir": "out_dir", "debug_jsonl": "debug_jsonl"}
 
 
+def _parse_score(value: str, path: str, lineno: int) -> float:
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except ValueError:
+        pass
+    raise DataError(f"{path}:{lineno}: expected a finite score, got {value!r}")
+
+
 def _load_matrix(path: str, columns: int, as_float: bool) -> np.ndarray:
+    """Prediction rows: ``columns`` finite scores, or 0/1 cells as gold labels are."""
+    parse = _parse_score if as_float else tasks._parse_binary
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != columns:
-                raise DataError(f"{path}:{lineno}: expected {columns} columns, got {len(cols)}")
-            try:
-                rows.append([float(v) if as_float else int(v) for v in cols])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, cols in tasks.read_tsv(path):
+        if len(cols) != columns:
+            raise DataError(f"{path}:{lineno}: expected {columns} columns, got {len(cols)}")
+        rows.append([parse(v, path, lineno) for v in cols])
     return np.asarray(rows, dtype=float if as_float else int)
 
 

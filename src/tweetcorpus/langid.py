@@ -95,15 +95,54 @@ class LangModel:
         self.rows = rows  # the n-gram vocabulary: gram -> one log-likelihood per language
         self.prior_row = tuple(log_priors[lang] for lang in self.languages)
 
-    def classify(self, text: str) -> list[LangScore]:
-        return classify(self, text)
-
     def save(self, path: str | Path) -> None:
-        save_model(self, path)
+        """Versioned binary layout: language table, then an n-gram table of
+        float64 little-endian log-likelihood rows (one column per language,
+        unseen entries materialized). Grams are sorted, so identical models
+        produce identical bytes."""
+        vocab = sorted(self.rows)
+        if not vocab:
+            raise CorruptRecord("refusing to save a model with an empty vocabulary")
+        with open(path, "wb") as out:
+            out.write(MODEL_MAGIC)
+            out.write(struct.pack("<H", MODEL_VERSION))
+            out.write(struct.pack("<BB", *self.ngram_range))
+            out.write(struct.pack("<d", self.smoothing_alpha))
+            out.write(struct.pack("<H", len(self.languages)))
+            for lang in self.languages:
+                _write_str(out, lang)
+                out.write(struct.pack("<dd", self.log_priors[lang], self.log_unseen[lang]))
+            out.write(struct.pack("<I", len(vocab)))
+            row_format = "<%dd" % len(self.languages)
+            for gram in vocab:
+                _write_str(out, gram)
+                out.write(struct.pack(row_format, *self.rows[gram]))
 
     @classmethod
     def load(cls, path: str | Path) -> "LangModel":
-        return load_model(path)
+        with open(path, "rb") as fh:
+            if _read_exact(fh, 4) != MODEL_MAGIC:
+                raise CorruptRecord(f"{path}: not a language model file")
+            (version,) = struct.unpack("<H", _read_exact(fh, 2))
+            if version != MODEL_VERSION:
+                raise VersionMismatch(f"{path}: model version {version}, expected {MODEL_VERSION}")
+            min_n, max_n = struct.unpack("<BB", _read_exact(fh, 2))
+            (alpha,) = struct.unpack("<d", _read_exact(fh, 8))
+            (n_langs,) = struct.unpack("<H", _read_exact(fh, 2))
+            languages, log_priors, log_unseen = [], {}, {}
+            for _ in range(n_langs):
+                lang = _read_str(fh)
+                prior, unseen = struct.unpack("<dd", _read_exact(fh, 16))
+                languages.append(lang)
+                log_priors[lang] = prior
+                log_unseen[lang] = unseen
+            (n_grams,) = struct.unpack("<I", _read_exact(fh, 4))
+            row_format = "<%dd" % n_langs
+            rows = {}
+            for _ in range(n_grams):
+                gram = _read_str(fh)
+                rows[gram] = struct.unpack(row_format, _read_exact(fh, 8 * n_langs))
+        return cls(languages, (min_n, max_n), alpha, log_priors, log_unseen, rows)
 
 
 def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1, 3),
@@ -228,56 +267,6 @@ def _read_exact(fh, size: int) -> bytes:
 def _read_str(fh) -> str:
     (size,) = struct.unpack("<H", _read_exact(fh, 2))
     return _read_exact(fh, size).decode("utf-8")
-
-
-def save_model(model: LangModel, path: str | Path) -> None:
-    """Versioned binary layout: language table, then an n-gram table of
-    float64 little-endian log-likelihood rows (one column per language,
-    unseen entries materialized). Grams are sorted, so identical models
-    produce identical bytes."""
-    vocab = sorted(model.rows)
-    if not vocab:
-        raise CorruptRecord("refusing to save a model with an empty vocabulary")
-    with open(path, "wb") as out:
-        out.write(MODEL_MAGIC)
-        out.write(struct.pack("<H", MODEL_VERSION))
-        out.write(struct.pack("<BB", *model.ngram_range))
-        out.write(struct.pack("<d", model.smoothing_alpha))
-        out.write(struct.pack("<H", len(model.languages)))
-        for lang in model.languages:
-            _write_str(out, lang)
-            out.write(struct.pack("<dd", model.log_priors[lang], model.log_unseen[lang]))
-        out.write(struct.pack("<I", len(vocab)))
-        row_format = "<%dd" % len(model.languages)
-        for gram in vocab:
-            _write_str(out, gram)
-            out.write(struct.pack(row_format, *model.rows[gram]))
-
-
-def load_model(path: str | Path) -> LangModel:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MODEL_MAGIC:
-            raise CorruptRecord(f"{path}: not a language model file")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2))
-        if version != MODEL_VERSION:
-            raise VersionMismatch(f"{path}: model version {version}, expected {MODEL_VERSION}")
-        min_n, max_n = struct.unpack("<BB", _read_exact(fh, 2))
-        (alpha,) = struct.unpack("<d", _read_exact(fh, 8))
-        (n_langs,) = struct.unpack("<H", _read_exact(fh, 2))
-        languages, log_priors, log_unseen = [], {}, {}
-        for _ in range(n_langs):
-            lang = _read_str(fh)
-            prior, unseen = struct.unpack("<dd", _read_exact(fh, 16))
-            languages.append(lang)
-            log_priors[lang] = prior
-            log_unseen[lang] = unseen
-        (n_grams,) = struct.unpack("<I", _read_exact(fh, 4))
-        row_format = "<%dd" % n_langs
-        rows = {}
-        for _ in range(n_grams):
-            gram = _read_str(fh)
-            rows[gram] = struct.unpack(row_format, _read_exact(fh, 8 * n_langs))
-    return LangModel(languages, (min_n, max_n), alpha, log_priors, log_unseen, rows)
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str]]:

@@ -123,7 +123,8 @@ class EmojiMap:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
-                if not line or line.startswith("#"):
+                # a "#" line is a comment unless it starts with an emoji such as the keycap #️⃣
+                if not line or line.startswith("#") and emojidata.match_emoji(line, 0) is None:
                     continue
                 if "\t" not in line:
                     raise DataError(f"{path}:{lineno}: expected emoji<TAB>description")

@@ -295,8 +295,14 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     def write(self, directory: Path) -> Path:
+        """Write ``manifest-<stage>.json`` as a partial file and move it into place."""
         path = directory / f"manifest-{self.stage}.json"
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
+        partial = directory / f".{path.name}.partial"
+        try:
+            partial.write_text(self.to_json() + "\n", encoding="utf-8")
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
         return path
 
 
@@ -414,9 +420,9 @@ class _Outputs:
             counts=counts,
             outputs={name: file_digest(p) for name, p in self.partials.items()},
         )
-        self.path(self.manifest_path.name).write_text(manifest.to_json() + "\n", encoding="utf-8")
-        for name, partial in self.partials.items():  # the manifest last
+        for name, partial in self.partials.items():
             os.replace(partial, self.directory / name)
+        manifest.write(self.directory)  # the manifest last
         return manifest
 
     def __exit__(self, *exc_info) -> None:

@@ -4,6 +4,13 @@ Three tasks: multi-label emotion detection (7 emotions, optional
 real-valued intensities), sexist-language identification (5 raw labels
 collapsed to binary and three-way views), and BIO named-entity
 recognition over 9 entity types with first-subword alignment.
+
+All three score precision/recall/F1 through one function, ``_scores``.
+Micro averaging pools the counts; macro is the plain mean over every
+label (red_v2) or over the gold and predicted classes (coroseof);
+weighted is the support-weighted mean sum(s_i * x_i) / sum(s_i); a zero
+denominator scores 0.0.
+NER reports the micro average over exact entity spans.
 """
 
 from __future__ import annotations
@@ -125,20 +132,6 @@ def subset_accuracy(y_true, y_pred) -> float:
     return float(np.mean(np.all(t == p, axis=1)))
 
 
-def _per_label_confusion(t: np.ndarray, p: np.ndarray):
-    tp = np.sum((t == 1) & (p == 1), axis=0).astype(float)
-    fp = np.sum((t == 0) & (p == 1), axis=0).astype(float)
-    fn = np.sum((t == 1) & (p == 0), axis=0).astype(float)
-    return tp, fp, fn
-
-
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # zero denominators score 0, the documented zero-division rule
-    out = np.zeros_like(num, dtype=float)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
-
-
 def _prf(tp, n_pred, n_gold) -> dict[str, float]:
     """Precision, recall and F1 from counts; a zero denominator scores 0."""
     precision = tp / n_pred if n_pred else 0.0
@@ -147,34 +140,36 @@ def _prf(tp, n_pred, n_gold) -> dict[str, float]:
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def _per_class(tp: Counter, n_pred: Counter, n_gold: Counter) -> dict[str, dict[str, float]]:
-    """``_prf`` and the gold support of every class that is gold or predicted."""
-    return {str(cls): {**_prf(tp[cls], n_pred[cls], n_gold[cls]), "support": float(n_gold[cls])}
-            for cls in sorted(n_gold.keys() | n_pred.keys())}
+def _scores(tp, n_pred, n_gold, classes, averaging: str) -> MetricReport:
+    """Per-class ``_prf`` rows with gold support over ``classes``, averaged
+    as the module docstring says; ``tp``, ``n_pred`` and ``n_gold`` map a
+    class to its true positives, predictions and gold items."""
+    rows = [{**_prf(tp[c], n_pred[c], n_gold[c]), "support": float(n_gold[c])} for c in classes]
+    if averaging == "micro":
+        metrics = _prf(*(sum(counts[c] for c in classes) for counts in (tp, n_pred, n_gold)))
+    elif averaging in ("macro", "weighted"):
+        # weight 1, not 1/n, so the mean of n equal rows is that row exactly
+        weights = [1 if averaging == "macro" else row["support"] for row in rows]
+        total = sum(weights)
+        metrics = {key: sum(w * row[key] for w, row in zip(weights, rows)) / total if total else 0.0
+                   for key in ("precision", "recall", "f1")}
+    else:
+        raise ValueError(f"averaging must be micro/macro/weighted, got {averaging!r}")
+    return MetricReport(metrics, {str(c): row for c, row in zip(classes, rows)})
 
 
 def f1_multilabel(y_true, y_pred, averaging: str) -> float:
-    """F1 under explicit micro/macro/weighted averaging.
+    """F1 under explicit micro/macro/weighted averaging over every label.
 
     The averaging scheme is a required argument: silent defaults make
     reported numbers irreproducible.
     """
     t, p = _check_shapes(y_true, y_pred)
-    tp, fp, fn = _per_label_confusion(t, p)
-    if averaging == "micro":
-        tp_sum = tp.sum()
-        return _prf(tp_sum, tp_sum + fp.sum(), tp_sum + fn.sum())["f1"]
-    per_label_p = _safe_div(tp, tp + fp)
-    per_label_r = _safe_div(tp, tp + fn)
-    per_label_f1 = _safe_div(2 * per_label_p * per_label_r, per_label_p + per_label_r)
-    if averaging == "macro":
-        return float(per_label_f1.mean())
-    if averaging == "weighted":
-        support = (t == 1).sum(axis=0).astype(float)
-        if support.sum() == 0:
-            return 0.0
-        return float((per_label_f1 * support).sum() / support.sum())
-    raise ValueError(f"averaging must be micro/macro/weighted, got {averaging!r}")
+    tp = ((t == 1) & (p == 1)).sum(axis=0)
+    n_pred = tp + ((t == 0) & (p == 1)).sum(axis=0)
+    n_gold = tp + ((t == 1) & (p == 0)).sum(axis=0)
+    return _scores(tp.tolist(), n_pred.tolist(), n_gold.tolist(), range(t.shape[1]),
+                   averaging).metrics["f1"]
 
 
 def mse(y_true, y_pred, scale: float = 1.0) -> float:
@@ -193,25 +188,13 @@ def threshold_intensities(y_scores, threshold: float = 0.5) -> np.ndarray:
 
 
 def prf_singlelabel(y_true: Sequence, y_pred: Sequence, averaging: str) -> MetricReport:
-    """Per-class and averaged precision/recall/F1 for one label per row."""
+    """Per-class and averaged precision/recall/F1 for one label per row,
+    over the classes that are gold or predicted."""
     if len(y_true) != len(y_pred):
         raise LengthMismatch(f"{len(y_true)} gold vs {len(y_pred)} predicted")
-    if averaging not in ("micro", "macro", "weighted"):
-        raise ValueError(f"averaging must be micro/macro/weighted, got {averaging!r}")
     tp = Counter(t for t, p in zip(y_true, y_pred) if t == p)
-    per_class = _per_class(tp, Counter(y_pred), Counter(y_true))
-    if averaging == "micro":
-        return MetricReport(metrics=_prf(sum(tp.values()), len(y_pred), len(y_true)),
-                            per_class=per_class)
-    rows = list(per_class.values())
-    if averaging == "macro":
-        weights = [1.0 / len(rows)] * len(rows)
-    else:
-        total = len(y_true)
-        weights = [r["support"] / total if total else 0.0 for r in rows]
-    metrics = {key: sum(w * r[key] for w, r in zip(weights, rows))
-               for key in ("precision", "recall", "f1")}
-    return MetricReport(metrics=metrics, per_class=per_class)
+    n_pred, n_gold = Counter(y_pred), Counter(y_true)
+    return _scores(tp, n_pred, n_gold, sorted(n_gold.keys() | n_pred.keys()), averaging)
 
 
 # --- BIO / entity metrics ----------------------------------------------------
@@ -280,11 +263,8 @@ def entity_f1(true_tags, pred_tags, repair: bool = False) -> MetricReport:
         pred_count.update(span[0] for span in pred_spans)
         match_count.update(span[0] for span in gold_spans & pred_spans)
 
-    return MetricReport(
-        metrics=_prf(sum(match_count.values()), sum(pred_count.values()),
-                     sum(gold_count.values())),
-        per_class=_per_class(match_count, pred_count, gold_count),
-    )
+    return _scores(match_count, pred_count, gold_count,
+                   sorted(gold_count.keys() | pred_count.keys()), "micro")
 
 
 # --- dataset loading ---------------------------------------------------------
@@ -308,43 +288,42 @@ def _parse_intensity(value: str, path, lineno: int) -> float:
     return x
 
 
+def read_tsv(path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-separated cells) of each non-blank line of ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line.split("\t")
+
+
 def load_emotion_dataset(path) -> list[EmotionExample]:
     """TSV rows: text, 7 binary labels, optionally 7 real intensities."""
     n = len(EMOTIONS)
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (1 + n, 1 + 2 * n):
-                raise MalformedRow(
-                    f"{path}:{lineno}: expected {1 + n} or {1 + 2 * n} columns, got {len(cols)}")
-            labels = tuple(_parse_binary(v, path, lineno) for v in cols[1:1 + n])
-            intensities = None
-            if len(cols) == 1 + 2 * n:
-                intensities = tuple(_parse_intensity(v, path, lineno) for v in cols[1 + n:])
-            out.append(EmotionExample(cols[0], labels, intensities))
+    for lineno, cols in read_tsv(path):
+        if len(cols) not in (1 + n, 1 + 2 * n):
+            raise MalformedRow(
+                f"{path}:{lineno}: expected {1 + n} or {1 + 2 * n} columns, got {len(cols)}")
+        labels = tuple(_parse_binary(v, path, lineno) for v in cols[1:1 + n])
+        intensities = None
+        if len(cols) == 1 + 2 * n:
+            intensities = tuple(_parse_intensity(v, path, lineno) for v in cols[1 + n:])
+        out.append(EmotionExample(cols[0], labels, intensities))
     return out
 
 
 def load_sexism_dataset(path) -> list[SexismExample]:
     """TSV rows: text, raw 5-way label."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise MalformedRow(f"{path}:{lineno}: expected text<TAB>label")
-            try:
-                binary, threeway = derive_sli_labels(cols[1])
-            except UnknownLabel as exc:
-                raise UnknownLabel(f"{path}:{lineno}: {exc}") from exc
-            out.append(SexismExample(cols[0], cols[1], binary, threeway))
+    for lineno, cols in read_tsv(path):
+        if len(cols) != 2:
+            raise MalformedRow(f"{path}:{lineno}: expected text<TAB>label")
+        try:
+            binary, threeway = derive_sli_labels(cols[1])
+        except UnknownLabel as exc:
+            raise UnknownLabel(f"{path}:{lineno}: {exc}") from exc
+        out.append(SexismExample(cols[0], cols[1], binary, threeway))
     return out
 
 

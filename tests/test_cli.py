@@ -193,6 +193,34 @@ def test_eval_coroseof_binary_and_threeway(tmp_path):
     assert report["metrics"]["f1"] == 1.0
 
 
+@pytest.mark.parametrize("averaging", ["micro", "macro", "weighted"])
+def test_eval_coroseof_on_an_empty_gold_file_scores_zero(tmp_path, averaging):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("", encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("", encoding="utf-8")
+    proc = run_cli("eval", "--task", "coroseof", "--gold", str(gold),
+                   "--pred", str(pred), "--averaging", averaging)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)["metrics"]
+    assert metrics == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+    assert all(type(v) is float for v in metrics.values())
+
+
+@pytest.mark.parametrize("cell, flags", [("2", ()), ("nan", ("--regression",))],
+                         ids=["label-2", "score-nan"])
+def test_eval_rejects_a_bad_prediction_cell(tmp_path, cell, flags):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("unu\t1\t0\t0\t0\t0\t0\t0\ndoi\t0\t1\t0\t0\t0\t0\t0\n",
+                    encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(f"1\t0\t0\t0\t0\t0\t0\n0\t{cell}\t0\t0\t0\t0\t0\n", encoding="utf-8")
+    proc = run_cli("eval", "--task", "red_v2", "--gold", str(gold), "--pred", str(pred),
+                   "--averaging", "macro", *flags)
+    assert proc.returncode == 2, proc.stdout
+    assert f"{pred}:2:" in proc.stderr
+
+
 def test_eval_ner(tmp_path):
     gold = tmp_path / "gold.txt"
     gold.write_text("Ion B-PER\nPopescu I-PER\nmerge O\n\nazi B-TM\n", encoding="utf-8")

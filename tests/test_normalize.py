@@ -239,6 +239,16 @@ def test_default_map_loads():
     assert translate_emojis("\U0001F600", m) == ":grinning face:"
 
 
+def test_map_file_keeps_keycap_hash_lines_and_skips_comments(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_text("#comment\n#\n#\ufe0f\u20e3\tdiez\n#\u20e3\tdiez scurt\n"
+                    "1\ufe0f\u20e3\tunu\n", encoding="utf-8")
+    m = EmojiMap.load(path)
+    assert m.entries == {"#\ufe0f\u20e3": "diez", "#\u20e3": "diez scurt", "1\ufe0f\u20e3": "unu"}
+    assert (translate_emojis("scor #\ufe0f\u20e3 si 1\ufe0f\u20e3 azi", m)
+            == "scor :diez: si :unu: azi")
+
+
 # --- reference scanners ------------------------------------------------------
 # The per-character matcher that ``emojidata.EMOJI_RE`` replaced, and loops
 # that try every position in turn. The pattern and the fast paths must

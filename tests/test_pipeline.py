@@ -191,12 +191,13 @@ def test_clean_stage_releases_its_context(workspace, monkeypatch):
     """A one-worker clean keeps no reference to the loaded models."""
     import weakref
 
-    from tweetcorpus.langid import LangModel, load_model
+    from tweetcorpus.langid import LangModel
 
     loaded = []
+    real_load = LangModel.load
 
     def load(cls, path):
-        model = load_model(path)
+        model = real_load(path)
         loaded.append(weakref.ref(model))
         return model
 
@@ -229,6 +230,25 @@ def test_full_pipeline_and_rerun_determinism(workspace, tmp_path):
     manifest2 = run_pipeline(cfg2)
     assert manifest1.outputs == manifest2.outputs
     assert manifest1.counts == manifest2.counts
+
+
+def test_every_manifest_is_moved_into_place(workspace, monkeypatch):
+    cfg, root = workspace
+    targets = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        targets.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    run_pipeline(cfg)
+    out = root / "out"
+    assert out / "manifest-pipeline.json" in targets
+    manifests = sorted(out.glob("**/manifest-*.json"))
+    assert len(manifests) == 6
+    assert set(manifests) <= set(targets)
+    assert not list(out.glob("**/.*.partial"))
 
 
 def test_pipeline_workers_do_not_change_digests(workspace, tmp_path):

@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweetcorpus.errors import (
     InvalidBIO,
@@ -258,6 +260,44 @@ def test_prf_matches_oracle():
 def test_prf_length_mismatch():
     with pytest.raises(LengthMismatch):
         prf_singlelabel(["a"], ["a", "b"], "macro")
+
+
+AVERAGINGS = ("micro", "macro", "weighted")
+
+
+@pytest.mark.parametrize("n_classes", [6, 7, 10])
+def test_prf_perfect_predictions_average_to_exactly_one(n_classes):
+    y = [c for c in range(n_classes) for _ in range(c + 1)]
+    for averaging in AVERAGINGS:
+        assert prf_singlelabel(y, y, averaging).metrics == {
+            "precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+
+def test_empty_inputs_score_zero_floats():
+    empty = np.zeros((0, len(EMOTIONS)), dtype=int)
+    for averaging in AVERAGINGS:
+        f1 = f1_multilabel(empty, empty, averaging)
+        assert type(f1) is float and f1 == 0.0
+        for metrics in (prf_singlelabel([], [], averaging).metrics,
+                        entity_f1([], []).metrics, entity_f1([["O"]], [["O"]]).metrics):
+            assert metrics == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+            assert all(type(v) is float for v in metrics.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_hot_multilabel_f1_equals_single_label_f1(data):
+    """With one label per row and every label gold somewhere, both paths
+    see the same classes and counts, so they must agree bit for bit."""
+    n = data.draw(st.integers(2, 11), label="labels")
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=40), label="extra")
+    gold = data.draw(st.permutations(list(range(n)) + extra), label="gold")
+    pred = data.draw(st.lists(st.integers(0, n - 1), min_size=len(gold), max_size=len(gold)),
+                     label="pred")
+    one_hot = np.eye(n, dtype=int)
+    for averaging in AVERAGINGS:
+        assert (f1_multilabel(one_hot[gold], one_hot[pred], averaging)
+                == prf_singlelabel(gold, pred, averaging).metrics["f1"])
 
 
 def test_bio_decode_basic():
