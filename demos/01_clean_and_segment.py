@@ -1,8 +1,10 @@
 """Walk a handful of raw tweets through cleaning and sentence splitting.
 
-Shows the per-tweet transformations in order: HTML unescape, language
-agreement gate, entity counting, placeholder normalization, length/spam
-filters, emoji translation, sentence segmentation.
+Shows the per-tweet transformations in order: HTML unescape, entity
+counting, placeholder normalization, length/spam filters, language
+agreement gate, emoji translation, sentence segmentation. The gate runs
+after the cheap filters, so it scores only tweets they keep; it is given
+the unescaped text, not the normalized one.
 """
 
 from tweetcorpus import (
@@ -52,10 +54,6 @@ def main():
         print("raw:       ", raw)
         text = unescape_basic_entities(raw)
 
-        if not agreement_filter(text, model_a, model_b, "ro", threshold=0.5):
-            print("verdict:    rejected (not the target language)")
-            continue
-
         counts = count_entities(text)
         print("entities:  ", counts)
         normalized = normalize_entities(text)
@@ -64,6 +62,10 @@ def main():
         verdict = apply_filters(normalized, counts, filters)
         if not verdict.accepted:
             print("verdict:    rejected (%s)" % verdict.reason.value)
+            continue
+
+        if not agreement_filter(text, model_a, model_b, "ro", threshold=0.5):
+            print("verdict:    rejected (not the target language)")
             continue
 
         translated = translate_emojis(normalized, emoji_map)

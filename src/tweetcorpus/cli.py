@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
     sub = add_sub("langid-train", "train the two agreement models")
     sub.add_argument("--corpus", required=True, help="code<TAB>text training file")
 
-    add_sub("clean", "language filter, normalize, filter, emojis")
+    add_sub("clean", "normalize, filter, language filter, emojis")
     add_sub("segment", "split tweets into document files")
     add_sub("vocab", "extend the base vocabulary")
 
@@ -138,7 +138,12 @@ def _load_matrix(path: str, columns: int, as_float: bool) -> np.ndarray:
         if len(cols) != columns:
             raise DataError(f"{path}:{lineno}: expected {columns} columns, got {len(cols)}")
         rows.append([parse(v, path, lineno) for v in cols])
-    return np.asarray(rows, dtype=float if as_float else int)
+    return _matrix(rows, columns, float if as_float else int)
+
+
+def _matrix(rows: list, columns: int, dtype) -> np.ndarray:
+    """``rows`` as a 2-D array, shape ``(0, columns)`` when there are none."""
+    return np.asarray(rows, dtype=dtype).reshape(len(rows), columns)
 
 
 def _read_label_lines(path: str) -> list[str]:
@@ -151,14 +156,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigInvalid(f"--averaging is required for {args.task}")
     if args.task == "red_v2":
         gold = tasks.load_emotion_dataset(args.gold)
-        y_true = np.array([ex.labels for ex in gold])
         n = len(tasks.EMOTIONS)
+        y_true = _matrix([ex.labels for ex in gold], n, int)
         if args.regression:
             scores = _load_matrix(args.pred, n, as_float=True)
             y_pred = threshold_intensities(scores, args.decision_threshold)
-            gold_for_mse = np.array([
+            gold_for_mse = _matrix([
                 ex.intensities if ex.intensities is not None else ex.labels
-                for ex in gold], dtype=float)
+                for ex in gold], n, float)
             mse_value = tasks.mse(gold_for_mse, scores, scale=args.mse_scale)
         else:
             y_pred = _load_matrix(args.pred, n, as_float=False)

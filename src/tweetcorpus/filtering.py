@@ -3,6 +3,11 @@
 Word counts are measured on the placeholder-normalized text before
 emoji translation (translations would inflate counts with multi-word
 descriptions); entity limits apply to counts taken on the raw text.
+
+Precedence: ``apply_filters`` reports the first failing bound in the
+order ``RejectReason`` declares them. The clean stage runs the language
+gate only on tweets these filters accept, so ``NOT_TARGET_LANGUAGE``,
+declared last, names only tweets that pass every filter.
 """
 
 from __future__ import annotations

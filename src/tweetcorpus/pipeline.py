@@ -487,9 +487,19 @@ def _load_clean_context(cfg: PipelineConfig) -> dict:
 
 
 def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
-    """One tweet through unescape, language gate, normalize, filters,
-    and emoji translation. Returns (cleaned text or None, reason value)."""
+    """One tweet through unescape, entity counting, normalize, length and
+    entity filters, language gate, and emoji translation. Returns (cleaned
+    text or None, reason value).
+
+    The gate scores two models, so it runs after the microsecond filters;
+    a tweet failing both counts under the filter's reason. It sees the
+    unescaped text, not the normalized one."""
     text = unescape_basic_entities(text)
+    counts = count_entities(text)
+    normalized = normalize_entities(text)
+    verdict = apply_filters(normalized, counts, ctx["filters"])
+    if not verdict.accepted:
+        return None, verdict.reason.value
     if ctx["model_a"] is not None:
         try:
             ok = agreement_filter(text, ctx["model_a"], ctx["model_b"],
@@ -498,11 +508,6 @@ def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
             return None, RejectReason.NOT_TARGET_LANGUAGE.value
         if not ok:
             return None, RejectReason.NOT_TARGET_LANGUAGE.value
-    counts = count_entities(text)
-    normalized = normalize_entities(text)
-    verdict = apply_filters(normalized, counts, ctx["filters"])
-    if not verdict.accepted:
-        return None, verdict.reason.value
     return translate_emojis(normalized, ctx["emoji_map"]), RejectReason.NONE.value
 
 
@@ -530,7 +535,7 @@ def _batches(lines: Iterable[bytes], size: int) -> Iterator[list[bytes]]:
 
 def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
                 out_dir: str | Path | None = None) -> RunManifest:
-    """Language-filter, normalize, filter, and emoji-translate each shard."""
+    """Normalize, filter, language-filter, and emoji-translate each shard."""
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}

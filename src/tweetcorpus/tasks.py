@@ -121,15 +121,15 @@ def _check_shapes(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hamming_loss(y_true, y_pred) -> float:
-    """Fraction of label positions predicted incorrectly."""
+    """Fraction of label positions predicted incorrectly; 0.0 on none."""
     t, p = _check_shapes(y_true, y_pred)
-    return float(np.mean(t != p))
+    return float(np.mean(t != p)) if t.size else 0.0
 
 
 def subset_accuracy(y_true, y_pred) -> float:
-    """Fraction of rows whose whole label vector matches."""
+    """Fraction of rows whose whole label vector matches; 0.0 on none."""
     t, p = _check_shapes(y_true, y_pred)
-    return float(np.mean(np.all(t == p, axis=1)))
+    return float(np.mean(np.all(t == p, axis=1))) if len(t) else 0.0
 
 
 def _prf(tp, n_pred, n_gold) -> dict[str, float]:
@@ -173,9 +173,10 @@ def f1_multilabel(y_true, y_pred, averaging: str) -> float:
 
 
 def mse(y_true, y_pred, scale: float = 1.0) -> float:
-    """Mean squared error over all cells, times an optional report scale."""
+    """Mean squared error over all cells, times an optional report scale;
+    0.0 on no cells."""
     t, p = _check_shapes(y_true, y_pred)
-    return float(np.mean((t.astype(float) - p.astype(float)) ** 2) * scale)
+    return float(np.mean((t.astype(float) - p.astype(float)) ** 2) * scale) if t.size else 0.0
 
 
 def threshold_intensities(y_scores, threshold: float = 0.5) -> np.ndarray:

@@ -207,6 +207,22 @@ def test_eval_coroseof_on_an_empty_gold_file_scores_zero(tmp_path, averaging):
     assert all(type(v) is float for v in metrics.values())
 
 
+@pytest.mark.parametrize("flags", [(), ("--regression",)], ids=["labels", "regression"])
+@pytest.mark.parametrize("averaging", ["micro", "macro", "weighted"])
+def test_eval_red_v2_on_an_empty_gold_file_scores_zero(tmp_path, averaging, flags):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("", encoding="utf-8")
+    proc = run_cli("eval", "--task", "red_v2", "--gold", str(gold), "--pred", str(pred),
+                   "--averaging", averaging, *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # no RuntimeWarning from a mean over nothing
+    metrics = json.loads(proc.stdout)["metrics"]
+    assert metrics == {"hamming_loss": 0.0, "accuracy": 0.0, "f1": 0.0, "mse": 0.0}
+    assert all(type(v) is float for v in metrics.values())
+
+
 @pytest.mark.parametrize("cell, flags", [("2", ()), ("nan", ("--regression",))],
                          ids=["label-2", "score-nan"])
 def test_eval_rejects_a_bad_prediction_cell(tmp_path, cell, flags):

@@ -3,8 +3,9 @@
 The other tests compare one run against another, so a change to the
 RNG protocol, the tokenizer or the record byte format would pass them
 unnoticed. This fixture pins the sha256 of the vocabulary, the corpus
-and the record file, at one and at two workers, and at two workers
-with batches small enough that both parallel stages start a pool. A
+and the record file, and the clean stage's reject tallies, at one and
+at two workers, and at two workers with batches small enough that both
+parallel stages start a pool. A
 further case pins the records of a shard with literal [CLS] and [SEP]
 words, where masking scans each sequence for its candidates, and
 another the ingest and clean shards, the bytes of the record codec.
@@ -39,6 +40,17 @@ GOLDEN = {
         "0074958729d3a7c4bcb11b60099c4b1cba754806526239bbccc7c8f59342bc96",
     "pretrain/pretrain-00000.rbtw":
         "260b04d5c72cfe6f68811418dc485dc223c2292bdb1ce6a2620311e742658025",
+}
+
+# The clean manifest's tallies pin the reject precedence: the filters run
+# before the language gate, so the one tweet that is both too short and
+# foreign counts as too_short, not as not_target_language.
+GOLDEN_CLEAN_COUNTS = {
+    "read": 150,
+    "emitted": 129,
+    "rejected": {"too_short": 2, "too_long": 0, "too_many_mentions": 0,
+                 "too_many_hashtags": 0, "too_many_urls": 0, "too_many_emojis": 0,
+                 "not_target_language": 19},
 }
 
 # The debug twin of the record file (``stage_pretrain_data(debug_jsonl=True)``).
@@ -115,6 +127,8 @@ def _check_golden_run(fixture_inputs, name, workers):
     cfg.langid_model_b = str(root / f"models-{name}" / "model-b.rlid")
     run_pipeline(cfg)
     assert {path: _sha256(out / path) for path in GOLDEN} == GOLDEN
+    clean = json.loads((out / "clean" / "manifest-clean.json").read_text(encoding="utf-8"))
+    assert clean["counts"] == GOLDEN_CLEAN_COUNTS
 
     stage_pretrain_data(cfg, out_dir=out / "debug", debug_jsonl=True)
     assert _sha256(out / "debug" / "pretrain-00000.rbtw") == GOLDEN["pretrain/pretrain-00000.rbtw"]

@@ -1,12 +1,20 @@
+import dataclasses
 import json
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tweetcorpus.errors import ConfigInvalid, DataError, InputMissing, TooFewDocuments
-from tweetcorpus.ingest import serialize_record
+from tweetcorpus import parallel, pipeline
+from tweetcorpus.errors import (ConfigInvalid, DataError, InputMissing, TooFewDocuments,
+                                TweetCorpusError)
+from tweetcorpus.filtering import apply_filters
+from tweetcorpus.ingest import parse_record, serialize_record
+from tweetcorpus.langid import LangModel, agreement_filter
+from tweetcorpus.normalize import (count_entities, default_emoji_map, normalize_entities,
+                                   translate_emojis, unescape_basic_entities)
 from tweetcorpus.pipeline import (
     PIPELINE,
     STAGES,
@@ -162,13 +170,15 @@ def test_ingest_stage_counts_and_shards(workspace, tmp_path):
 
 
 def test_clean_stage_hand_fixture(tmp_path):
-    """Three tweets with known verdicts: one foreign, one spam, one good."""
+    """Four tweets with known verdicts: one foreign, one spam, one good,
+    and one foreign spam, which the filters reject before the gate."""
     rng = random.Random(3)
     archive = tmp_path / "raw.jsonl"
     good = make_text(rng, RO_WORDS, 8)
     foreign = make_text(rng, EN_WORDS, 8)
     spam = "@a @b @c @d " + make_text(rng, RO_WORDS, 6)
-    _write_archive(archive, [good, foreign, spam])
+    foreign_spam = "@a @b @c @d " + make_text(rng, EN_WORDS, 6)
+    _write_archive(archive, [good, foreign, spam, foreign_spam])
 
     corpus = tmp_path / "langid.tsv"
     _write_langid_corpus(corpus, rng)
@@ -181,17 +191,15 @@ def test_clean_stage_hand_fixture(tmp_path):
 
     stage_ingest(cfg)
     manifest = stage_clean(cfg)
-    assert manifest.counts["read"] == 3
+    assert manifest.counts["read"] == 4
     assert manifest.counts["emitted"] == 1
     assert manifest.counts["rejected"]["not_target_language"] == 1
-    assert manifest.counts["rejected"]["too_many_mentions"] == 1
+    assert manifest.counts["rejected"]["too_many_mentions"] == 2
 
 
 def test_clean_stage_releases_its_context(workspace, monkeypatch):
     """A one-worker clean keeps no reference to the loaded models."""
     import weakref
-
-    from tweetcorpus.langid import LangModel
 
     loaded = []
     real_load = LangModel.load
@@ -215,6 +223,126 @@ def test_clean_conservation_identity(workspace):
     manifest = stage_clean(cfg)
     total = manifest.counts["emitted"] + sum(manifest.counts["rejected"].values())
     assert manifest.counts["read"] == total
+
+
+def _four_kinds_workspace(tmp_path):
+    """An archive of good, foreign, spam, foreign-and-spam and digit-only
+    (nothing the gate can classify) tweets, and two trained models."""
+    rng = random.Random(11)
+    spam_forms = (
+        lambda words: "@a @b @c @d " + make_text(rng, words, 6),
+        lambda words: make_text(rng, words, 6) + " #x #y #z #w",
+        lambda words: make_text(rng, words, 6) + " http://a.ro http://b.ro "
+                                                 "http://c.ro http://d.ro",
+        lambda words: make_text(rng, words, 6) + " \U0001F600 \U0001F602 \U0001F525 ❤",
+        lambda words: make_text(rng, words, 3),
+        lambda words: make_text(rng, words, 300),
+    )
+    texts = []
+    for i in range(90):
+        kind = i % 5
+        if kind == 0:
+            texts.append(make_text(rng, RO_WORDS, rng.randint(6, 12)))
+        elif kind == 1:
+            texts.append(make_text(rng, EN_WORDS, rng.randint(6, 12)))
+        elif kind == 2:
+            texts.append(spam_forms[i // 5 % len(spam_forms)](RO_WORDS))
+        elif kind == 3:
+            texts.append(spam_forms[i // 5 % len(spam_forms)](EN_WORDS))
+        else:  # 3 digit words fail min_words; 6 pass it, and the gate raises
+            texts.append(" ".join(str(i * 7 + k) for k in range(3 if i % 2 else 6)))
+    archive = tmp_path / "raw.jsonl"
+    _write_archive(archive, texts)
+    corpus = tmp_path / "langid.tsv"
+    _write_langid_corpus(corpus, rng)
+    cfg = build_config(overrides={"io.input": str(archive),
+                                  "io.output_dir": str(tmp_path / "out"), "seed": 1})
+    stage_langid_train(cfg, corpus, tmp_path / "models")
+    cfg.langid_model_a = str(tmp_path / "models" / "model-a.rlid")
+    cfg.langid_model_b = str(tmp_path / "models" / "model-b.rlid")
+    stage_ingest(cfg)
+    return cfg
+
+
+def _language_first_clean(cfg, shard_file):
+    """The clean stage composed from the public functions with the gate
+    first: (shard text, reject tallies, reject reasons of the tweets that
+    fail both the gate and a filter)."""
+    model_a = LangModel.load(cfg.langid_model_a)
+    model_b = LangModel.load(cfg.langid_model_b)
+    lines, tallies, both = [], Counter(), Counter()
+    for line in shard_file.read_bytes().splitlines():
+        tweet = parse_record(line)
+        text = unescape_basic_entities(tweet.text)
+        try:
+            language_ok = agreement_filter(text, model_a, model_b, cfg.langid_target,
+                                           cfg.langid_threshold)
+        except TweetCorpusError:
+            language_ok = False
+        normalized = normalize_entities(text)
+        verdict = apply_filters(normalized, count_entities(text), cfg.filters)
+        if not language_ok:
+            tallies["not_target_language"] += 1
+            if not verdict.accepted:
+                both[verdict.reason.value] += 1
+        elif not verdict.accepted:
+            tallies[verdict.reason.value] += 1
+        else:
+            cleaned = translate_emojis(normalized, default_emoji_map())
+            lines.append(serialize_record(dataclasses.replace(tweet, text=cleaned)) + "\n")
+    return "".join(lines), tallies, both
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_clean_matches_a_language_first_oracle(tmp_path, monkeypatch, workers):
+    """Running the gate last emits the same tweets as running it first;
+    only a tweet that fails both is counted under its filter's reason."""
+    cfg = _four_kinds_workspace(tmp_path)
+    cfg.workers = workers
+    monkeypatch.setattr(pipeline, "CLEAN_BATCH", 8)  # 2 workers start a pool
+    pooled = []
+    real_pool = parallel.multiprocessing.Pool
+
+    def spy_pool(*args, **kwargs):
+        pooled.append(kwargs["initargs"][0].__name__)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(parallel.multiprocessing, "Pool", spy_pool)
+    manifest = stage_clean(cfg)
+    assert pooled == (["_clean_batch"] if workers > 1 else [])
+
+    shard = tmp_path / "out" / "ingest" / "tweets-00000.jsonl"
+    oracle, old_tallies, both = _language_first_clean(cfg, shard)
+    clean_shard = tmp_path / "out" / "clean" / "clean-00000.jsonl"
+    assert clean_shard.read_text(encoding="utf-8") == oracle
+    # each filter reason has tweets that fail the gate as well
+    assert set(both) == {"too_short", "too_long", "too_many_mentions",
+                         "too_many_hashtags", "too_many_urls", "too_many_emojis"}
+    expected = {reason: old_tallies[reason] + both[reason]
+                for reason in manifest.counts["rejected"]}
+    expected["not_target_language"] = old_tallies["not_target_language"] - sum(both.values())
+    assert manifest.counts["rejected"] == expected
+    assert manifest.counts["emitted"] == oracle.count("\n") > 0
+
+
+def test_clean_never_scores_a_filter_rejected_tweet(tmp_path, monkeypatch):
+    cfg = _four_kinds_workspace(tmp_path)
+    scored = []
+    real_filter = pipeline.agreement_filter
+
+    def spy(text, *args):
+        scored.append(text)
+        return real_filter(text, *args)
+
+    monkeypatch.setattr(pipeline, "agreement_filter", spy)
+    manifest = stage_clean(cfg)
+    rejected = manifest.counts["rejected"]
+    filtered = sum(rejected.values()) - rejected["not_target_language"]
+    assert filtered > 0
+    assert len(scored) == manifest.counts["read"] - filtered
+    for text in scored:
+        assert apply_filters(normalize_entities(text), count_entities(text),
+                             cfg.filters).accepted
 
 
 def test_full_pipeline_and_rerun_determinism(workspace, tmp_path):

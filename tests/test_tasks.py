@@ -273,11 +273,15 @@ def test_prf_perfect_predictions_average_to_exactly_one(n_classes):
             "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
+@pytest.mark.filterwarnings("error")
 def test_empty_inputs_score_zero_floats():
     empty = np.zeros((0, len(EMOTIONS)), dtype=int)
     for averaging in AVERAGINGS:
         f1 = f1_multilabel(empty, empty, averaging)
         assert type(f1) is float and f1 == 0.0
+        for value in (hamming_loss(empty, empty), subset_accuracy(empty, empty),
+                      mse(empty, empty), mse(empty.astype(float), empty, scale=100)):
+            assert type(value) is float and value == 0.0
         for metrics in (prf_singlelabel([], [], averaging).metrics,
                         entity_f1([], []).metrics, entity_f1([["O"]], [["O"]]).metrics):
             assert metrics == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
