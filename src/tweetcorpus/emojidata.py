@@ -1,8 +1,8 @@
 """Unicode emoji detection without third-party data dependencies.
 
-Embeds the Extended_Pictographic and Emoji_Presentation ranges from the
-Unicode emoji-data tables (15.1) and compiles the emoji-sequence grammar
-into one ``re`` pattern, ``EMOJI_RE``. ZWJ chains, flag
+Embeds the Extended_Pictographic ranges from the Unicode emoji-data
+tables (15.1) and compiles the emoji-sequence grammar into one ``re``
+pattern, ``EMOJI_RE``. ZWJ chains, flag
 (regional-indicator) pairs, keycaps, skin-tone and variation-selector
 extensions, and tag sequences all match as a single emoji.
 
@@ -17,7 +17,6 @@ every character.
 """
 
 import re
-from bisect import bisect_right
 
 # Extended_Pictographic property ranges, inclusive. Deliberately covers
 # unassigned future-emoji code points, per the Unicode stability policy.
@@ -45,37 +44,6 @@ EXTENDED_PICTOGRAPHIC = (
     (0x1F85A, 0x1F85F), (0x1F888, 0x1F88F), (0x1F8AE, 0x1F8FF),
     (0x1F90C, 0x1F93A), (0x1F93C, 0x1F945), (0x1F947, 0x1FAFF),
     (0x1FC00, 0x1FFFD),
-)
-
-# Emoji_Presentation property ranges, inclusive: code points that render
-# as emoji by default. Regional indicators and skin-tone modifiers carry
-# this property despite not being Extended_Pictographic.
-EMOJI_PRESENTATION = (
-    (0x231A, 0x231B), (0x23E9, 0x23EC), (0x23F0, 0x23F0), (0x23F3, 0x23F3),
-    (0x25FD, 0x25FE), (0x2614, 0x2615), (0x2648, 0x2653), (0x267F, 0x267F),
-    (0x2693, 0x2693), (0x26A1, 0x26A1), (0x26AA, 0x26AB), (0x26BD, 0x26BE),
-    (0x26C4, 0x26C5), (0x26CE, 0x26CE), (0x26D4, 0x26D4), (0x26EA, 0x26EA),
-    (0x26F2, 0x26F3), (0x26F5, 0x26F5), (0x26FA, 0x26FA), (0x26FD, 0x26FD),
-    (0x2705, 0x2705), (0x270A, 0x270B), (0x2728, 0x2728), (0x274C, 0x274C),
-    (0x274E, 0x274E), (0x2753, 0x2755), (0x2757, 0x2757), (0x2795, 0x2797),
-    (0x27B0, 0x27B0), (0x27BF, 0x27BF), (0x2B1B, 0x2B1C), (0x2B50, 0x2B50),
-    (0x2B55, 0x2B55),
-    (0x1F004, 0x1F004), (0x1F0CF, 0x1F0CF), (0x1F18E, 0x1F18E),
-    (0x1F191, 0x1F19A), (0x1F1E6, 0x1F1FF), (0x1F201, 0x1F201),
-    (0x1F21A, 0x1F21A), (0x1F22F, 0x1F22F), (0x1F232, 0x1F236),
-    (0x1F238, 0x1F23A), (0x1F250, 0x1F251), (0x1F300, 0x1F320),
-    (0x1F32D, 0x1F335), (0x1F337, 0x1F37C), (0x1F37E, 0x1F393),
-    (0x1F3A0, 0x1F3CA), (0x1F3CF, 0x1F3D3), (0x1F3E0, 0x1F3F0),
-    (0x1F3F4, 0x1F3F4), (0x1F3F8, 0x1F43E), (0x1F440, 0x1F440),
-    (0x1F442, 0x1F4FC), (0x1F4FF, 0x1F53D), (0x1F54B, 0x1F54E),
-    (0x1F550, 0x1F567), (0x1F57A, 0x1F57A), (0x1F595, 0x1F596),
-    (0x1F5A4, 0x1F5A4), (0x1F5FB, 0x1F64F), (0x1F680, 0x1F6C5),
-    (0x1F6CC, 0x1F6CC), (0x1F6D0, 0x1F6D2), (0x1F6D5, 0x1F6D7),
-    (0x1F6DC, 0x1F6DF), (0x1F6EB, 0x1F6EC), (0x1F6F4, 0x1F6FC),
-    (0x1F7E0, 0x1F7EB), (0x1F7F0, 0x1F7F0), (0x1F90C, 0x1F93A),
-    (0x1F93C, 0x1F945), (0x1F947, 0x1F9FF), (0x1FA70, 0x1FA7C),
-    (0x1FA80, 0x1FA88), (0x1FA90, 0x1FABD), (0x1FABF, 0x1FAC5),
-    (0x1FACE, 0x1FADB), (0x1FAE0, 0x1FAE8), (0x1FAF0, 0x1FAF8),
 )
 
 ZWJ = "\u200d"
@@ -128,15 +96,6 @@ def _sequence_pattern() -> str:
 # Greedy: ZWJ-joined elements fold into one match, so a family sequence
 # or a flag pair is a single emoji.
 EMOJI_RE = re.compile(_sequence_pattern())
-
-
-_PRES_STARTS = [lo for lo, _ in EMOJI_PRESENTATION]
-
-
-def has_emoji_presentation(ch: str) -> bool:
-    cp = ord(ch)
-    idx = bisect_right(_PRES_STARTS, cp) - 1
-    return idx >= 0 and cp <= EMOJI_PRESENTATION[idx][1]
 
 
 def match_emoji(text: str, i: int):

@@ -474,6 +474,11 @@ def _load_clean_context(cfg: PipelineConfig) -> dict:
     if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)
         model_b = LangModel.load(cfg.langid_model_b)
+        # no model could rank an unknown target first: every tweet would be rejected
+        if not (cfg.langid_target in model_a.languages and cfg.langid_target in model_b.languages):
+            raise ConfigInvalid(
+                f"langid.target {cfg.langid_target!r} is not a language of both models: "
+                f"model_a has {model_a.languages}, model_b has {model_b.languages}")
     emoji_map = (EmojiMap.load(cfg.emoji_map_path) if cfg.emoji_map_path
                  else default_emoji_map())
     return {

@@ -439,6 +439,17 @@ def test_missing_clean_input_is_a_failed_stage(tmp_path, valid_inputs, absent):
 
 
 
+def test_an_unknown_target_language_exits_with_a_config_error(tmp_path, valid_inputs):
+    out = tmp_path / "clean"
+    proc = run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
+                   "--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]),
+                   "--target", "de")
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "'de'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(out.glob("*.jsonl")) and not (out / "manifest-clean.json").exists()
+
+
 def test_a_clean_with_a_missing_emoji_map_keeps_the_previous_outputs(tmp_path, valid_inputs):
     out = tmp_path / "clean"
     models = ("--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]))

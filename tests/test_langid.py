@@ -2,13 +2,19 @@ import math
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweetcorpus import langid
-from tweetcorpus.errors import EmptyAfterStripping, EmptySample, InsufficientLanguages
-from tweetcorpus.langid import LangModel, agreement_filter, classify, train
+from tweetcorpus.errors import (
+    CorruptRecord,
+    EmptyAfterStripping,
+    EmptySample,
+    InsufficientLanguages,
+)
+from tweetcorpus.langid import LangModel, LangScore, agreement_filter, classify, train
 
 from conftest import EN_WORDS, RO_WORDS, make_bilingual_samples, make_text
 
@@ -204,7 +210,7 @@ def test_model_file_roundtrip(tmp_path):
 
 
 def test_model_file_magic_and_version(tmp_path):
-    from tweetcorpus.errors import CorruptRecord, VersionMismatch
+    from tweetcorpus.errors import VersionMismatch
 
     path = tmp_path / "junk.rlid"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -219,6 +225,28 @@ def test_model_file_magic_and_version(tmp_path):
     bad.write_bytes(bytes(data))
     with pytest.raises(VersionMismatch):
         LangModel.load(bad)
+
+
+@pytest.mark.parametrize("languages", [[], ["ro"]], ids=["none", "one"])
+def test_model_file_with_fewer_than_two_languages_is_corrupt(tmp_path, languages):
+    # train() refuses such a model too; with no language the gate's max()
+    # over no scores would raise a bare ValueError
+    model = LangModel(languages, (1, 1), 1.0, {lang: 0.0 for lang in languages},
+                      {lang: -3.0 for lang in languages}, {"a": (-1.0,) * len(languages)})
+    path = tmp_path / "few.rlid"
+    model.save(path)
+    with pytest.raises(CorruptRecord, match=re.escape(str(path))):
+        LangModel.load(path)
+
+
+def test_model_file_with_a_repeated_language_is_corrupt(tmp_path):
+    # a dict of priors would keep only the last of the two
+    model = LangModel(["ro", "ro"], (1, 1), 1.0, {"ro": -0.7}, {"ro": -3.0},
+                      {"a": (-1.0, -2.0)})
+    path = tmp_path / "twice.rlid"
+    model.save(path)
+    with pytest.raises(CorruptRecord, match=re.escape(str(path)) + ".*'ro' appears twice"):
+        LangModel.load(path)
 
 
 def test_likelihoods_sum_to_one_per_language():
@@ -339,6 +367,16 @@ _STOCK_TEXTS = ([make_text(random.Random(s), RO_WORDS, 7) for s in range(5)]
                 + ["USER salut lume HTTPURL 2023", "HASHTAG hello"])
 
 
+def _boundary_thresholds(model_a, model_b, text):
+    """Thresholds that leave a model a margin of about 0: each model's
+    exact top probability and its two float neighbours, and a subnormal."""
+    thresholds = [1e-310]
+    for model in (model_a, model_b):
+        top = classify(model, text)[0].probability
+        thresholds += [math.nextafter(top, 0.0), top, math.nextafter(top, 1.0)]
+    return [t for t in thresholds if 0 < t < 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.text(alphabet="salutmrebinhowdyzq ăâșț1234", min_size=1),
                  st.sampled_from(_STOCK_TEXTS)))
@@ -355,7 +393,165 @@ def test_row_tables_match_reference_exactly(model_pairs, text):
             continue
         for model, ranked in zip((model_a, model_b), expected):
             assert [(s.language, s.probability) for s in classify(model, text)] == ranked
-        for threshold in (0.3, 0.5, 0.9):
+        thresholds = [0.3, 0.5, 0.9, *_boundary_thresholds(model_a, model_b, text)]
+        for threshold in thresholds:
             for first, second in ((model_a, model_b), (model_b, model_a)):
                 assert agreement_filter(text, first, second, "ro", threshold) \
                     == reference_agreement(text, first, second, "ro", threshold)
+
+
+# --- margin verdicts ---------------------------------------------------------
+# The gate decides from score margins where a proven bound settles the
+# answer, and scores exactly otherwise. A spy on ``_ranked`` shows which.
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The number of exact scorings since the fixture was set up."""
+    calls = []
+    real_ranked = langid._ranked
+
+    def spy(model, counters):
+        calls.append(model)
+        return real_ranked(model, counters)
+
+    monkeypatch.setattr(langid, "_ranked", spy)
+    return calls
+
+
+def test_margins_decide_every_plain_case(model_pairs, exact_calls):
+    # n up to 5 and a third language take the margin path, not the exact one
+    for model_a, model_b in model_pairs:
+        for model in (model_a, model_b):
+            assert langid._margins_for(model, "ro") is not None
+        for text in _STOCK_TEXTS:
+            for threshold in (0.3, 0.5, 0.9):
+                assert agreement_filter(text, model_a, model_b, "ro", threshold) \
+                    == reference_agreement(text, model_a, model_b, "ro", threshold)
+    assert exact_calls == []
+
+
+def test_thin_margins_fall_back_to_exact_scoring(model_pairs, exact_calls):
+    checked = 0
+    for model_a, model_b in model_pairs:
+        for text in _STOCK_TEXTS:
+            top = classify(model_a, text)[0]
+            if top.language != "ro":
+                continue
+            for threshold in (top.probability, math.nextafter(top.probability, 0.0),
+                              math.nextafter(top.probability, 1.0), 1e-310):
+                if not 0 < threshold < 1:
+                    continue
+                del exact_calls[:]
+                got = agreement_filter(text, model_a, model_b, "ro", threshold)
+                # model A's own top probability leaves it a margin of about 0
+                assert exact_calls[:1] == [model_a]
+                assert got == reference_agreement(text, model_a, model_b, "ro", threshold)
+                checked += 1
+    assert checked >= 20
+
+
+def test_a_tie_breaks_by_language_code_on_the_exact_path(exact_calls):
+    # equal priors and no known gram: every score is the prior, both
+    # posteriors are exactly 0.5, and the code order picks the first
+    samples = [("aaaa", "xx"), ("bbbb", "yy")]
+    model_a, model_b = train(samples, (1, 1), 1.0), train(samples, (1, 2), 1.0)
+    assert classify(model_a, "qqq") == [LangScore("xx", 0.5), LangScore("yy", 0.5)]
+    del exact_calls[:]
+    assert agreement_filter("qqq", model_a, model_b, "xx", 0.5)
+    assert exact_calls == [model_a, model_b]
+    del exact_calls[:]
+    assert not agreement_filter("qqq", model_a, model_b, "yy", 0.5)
+    assert exact_calls == [model_a]
+    del exact_calls[:]
+    # 0.5 is provably short of 0.6, whatever the order
+    assert not agreement_filter("qqq", model_a, model_b, "xx", 0.6)
+    assert exact_calls == []
+
+
+def test_a_target_the_model_lacks_is_scored_exactly(model_pairs, exact_calls):
+    model_a, model_b = model_pairs[0]
+    assert langid._margins_for(model_a, "de") is None
+    for text in _STOCK_TEXTS:
+        assert not agreement_filter(text, model_a, model_b, "de", 0.3)
+    assert exact_calls == [model_a] * len(_STOCK_TEXTS)
+
+
+def test_margins_hold_where_rounding_decides_the_ranking(exact_calls):
+    # two languages whose rows differ by 0 to 2 units of 1e-12, 1e-9 or
+    # 1e-6, on scores near -1e5 whose own rounding is about 1e-11: at the
+    # smallest unit the exact scores' rounding picks the first language,
+    # and only the bound keeps the margins from answering
+    rng = random.Random(61)
+    decided = 0
+    for _ in range(300):
+        unit = rng.choice((1e-12, 1e-9, 1e-6))
+        rows = {}
+        for gram in "abcdefgh":
+            value = -rng.uniform(1000, 3000)
+            rows[gram] = (value, value + rng.randint(-2, 2) * unit)
+        model = LangModel(["xx", "yy"], (1, 1), 1.0, {"xx": math.log(0.5), "yy": math.log(0.5)},
+                          {"xx": -1e4, "yy": -1e4}, rows)
+        text = "".join(rng.choice("abcdefgh") for _ in range(rng.randint(20, 60)))
+        for target in ("xx", "yy"):
+            for threshold in (0.3, 0.5):
+                before = len(exact_calls)
+                assert agreement_filter(text, model, model, target, threshold) \
+                    == reference_agreement(text, model, model, target, threshold)
+                decided += len(exact_calls) == before
+    assert 300 < decided < 900  # both paths answered many of the 1,200 calls
+
+
+def test_margins_refuse_models_outside_the_proof():
+    rows = {"a": (-1.0, -2.0), "b": (-2.0, -1.0)}
+    priors = {"xx": -0.7, "yy": -0.7}
+    unseen = {"xx": -3.0, "yy": -3.0}
+    assert langid._margins_for(LangModel(["xx", "yy"], (1, 1), 1.0, priors, unseen, rows),
+                               "xx") is not None
+    for bad in (math.nan, math.inf, 1e-310):
+        model = LangModel(["xx", "yy"], (1, 1), 1.0, priors, unseen,
+                          {**rows, "c": (bad, -1.0)})
+        assert langid._margins_for(model, "xx") is None
+        assert agreement_filter("ab", model, model, "xx") \
+            == reference_agreement("ab", model, model, "xx")
+    twice = LangModel(["xx", "xx"], (1, 1), 1.0, priors, unseen, rows)
+    assert langid._margins_for(twice, "xx") is None
+
+
+# --- the benchmark's own traffic ------------------------------------------------
+
+
+def test_margins_match_exact_scoring_on_benchmark_traffic(tmp_path, monkeypatch, exact_calls):
+    """Every ingested tweet of the seed-0 ``archive`` and ``emoji-dense``
+    workloads, through models trained as the benchmark's set-up trains
+    them: the gate equals the exact reference at every threshold, and the
+    margins settle nearly every call."""
+    from tweetcorpus.ingest import parse_record
+    from tweetcorpus.normalize import unescape_basic_entities
+    from tweetcorpus.pipeline import build_config, stage_ingest, stage_langid_train
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    calls = 0
+    for name in ("archive", "emoji-dense"):
+        root = tmp_path / name
+        inputs = workloads.generate(workloads.WORKLOADS[name], 0, root)
+        cfg = build_config(overrides={"io.input": str(inputs.archive),
+                                      "io.output_dir": str(root / "out")})
+        stage_langid_train(cfg, inputs.langid_corpus, root / "models")
+        models = [LangModel.load(root / "models" / f"model-{ab}.rlid") for ab in "ab"]
+        for shard in stage_ingest(cfg).outputs:
+            with open(root / "out" / "ingest" / shard, "rb") as fh:
+                texts = [unescape_basic_entities(parse_record(line).text) for line in fh]
+            for text in texts:
+                try:
+                    tops = [reference_classify(model, text)[0] for model in models]
+                except EmptyAfterStripping:
+                    continue
+                for threshold in (0.3, 0.5, 0.9):
+                    expected = all(lang == "ro" and p >= threshold for lang, p in tops)
+                    assert agreement_filter(text, *models, "ro", threshold) == expected
+                    calls += 1
+    assert calls > 18_000
+    assert len(exact_calls) <= calls // 100

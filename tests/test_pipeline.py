@@ -476,6 +476,17 @@ def test_one_language_model_is_rejected_by_config_and_stage(workspace):
         stage_clean(cfg)
 
 
+def test_a_target_the_models_lack_is_a_config_error(workspace):
+    # neither model can rank "de" first, so every tweet would be rejected
+    cfg, root = workspace
+    stage_ingest(cfg)
+    cfg.langid_target = "de"
+    with pytest.raises(ConfigInvalid, match=r"'de'.*\['en', 'ro'\].*\['en', 'ro'\]"):
+        stage_clean(cfg)
+    assert not list((root / "out" / "clean").glob("*.jsonl"))
+    assert not (root / "out" / "clean" / "manifest-clean.json").exists()
+
+
 def test_manifest_is_deterministic_json(workspace, tmp_path):
     cfg, root = workspace
     stage_ingest(cfg)
