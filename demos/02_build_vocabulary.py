@@ -30,12 +30,12 @@ def main():
     base = Vocabulary(list(STRUCTURAL_TOKENS) + BASE_WORDS)
     print(f"base vocabulary: {len(base)} tokens")
 
-    table = count_emoji_frequencies(CORPUS)
-    print(f"distinct emojis in corpus: {table.total_distinct}")
-    for emoji, count in sorted(table.counts.items(), key=lambda kv: -kv[1]):
+    counts = count_emoji_frequencies(CORPUS)
+    print(f"distinct emojis in corpus: {len(counts)}")
+    for emoji, count in counts.most_common():
         print(f"  {emoji}  x{count}")
 
-    top = select_top_emojis(table, fraction=0.25)
+    top = select_top_emojis(counts, fraction=0.25)
     print(f"top 25% by frequency: {top}")
 
     extended = extend_vocabulary(base, TWEET_TOKENS, top)

@@ -22,7 +22,7 @@ from .pretrain import (
     read_records,
     write_records,
 )
-from .segment import Document, SentenceSplitter, read_documents, split_sentences, write_documents
+from .segment import Document, read_documents, split_sentences, write_documents
 from .tasks import (
     EmotionExample,
     MetricReport,

@@ -50,7 +50,7 @@ from .pretrain import (
 )
 from .segment import (
     Document,
-    SentenceSplitter,
+    default_abbreviations,
     load_abbreviations,
     read_document_file,
     split_sentences,
@@ -62,6 +62,7 @@ from .vocab import (
     count_emoji_frequencies,
     extend_vocabulary,
     select_top_emojis,
+    write_emoji_report,
 )
 
 
@@ -567,19 +568,19 @@ def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
     """Split cleaned tweets into sentences and emit document files."""
     counts = {"read": 0, "documents": 0, "sentences": 0}
 
-    def documents(shard_file: Path, splitter: SentenceSplitter) -> Iterator[Document]:
+    def documents(shard_file: Path, abbreviations: frozenset[str]) -> Iterator[Document]:
         for line in _shard_lines(shard_file):
             counts["read"] += 1
-            sentences = split_sentences(parse_record(line).text, splitter)
+            sentences = split_sentences(parse_record(line).text, abbreviations)
             counts["sentences"] += len(sentences)
             yield Document(tuple(sentences))
 
     with _Outputs("segment", cfg, out_dir, in_dir) as out:
-        splitter = (SentenceSplitter(load_abbreviations(cfg.abbreviations_path))
-                    if cfg.abbreviations_path else SentenceSplitter())
+        abbreviations = (load_abbreviations(cfg.abbreviations_path) if cfg.abbreviations_path
+                         else default_abbreviations())
         for shard_index, shard_file in enumerate(out.upstream):
             with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
-                counts["documents"] += write_documents(documents(shard_file, splitter), sink)
+                counts["documents"] += write_documents(documents(shard_file, abbreviations), sink)
         return out.commit(counts)
 
 
@@ -591,16 +592,16 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     see the original emoji characters.
     """
     with _Outputs("vocab", cfg, out_dir, in_dir) as out:
-        table = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
-                                        for line in _shard_lines(shard))
-        top = select_top_emojis(table, cfg.emoji_fraction) if table.total_distinct else []
+        emojis = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
+                                         for line in _shard_lines(shard))
+        top = select_top_emojis(emojis, cfg.emoji_fraction) if emojis else []
         base = Vocabulary.load(cfg.base_vocab_path)
         extended = extend_vocabulary(base, TWEET_TOKENS, top)
         extended.save(out.path("vocab.txt"))
-        table.write_report(out.path("emoji-frequencies.tsv"))
+        write_emoji_report(emojis, out.path("emoji-frequencies.tsv"))
         return out.commit({
             "base_tokens": len(base),
-            "distinct_emojis": table.total_distinct,
+            "distinct_emojis": len(emojis),
             "selected_emojis": len(top),
             "extended_tokens": len(extended),
         })

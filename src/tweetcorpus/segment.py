@@ -15,16 +15,14 @@ from typing import Iterable, Iterator, TextIO
 from .errors import EmptyText, MalformedLayout, SinkFailure
 from .normalize import collapse_whitespace
 
-DEFAULT_TERMINATORS = frozenset({".", "!", "?", "…"})
+# A run of terminators; a boundary can follow it (see split_sentences).
+_BOUNDARY_RE = re.compile(r"[!.?…]+")
 
 
 def load_abbreviations(path) -> frozenset[str]:
     """Read one lowercase abbreviation per line; '#' starts a comment."""
-    if hasattr(path, "read_text"):
-        content = path.read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            content = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        content = fh.read()
     out = set()
     for line in content.splitlines():
         word = line.strip().lower()
@@ -33,45 +31,35 @@ def load_abbreviations(path) -> frozenset[str]:
     return frozenset(out)
 
 
+@functools.cache
 def default_abbreviations() -> frozenset[str]:
-    return load_abbreviations(importlib.resources.files("tweetcorpus.data") / "abbreviations.txt")
-
-
-class SentenceSplitter:
-    """Terminator-driven splitter with an abbreviation stoplist."""
-
-    def __init__(self, abbreviations: frozenset[str] | None = None,
-                 terminators: frozenset[str] = DEFAULT_TERMINATORS):
-        if not terminators:
-            raise ValueError("terminators must be non-empty")
-        self.abbreviations = abbreviations if abbreviations is not None else default_abbreviations()
-        self.terminators = frozenset(terminators)
-        self._boundary_re = re.compile("[%s]+" % re.escape("".join(sorted(self.terminators))))
-
-    def split(self, text: str) -> list[str]:
-        return split_sentences(text, self)
+    ref = importlib.resources.files("tweetcorpus.data") / "abbreviations.txt"
+    with importlib.resources.as_file(ref) as path:
+        return load_abbreviations(path)
 
 
 def _starts_sentence(ch: str) -> bool:
     return ch.isupper() or ch.isdigit()
 
 
-def split_sentences(text: str, splitter: SentenceSplitter | None = None) -> list[str]:
+def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
     """Split a tweet into sentences.
 
     A boundary sits after a terminator run that is followed by
     whitespace and an uppercase letter or digit (placeholder tokens are
     uppercase, so they qualify), unless the token holding a lone "." is
-    a known abbreviation. Whitespace runs are collapsed to single
+    a known abbreviation (``default_abbreviations()`` when
+    ``abbreviations`` is None). Whitespace runs are collapsed to single
     spaces first, so no sentence ever contains a newline.
     """
     text = collapse_whitespace(text)
     if not text:
         raise EmptyText("cannot split empty text")
-    splitter = splitter or _default_splitter()
+    if abbreviations is None:
+        abbreviations = default_abbreviations()
     sentences = []
     start = 0
-    for m in splitter._boundary_re.finditer(text):
+    for m in _BOUNDARY_RE.finditer(text):
         end = m.end()
         if end >= len(text):
             break
@@ -80,7 +68,7 @@ def split_sentences(text: str, splitter: SentenceSplitter | None = None) -> list
             continue
         if m.group() == ".":
             token_start = text.rfind(" ", 0, m.start()) + 1
-            if text[token_start:end].lower() in splitter.abbreviations:
+            if text[token_start:end].lower() in abbreviations:
                 continue
         sentences.append(text[start:end])
         start = end + 1
@@ -144,7 +132,3 @@ def read_document_file(path) -> Iterator[Document]:
     with open(path, encoding="utf-8") as fh:
         yield from read_documents(fh)
 
-
-@functools.cache
-def _default_splitter() -> SentenceSplitter:
-    return SentenceSplitter()

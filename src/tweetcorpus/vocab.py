@@ -78,48 +78,36 @@ class Vocabulary:
         return cls(tokens)
 
 
-class EmojiFrequencyTable:
-    """Occurrence counts of emoji sequences across a corpus."""
-
-    def __init__(self, counts: Counter | None = None):
-        self.counts: Counter = counts if counts is not None else Counter()
-
-    @property
-    def total_distinct(self) -> int:
-        return len(self.counts)
-
-    def update_from_text(self, text: str) -> None:
-        for start, end in emojidata.iter_emoji_spans(text):
-            self.counts[text[start:end]] += 1
-
-    def write_report(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            for emoji_seq, count in sorted(
-                    self.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-                out.write(f"{emoji_seq}\t{count}\n")
-
-
-def count_emoji_frequencies(corpus: Iterable[str]) -> EmojiFrequencyTable:
-    """Count every emoji occurrence; run this on pre-translation text."""
-    table = EmojiFrequencyTable()
+def count_emoji_frequencies(corpus: Iterable[str]) -> Counter:
+    """Occurrences of each emoji sequence; run this on pre-translation text."""
+    counts: Counter = Counter()
     for text in corpus:
-        table.update_from_text(text)
-    return table
+        for start, end in emojidata.iter_emoji_spans(text):
+            counts[text[start:end]] += 1
+    return counts
 
 
-def select_top_emojis(table: EmojiFrequencyTable, fraction: float = 0.25) -> list[str]:
-    """ceil(fraction * distinct) emojis, by count descending.
+def _ranked(counts: Counter) -> list[tuple[str, int]]:
+    """By count descending, ties by code-point sequence ascending, so the
+    order is identical across runs and platforms."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
-    Ties break by code-point sequence ascending so the selection is
-    identical across runs and platforms.
-    """
+
+def select_top_emojis(counts: Counter, fraction: float = 0.25) -> list[str]:
+    """The first ceil(fraction * distinct) emojis of the ranking."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if table.total_distinct == 0:
+    if not counts:
         raise EmptyTable("no emojis counted")
-    k = math.ceil(fraction * table.total_distinct)
-    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [emoji_seq for emoji_seq, _ in ranked[:k]]
+    k = math.ceil(fraction * len(counts))
+    return [emoji_seq for emoji_seq, _ in _ranked(counts)[:k]]
+
+
+def write_emoji_report(counts: Counter, path: str | Path) -> None:
+    """One ``emoji<TAB>count`` line per emoji sequence, in ranking order."""
+    with open(path, "w", encoding="utf-8") as out:
+        for emoji_seq, count in _ranked(counts):
+            out.write(f"{emoji_seq}\t{count}\n")
 
 
 def extend_vocabulary(base: Vocabulary, specials: Sequence[str],

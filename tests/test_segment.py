@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from tweetcorpus.errors import EmptyText, MalformedLayout
 from tweetcorpus.segment import (
     Document,
-    SentenceSplitter,
     default_abbreviations,
     read_documents,
     split_sentences,
@@ -24,8 +23,7 @@ def test_no_terminator_single_sentence():
 
 
 def test_abbreviation_suppresses_boundary():
-    splitter = SentenceSplitter(frozenset({"dl."}))
-    got = split_sentences("Dl. Popescu a venit. Apoi a plecat.", splitter)
+    got = split_sentences("Dl. Popescu a venit. Apoi a plecat.", frozenset({"dl."}))
     # hand-enumerated boundaries: only after "venit." and at end
     assert got == ["Dl. Popescu a venit.", "Apoi a plecat."]
 
@@ -46,8 +44,7 @@ def test_boundary_requires_uppercase_or_digit():
 def test_terminator_runs_group_as_one():
     assert split_sentences("Serios?! Da.") == ["Serios?!", "Da."]
     # ".." is not a lone period: abbreviation suppression does not apply
-    splitter = SentenceSplitter(frozenset({"dl.."}))
-    assert split_sentences("Dl.. Popescu vine.", splitter) == ["Dl..", "Popescu vine."]
+    assert split_sentences("Dl.. Popescu vine.", frozenset({"dl.."})) == ["Dl..", "Popescu vine."]
 
 
 def test_split_empty_raises():

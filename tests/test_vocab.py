@@ -11,7 +11,6 @@ from tweetcorpus.vocab import (
     STRUCTURAL_TOKENS,
     TWEET_TOKENS,
     UNK_TOKEN,
-    EmojiFrequencyTable,
     Vocabulary,
     count_emoji_frequencies,
     decode,
@@ -23,13 +22,13 @@ from tweetcorpus.vocab import (
 
 
 def test_count_frequencies_basic():
-    table = count_emoji_frequencies(["\U0001F600\U0001F600", "\U0001F600\U0001F680"])
-    assert table.counts == Counter({"\U0001F600": 3, "\U0001F680": 1})
-    assert table.total_distinct == 2
+    counts = count_emoji_frequencies(["\U0001F600\U0001F600", "\U0001F600\U0001F680"])
+    assert counts == Counter({"\U0001F600": 3, "\U0001F680": 1})
+    assert len(counts) == 2
 
 
 def test_count_frequencies_empty_corpus():
-    assert count_emoji_frequencies(["fara emoji", "text"]).total_distinct == 0
+    assert len(count_emoji_frequencies(["fara emoji", "text"])) == 0
 
 
 def test_count_frequencies_matches_planted_recount():
@@ -48,37 +47,36 @@ def test_count_frequencies_matches_planted_recount():
             else:
                 parts.append(rng.choice(["text", "alt", "cuvant"]))
         corpus.append(" ".join(parts))
-    assert count_emoji_frequencies(corpus).counts == planted
+    assert count_emoji_frequencies(corpus) == planted
 
 
 def test_select_top_ceil_and_ranking():
-    table = EmojiFrequencyTable(Counter({"\U0001F600": 3, "\U0001F680": 1}))
-    assert select_top_emojis(table, 0.25) == ["\U0001F600"]  # ceil(0.5) = 1
+    counts = Counter({"\U0001F600": 3, "\U0001F680": 1})
+    assert select_top_emojis(counts, 0.25) == ["\U0001F600"]  # ceil(0.5) = 1
 
 
 def test_select_fraction_one_returns_all_sorted():
-    table = EmojiFrequencyTable(Counter({"a": 1, "b": 5, "c": 3}))
-    assert select_top_emojis(table, 1.0) == ["b", "c", "a"]
+    counts = Counter({"a": 1, "b": 5, "c": 3})
+    assert select_top_emojis(counts, 1.0) == ["b", "c", "a"]
 
 
 def test_select_tie_break_by_codepoint():
-    table = EmojiFrequencyTable(Counter({"\U0001F680": 2, "\U0001F600": 2, "\U0001F525": 2}))
-    assert select_top_emojis(table, 1.0) == ["\U0001F525", "\U0001F600", "\U0001F680"]
+    counts = Counter({"\U0001F680": 2, "\U0001F600": 2, "\U0001F525": 2})
+    assert select_top_emojis(counts, 1.0) == ["\U0001F525", "\U0001F600", "\U0001F680"]
 
 
 def test_select_empty_table():
     with pytest.raises(EmptyTable):
-        select_top_emojis(EmojiFrequencyTable(), 0.25)
+        select_top_emojis(Counter(), 0.25)
 
 
 def test_select_matches_full_sort_oracle():
     rng = random.Random(13)
     emojis = [chr(0x1F600 + i) for i in range(100)]
     counts = Counter({e: rng.randint(1, 50) for e in emojis})
-    table = EmojiFrequencyTable(counts)
     full_order = [e for e, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
     for fraction in (0.1, 0.25, 0.5, 0.77, 1.0):
-        got = select_top_emojis(table, fraction)
+        got = select_top_emojis(counts, fraction)
         assert got == full_order[:len(got)]
         import math
         assert len(got) == math.ceil(fraction * 100)
