@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, pipeline, tasks
 from .errors import ConfigError, ConfigInvalid, DataError, TweetCorpusError
+from .normalize import read_text_lines
 from .pipeline import CONFIG_KEYS, GLOBAL, STAGES, PipelineConfig, build_config, parse_config_file
 from .tasks import threshold_intensities
 from .vocab import Vocabulary
@@ -147,8 +148,7 @@ def _matrix(rows: list, columns: int, dtype) -> np.ndarray:
 
 
 def _read_label_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for line in read_text_lines(path) if line.strip()]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

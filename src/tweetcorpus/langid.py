@@ -41,7 +41,7 @@ from .errors import (
     InsufficientLanguages,
     VersionMismatch,
 )
-from .normalize import collapse_whitespace
+from .normalize import collapse_whitespace, read_text_lines
 
 MODEL_MAGIC = b"RLID"
 MODEL_VERSION = 1
@@ -399,13 +399,11 @@ def _read_str(fh) -> str:
 def read_training_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Lines of ``code<TAB>text``."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise CorruptRecord(f"{path}:{lineno}: expected code<TAB>text")
-            code, text = line.split("\t", 1)
-            samples.append((text, code))
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise CorruptRecord(f"{path}:{lineno}: expected code<TAB>text")
+        code, text = line.split("\t", 1)
+        samples.append((text, code))
     return samples

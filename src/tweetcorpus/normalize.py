@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import emojidata
-from .errors import DataError
+from .errors import DataError, TweetCorpusError
 
 # Pinned match patterns. Mention length follows the platform's handle
 # limit; the hashtag body allows any letter or digit script.
@@ -34,6 +34,28 @@ _URL_RE = re.compile(URL_PATTERN)
 _HASHTAG_RE = re.compile(HASHTAG_PATTERN)
 
 _BASIC_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"))
+
+
+def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, without their newlines.
+
+    Lines split as in text mode with universal newlines: at "\\n", "\\r"
+    and "\\r\\n" only. A byte that is not UTF-8 raises ``error`` naming
+    ``path:line``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        # the text decoder's offset is into its current chunk: find the line in the bytes
+        with open(path, "rb") as fh:
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}:{lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})") from None
+        raise
 
 
 def collapse_whitespace(text: str) -> str:
@@ -120,16 +142,14 @@ class EmojiMap:
     @classmethod
     def load(cls, path: str | Path) -> "EmojiMap":
         entries = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                # a "#" line is a comment unless it starts with an emoji such as the keycap #️⃣
-                if not line or line.startswith("#") and emojidata.match_emoji(line, 0) is None:
-                    continue
-                if "\t" not in line:
-                    raise DataError(f"{path}:{lineno}: expected emoji<TAB>description")
-                key, desc = line.split("\t", 1)
-                entries[key] = desc
+        for lineno, line in enumerate(read_text_lines(path), 1):
+            # a "#" line is a comment unless it starts with an emoji such as the keycap #️⃣
+            if not line or line.startswith("#") and emojidata.match_emoji(line, 0) is None:
+                continue
+            if "\t" not in line:
+                raise DataError(f"{path}:{lineno}: expected emoji<TAB>description")
+            key, desc = line.split("\t", 1)
+            entries[key] = desc
         return cls(entries)
 
 

@@ -33,6 +33,7 @@ from .normalize import (
     count_entities,
     default_emoji_map,
     normalize_entities,
+    read_text_lines,
     translate_emojis,
     unescape_basic_entities,
 )
@@ -234,17 +235,16 @@ CONFIG_KEYS = _config_keys()
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``section.key = value`` lines; '#' comments; unknown keys fail."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigInvalid(f"{path}:{lineno}: expected key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = raw
+    for lineno, line in enumerate(read_text_lines(path, ConfigInvalid), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigInvalid(f"{path}:{lineno}: expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = raw
     return values
 
 
@@ -329,12 +329,23 @@ def _stage_dir(stage: str, cfg: PipelineConfig) -> Path:
     return Path(cfg.output_dir) / STAGES[stage].directory
 
 
-def _outside_files(stage: str, cfg: PipelineConfig) -> list[Path]:
-    """The outside files ``stage`` reads that are set; each must exist, and vocab.base be set."""
+def _read_outside(stage: str, cfg: PipelineConfig) -> tuple[list[Path], object]:
+    """The outside files ``stage`` reads that are set, and what the stage
+    reads from them, read in full: the base vocabulary, the clean context
+    or the abbreviations. An unset vocab.base, or a missing or bad file,
+    fails here."""
     if stage == "vocab" and not cfg.base_vocab_path:
         raise ConfigInvalid("vocab.base is not set")
-    return _require_inputs([Path(getattr(cfg, name)) for name in STAGES[stage].outside
-                            if getattr(cfg, name)])
+    paths = _require_inputs([Path(getattr(cfg, name)) for name in STAGES[stage].outside
+                             if getattr(cfg, name)])
+    if stage == "vocab":
+        return paths, Vocabulary.load(cfg.base_vocab_path)
+    if stage == "clean":
+        return paths, _load_clean_context(cfg)
+    if stage == "segment":
+        return paths, (load_abbreviations(cfg.abbreviations_path) if cfg.abbreviations_path
+                       else default_abbreviations())
+    return paths, None
 
 
 def _shard_lines(path: Path) -> Iterator[bytes]:
@@ -364,9 +375,10 @@ class _Outputs:
 
     ``out_dir`` and ``in_dir`` default to the stage's and its upstream's
     ``STAGES`` directory. Entering reads the upstream manifest's files
-    into ``upstream`` and checks the outside files, so a missing input
-    fails before anything is deleted; then it deletes the old manifest
-    and the files it lists, so no reader sees a mix of two runs.
+    into ``upstream`` and reads the outside files into ``outside`` and
+    ``loaded`` (see ``_read_outside``), so a missing or bad input fails
+    before anything is deleted; then it deletes the old manifest and the
+    files it lists, so no reader sees a mix of two runs.
     ``path(name)`` hands out the partial path of output ``name``, which
     matches no ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit``
     records every input, then moves every output into place and the
@@ -391,7 +403,7 @@ class _Outputs:
             self.upstream = _require_inputs(
                 [src / name for name in _listed(src / f"manifest-{source}.json")],
                 f"{source} outputs")
-        self.outside = _outside_files(self.stage, self.cfg)
+        self.outside, self.loaded = _read_outside(self.stage, self.cfg)
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.manifest_path.exists():
             names = _listed(self.manifest_path)
@@ -546,12 +558,11 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
     with _Outputs("clean", cfg, out_dir, in_dir) as out:
-        ctx = _load_clean_context(cfg)
         for shard_index, shard_file in enumerate(out.upstream):
             dst = out.path(f"clean-{shard_index:05}.jsonl")
             with open(dst, "w", encoding="utf-8") as sink:
                 batches = _batches(_shard_lines(shard_file), CLEAN_BATCH)
-                for batch in ordered_map(_clean_batch, ctx, batches, cfg.workers):
+                for batch in ordered_map(_clean_batch, out.loaded, batches, cfg.workers):
                     for record, reason in batch:
                         counts["read"] += 1
                         if record:
@@ -576,11 +587,9 @@ def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
             yield Document(tuple(sentences))
 
     with _Outputs("segment", cfg, out_dir, in_dir) as out:
-        abbreviations = (load_abbreviations(cfg.abbreviations_path) if cfg.abbreviations_path
-                         else default_abbreviations())
         for shard_index, shard_file in enumerate(out.upstream):
             with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
-                counts["documents"] += write_documents(documents(shard_file, abbreviations), sink)
+                counts["documents"] += write_documents(documents(shard_file, out.loaded), sink)
         return out.commit(counts)
 
 
@@ -595,7 +604,7 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
         emojis = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
                                          for line in _shard_lines(shard))
         top = select_top_emojis(emojis, cfg.emoji_fraction) if emojis else []
-        base = Vocabulary.load(cfg.base_vocab_path)
+        base = out.loaded
         extended = extend_vocabulary(base, TWEET_TOKENS, top)
         extended.save(out.path("vocab.txt"))
         write_emoji_report(emojis, out.path("emoji-frequencies.tsv"))
@@ -684,8 +693,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     needs the pre-translation text. An archive whose tweets are all
     rejected still succeeds: the corpus is empty, a warning is printed,
     and the record stage is skipped. A stage that fails, or whose
-    outside input file is missing (all are checked before ingest), is
-    recorded as ``failed_stage`` in ``manifest-pipeline.json``.
+    outside input file is missing or bad (all are read before ingest),
+    is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
     """
     if not cfg.output_dir:
         raise ConfigInvalid("io.output_dir is not set")
@@ -699,7 +708,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     stage_manifests = []
     try:
         for name in PIPELINE:
-            _outside_files(name, cfg)
+            _read_outside(name, cfg)
         for name in PIPELINE:
             if name == "pretrain-data" and counts["segment"]["documents"] < 2:
                 print("warning: fewer than 2 documents survived cleaning; "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .errors import EmptyText, MalformedLayout, SinkFailure
-from .normalize import collapse_whitespace
+from .normalize import collapse_whitespace, read_text_lines
 
 # A run of terminators; a boundary can follow it (see split_sentences).
 _BOUNDARY_RE = re.compile(r"[!.?…]+")
@@ -21,10 +21,8 @@ _BOUNDARY_RE = re.compile(r"[!.?…]+")
 
 def load_abbreviations(path) -> frozenset[str]:
     """Read one lowercase abbreviation per line; '#' starts a comment."""
-    with open(path, encoding="utf-8") as fh:
-        content = fh.read()
     out = set()
-    for line in content.splitlines():
+    for line in read_text_lines(path):
         word = line.strip().lower()
         if word and not word.startswith("#"):
             out.add(word if word.endswith(".") else word + ".")

@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnknownLabel,
 )
+from .normalize import read_text_lines
 from .vocab import Vocabulary, wordpiece_tokenize
 
 EMOTIONS = ("anger", "fear", "happiness", "sadness", "surprise", "trust", "neutral")
@@ -291,11 +292,9 @@ def _parse_intensity(value: str, path, lineno: int) -> float:
 
 def read_tsv(path) -> Iterator[tuple[int, list[str]]]:
     """(line number, tab-separated cells) of each non-blank line of ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line.split("\t")
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        if line:
+            yield lineno, line.split("\t")
 
 
 def load_emotion_dataset(path) -> list[EmotionExample]:
@@ -333,20 +332,18 @@ def read_conll(path) -> Iterator[tuple[int, list[str], list[str]]]:
     blank line between sentences) as (line ending it, words, tags)."""
     words: list[str] = []
     tags: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if words:
-                    yield lineno, words, tags
-                    words, tags = [], []
-                continue
-            cols = line.split(" ")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                raise MalformedRow(f"{path}:{lineno}: expected 'word tag'")
-            words.append(cols[0])
-            tags.append(cols[1])
+    lineno = 0
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        if not line.strip():
+            if words:
+                yield lineno, words, tags
+                words, tags = [], []
+            continue
+        cols = line.split(" ")
+        if len(cols) != 2 or not cols[0] or not cols[1]:
+            raise MalformedRow(f"{path}:{lineno}: expected 'word tag'")
+        words.append(cols[0])
+        tags.append(cols[1])
     if words:
         yield lineno, words, tags
 

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from . import emojidata
 from .errors import DataError, DuplicateWithinAdditions, EmptyTable, IdOutOfRange
+from .normalize import read_text_lines
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -71,8 +72,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\r\n") for line in fh]
+        tokens = read_text_lines(path)
         while tokens and not tokens[-1]:
             tokens.pop()
         return cls(tokens)
@@ -87,7 +87,7 @@ def count_emoji_frequencies(corpus: Iterable[str]) -> Counter:
     return counts
 
 
-def _ranked(counts: Counter) -> list[tuple[str, int]]:
+def _emoji_ranking(counts: Counter) -> list[tuple[str, int]]:
     """By count descending, ties by code-point sequence ascending, so the
     order is identical across runs and platforms."""
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -100,13 +100,13 @@ def select_top_emojis(counts: Counter, fraction: float = 0.25) -> list[str]:
     if not counts:
         raise EmptyTable("no emojis counted")
     k = math.ceil(fraction * len(counts))
-    return [emoji_seq for emoji_seq, _ in _ranked(counts)[:k]]
+    return [emoji_seq for emoji_seq, _ in _emoji_ranking(counts)[:k]]
 
 
 def write_emoji_report(counts: Counter, path: str | Path) -> None:
     """One ``emoji<TAB>count`` line per emoji sequence, in ranking order."""
     with open(path, "w", encoding="utf-8") as out:
-        for emoji_seq, count in _ranked(counts):
+        for emoji_seq, count in _emoji_ranking(counts):
             out.write(f"{emoji_seq}\t{count}\n")
 
 

@@ -16,6 +16,8 @@ from tweetcorpus.pipeline import (
     stage_clean,
     stage_ingest,
     stage_langid_train,
+    stage_segment,
+    stage_vocab,
 )
 from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
@@ -509,6 +511,111 @@ def test_pipeline_without_base_vocab_fails_before_ingest(tmp_path, valid_inputs)
     payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
     assert payload["counts"]["failed_stage"] == "vocab"
     assert not (out / "ingest").exists()
+
+
+# Line 3 holds a byte that is not UTF-8; "\r\n" and a lone "\r" end lines 1 and 2.
+_NOT_UTF8 = b"first\r\nsecond\rth\xffird\n"
+
+
+@pytest.fixture(scope="module")
+def finished_stages(tmp_path_factory, valid_inputs):
+    """A finished vocab, clean and segment run over ``valid_inputs``."""
+    root = tmp_path_factory.mktemp("finished")
+    models = {"langid.model_a": str(valid_inputs["a"]), "langid.model_b": str(valid_inputs["b"])}
+    stage_vocab(build_config(overrides={"vocab.base": str(valid_inputs["base"])}),
+                valid_inputs["ingest"], root / "vocab")
+    stage_clean(build_config(overrides=models), valid_inputs["ingest"], root / "clean")
+    stage_segment(build_config(), root / "clean", root / "segment")
+    (root / "not-utf8.txt").write_bytes(_NOT_UTF8)
+    (root / "no-cls.txt").write_text("[PAD]\n[UNK]\n[SEP]\n[MASK]\nsalut\n", encoding="utf-8")
+    return root
+
+
+# stage, its arguments, the bad outside input, exit code, message
+_BAD_OUTSIDE = {
+    "clean-target-de": ("clean", ("--input-dir", "{ingest}", "--model-a", "{a}",
+                                  "--model-b", "{b}"), ("--target", "de"), 1,
+                        "langid.target 'de' is not a language of both models"),
+    "clean-emoji-map-not-utf8": ("clean", ("--input-dir", "{ingest}", "--model-a", "{a}",
+                                           "--model-b", "{b}"),
+                                 ("--emoji-map", "{root}/not-utf8.txt"), 2,
+                                 "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
+    "segment-abbreviations-not-utf8": ("segment", ("--input-dir", "{root}/clean"),
+                                       ("--abbreviations", "{root}/not-utf8.txt"), 2,
+                                       "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
+    "vocab-base-without-cls": ("vocab", ("--input-dir", "{ingest}"),
+                               ("--base-vocab", "{root}/no-cls.txt"), 2,
+                               "vocabulary is missing [CLS]"),
+}
+
+
+@pytest.mark.parametrize("stage, args, bad, code, message", _BAD_OUTSIDE.values(),
+                         ids=_BAD_OUTSIDE.keys())
+def test_a_bad_outside_input_keeps_the_previous_outputs(valid_inputs, finished_stages, stage,
+                                                        args, bad, code, message):
+    names = {**valid_inputs, "root": finished_stages}
+    out = finished_stages / stage
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert f"manifest-{stage}.json" in before and len(before) > 1
+    proc = run_cli(stage, *(arg.format(**names) for arg in (*args, *bad)),
+                   "--output-dir", str(out))
+    assert proc.returncode == code
+    assert f"stage {stage}: {message.format(**names)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    (("--target", "de"), 1, "langid.target 'de' is not a language of both models"),
+    (("--emoji-map", "{root}/not-utf8.txt"), 2, "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
+], ids=["target-de", "emoji-map-not-utf8"])
+def test_pipeline_reads_the_clean_inputs_before_ingest(tmp_path, valid_inputs, finished_stages,
+                                                       bad, code, message):
+    names = {**valid_inputs, "root": finished_stages}
+    out = tmp_path / "out"
+    args = [arg.format(**names) for arg in (*_STAGE_ARGS["pipeline"], *bad)]
+    proc = run_cli("pipeline", *args, "--output-dir", str(out))
+    assert proc.returncode == code
+    assert f"stage clean: {message.format(**names)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
+    assert payload["counts"]["failed_stage"] == "clean"
+    assert [p.name for p in out.iterdir()] == ["manifest-pipeline.json"]
+
+
+# Each outside text file, given as ``{bad}``: exit code, and the text
+# the error carries before ``path:line``.
+_TEXT_FILES = {
+    "config": (("--config", "{bad}", "stats", "--input", "{archive}", "--output-dir", "{out}"),
+               1, "config error: "),
+    "langid-corpus": (("langid-train", "--corpus", "{bad}", "--output-dir", "{out}"), 2,
+                      "error: stage langid-train: "),
+    "emoji-map": (("clean", "--input-dir", "{ingest}", "--emoji-map", "{bad}",
+                   "--output-dir", "{out}"), 2, "error: stage clean: "),
+    "abbreviations": (("segment", "--input-dir", "{root}/clean", "--abbreviations", "{bad}",
+                       "--output-dir", "{out}"), 2, "error: stage segment: "),
+    "base-vocab": (("vocab", "--input-dir", "{ingest}", "--base-vocab", "{bad}",
+                    "--output-dir", "{out}"), 2, "error: stage vocab: "),
+    "pretrain-vocab": (("pretrain-data", "--input-dir", "{root}/segment", "--vocab", "{bad}",
+                        "--output-dir", "{out}"), 2, "error: stage pretrain-data: "),
+    "eval-gold": (("eval", "--task", "coroseof", "--averaging", "micro", "--gold", "{bad}",
+                   "--pred", "{bad}"), 2, "error: "),
+    "eval-ner-gold": (("eval", "--task", "ner", "--gold", "{bad}", "--pred", "{bad}"), 2,
+                      "error: "),
+    "task-prep-input": (("task-prep", "--task", "red_v2", "--input", "{bad}", "--output",
+                         "{out}/prep.jsonl"), 2, "error: "),
+}
+
+
+@pytest.mark.parametrize("argv, code, prefix", _TEXT_FILES.values(), ids=_TEXT_FILES.keys())
+def test_a_non_utf8_text_file_is_an_error_naming_its_line(tmp_path, valid_inputs,
+                                                          finished_stages, argv, code, prefix):
+    bad = finished_stages / "not-utf8.txt"
+    names = {**valid_inputs, "root": finished_stages, "bad": bad, "out": tmp_path}
+    proc = run_cli(*(arg.format(**names) for arg in argv))
+    assert proc.returncode == code
+    assert f"{prefix}{bad}:3: not UTF-8 (byte 0xff)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 def test_every_config_flag_names_its_key_in_help():
     parser = build_parser()

@@ -9,21 +9,25 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import unicodedata
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import tweetcorpus
 from tweetcorpus.filtering import word_count
 from tweetcorpus.ingest import text_dedup_key
 from tweetcorpus.langid import _prepare
+from tweetcorpus.errors import ConfigInvalid, DataError
 from tweetcorpus.normalize import (
     collapse_whitespace,
     count_entities,
     default_emoji_map,
     normalize_entities,
+    read_text_lines,
     translate_emojis,
 )
 from tweetcorpus.segment import split_sentences
@@ -55,6 +59,29 @@ def test_layers_agree_on_whitespace(text):
 @given(CONTRACT_TEXT)
 def test_collapse_matches_the_whitespace_pattern(text):
     assert collapse_whitespace(text) == re.sub(r"\s+", " ", text).strip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab\t\r\n\x85\u2028\u2029\x0b\x0c\x1c", max_size=40))
+def test_text_files_split_lines_as_text_mode_does(text):
+    # only "\n", "\r" and "\r\n" end a line: not U+2028, U+0085 or the
+    # other characters that str.splitlines also breaks on
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert read_text_lines(path) == [line.rstrip("\n") for line in fh]
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"\xff", 1), (b"a\nb\xc3", 2), (b"a\r\nb\rc\nd\xe2\x82", 4), (b"\xe2\x82\xac\n\x80", 2),
+])
+@pytest.mark.parametrize("error", [DataError, ConfigInvalid])
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, data, lineno, error):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(error, match=re.escape(f"{path}:{lineno}: not UTF-8")):
+        read_text_lines(path, error)
 
 
 def test_url_ends_at_an_information_separator():
