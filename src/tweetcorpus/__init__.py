@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .filtering import FilterConfig, FilterVerdict, RejectReason, apply_filters, word_count
 from .ingest import DedupState, IngestStats, RawTweet, dedup, parse_record, serialize_record
 from .langid import LangModel, LangScore, agreement_filter, classify, train
@@ -48,4 +50,6 @@ from .vocab import (
     wordpiece_tokenize,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind are not part of the API
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline, tasks
-from .errors import ConfigError, ConfigInvalid, DataError, TweetCorpusError
+from .errors import ConfigInvalid, DataError, TweetCorpusError
 from .normalize import read_text_lines
 from .pipeline import CONFIG_KEYS, GLOBAL, STAGES, PipelineConfig, build_config, parse_config_file
 from .tasks import threshold_intensities
@@ -237,7 +237,7 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     try:
         sys.exit(run())
-    except ConfigError as exc:
+    except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(1)
     except TweetCorpusError as exc:

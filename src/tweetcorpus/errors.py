@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
 Three families map onto process exit codes: configuration problems (1),
-data problems (2), and I/O problems (3).
+data problems (2), and I/O problems (3). A leaf class names a case that
+code catches by name, damage to a file format, or a missing input; any
+other check raises its family with a message saying what is wrong.
 """
 
 
@@ -12,7 +14,7 @@ class TweetCorpusError(Exception):
     stage: str | None = None  # the failing stage, once pipeline.run_stage names it
 
 
-class ConfigError(TweetCorpusError):
+class ConfigInvalid(TweetCorpusError):
     """Invalid configuration or usage."""
 
     exit_code = 1
@@ -30,96 +32,25 @@ class IOFailure(TweetCorpusError):
     exit_code = 3
 
 
-# ingest
+class InputMissing(IOFailure):
+    """An input file does not exist or is not a file."""
+
+
 class MalformedRecord(DataError):
-    pass
-
-
-class InvalidEncoding(DataError):
-    pass
-
-
-# langid
-class InsufficientLanguages(DataError):
-    pass
-
-
-class EmptySample(DataError):
-    pass
-
-
-class EmptyAfterStripping(DataError):
-    pass
-
-
-# segment
-class EmptyText(DataError):
-    pass
-
-
-class MalformedLayout(DataError):
-    pass
-
-
-class SinkFailure(IOFailure):
-    pass
-
-
-# vocab
-class EmptyTable(DataError):
-    pass
-
-
-class DuplicateWithinAdditions(DataError):
-    pass
-
-
-class IdOutOfRange(DataError):
-    pass
-
-
-# pretrain
-class NoCandidates(DataError):
-    pass
-
-
-class TooFewDocuments(DataError):
-    pass
+    """An archive line that is not a tweet record; ``read_archive`` counts and skips it."""
 
 
 class CorruptRecord(DataError):
-    pass
+    """A model or record file whose bytes are damaged."""
 
 
 class VersionMismatch(DataError):
-    pass
-
-
-# tasks
-class ShapeMismatch(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
+    """A model or record file written in another format version."""
 
 
 class UnknownLabel(DataError):
-    pass
-
-
-class MalformedRow(DataError):
-    pass
+    """A task label outside the task's label set."""
 
 
 class InvalidBIO(DataError):
-    pass
-
-
-# cli / pipeline
-class ConfigInvalid(ConfigError):
-    pass
-
-
-class InputMissing(IOFailure):
-    pass
+    """A BIO tag sequence that is malformed; ``load_task_dataset`` adds the file position."""

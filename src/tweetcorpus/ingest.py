@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
-from .errors import InvalidEncoding, MalformedRecord
+from .errors import MalformedRecord
 # fnv1a64_text stays importable from here: the traced benchmark
 # (bench/tracing.py) wraps it under this name.
 from .hashing import fnv1a64_text
@@ -84,7 +84,7 @@ def parse_record(line: str | bytes) -> RawTweet:
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise InvalidEncoding(str(exc)) from exc
+            raise MalformedRecord(str(exc)) from exc
     try:
         obj = json.loads(line)
     # ValueError covers JSONDecodeError and an integer over the digit limit
@@ -181,7 +181,7 @@ def read_archive(path, stats: IngestStats | None = None,
                 stats.read += 1
             try:
                 yield parse_record(raw)
-            except (MalformedRecord, InvalidEncoding):
+            except MalformedRecord:
                 if stats:
                     stats.malformed += 1
     if digests is not None:

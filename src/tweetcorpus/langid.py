@@ -34,13 +34,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    CorruptRecord,
-    EmptyAfterStripping,
-    EmptySample,
-    InsufficientLanguages,
-    VersionMismatch,
-)
+from .errors import CorruptRecord, DataError, VersionMismatch
 from .normalize import collapse_whitespace, read_text_lines
 
 MODEL_MAGIC = b"RLID"
@@ -174,18 +168,17 @@ def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1,
     sample_counts: Counter = Counter()
     for text, lang in samples:
         if not text.strip():
-            raise EmptySample("training sample with empty text")
+            raise DataError("training sample with empty text")
         stripped = _prepare(text)
         if not stripped:
-            raise EmptySample(f"training sample empty after stripping: {text!r}")
+            raise DataError(f"training sample empty after stripping: {text!r}")
         sample_counts[lang] += 1
         counts = gram_counts.setdefault(lang, Counter())
         for order_counts in _count_ngrams(stripped, min_n, max_n):
             counts.update(order_counts)
 
     if len(sample_counts) < 2:
-        raise InsufficientLanguages(
-            f"need at least 2 languages, got {sorted(sample_counts)}")
+        raise DataError(f"need at least 2 languages, got {sorted(sample_counts)}")
 
     languages = sorted(sample_counts)
     vocab = sorted(set().union(*gram_counts.values()))
@@ -230,7 +223,7 @@ def _ranked(model: LangModel, counters: Sequence[Counter]) -> list[tuple[str, fl
 def _classifiable(text: str) -> str:
     stripped = _prepare(text)
     if not stripped:
-        raise EmptyAfterStripping(f"nothing classifiable in {text!r}")
+        raise DataError(f"nothing classifiable in {text!r}")
     return stripped
 
 
@@ -387,13 +380,19 @@ def _write_str(out, value: str) -> None:
 def _read_exact(fh, size: int) -> bytes:
     data = fh.read(size)
     if len(data) != size:
-        raise CorruptRecord("unexpected end of model file")
+        raise CorruptRecord(f"{fh.name}: unexpected end of model file")
     return data
 
 
 def _read_str(fh) -> str:
     (size,) = struct.unpack("<H", _read_exact(fh, 2))
-    return _read_exact(fh, size).decode("utf-8")
+    data = _read_exact(fh, size)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = fh.tell() - size + exc.start
+        raise CorruptRecord(f"{fh.name}: byte 0x{data[exc.start]:02x} at offset {offset} "
+                            "is not UTF-8") from None
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str]]:

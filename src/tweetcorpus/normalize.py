@@ -46,16 +46,24 @@ def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError)
     try:
         with open(path, encoding="utf-8") as fh:
             return [line.rstrip("\n") for line in fh]
-    except UnicodeDecodeError:
-        # the text decoder's offset is into its current chunk: find the line in the bytes
-        with open(path, "rb") as fh:
-            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise error(f"{path}:{lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})") from None
-        raise
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc, error) from None
+
+
+def not_utf8(path: str | Path, exc: UnicodeDecodeError,
+             error: type[TweetCorpusError] = DataError) -> Exception:
+    """The exception to raise for ``exc``, raised while reading ``path`` as
+    UTF-8 text: ``error`` naming ``path:line`` (lines split as in text
+    mode) and the first byte that is not UTF-8."""
+    # the text decoder's offset is into its current chunk: find the line in the bytes
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as found:
+        lineno = data.count(b"\n", 0, found.start) + 1
+        return error(f"{path}:{lineno}: not UTF-8 (byte 0x{data[found.start]:02x})")
+    return exc  # the file changed since
 
 
 def collapse_whitespace(text: str) -> str:

@@ -42,14 +42,7 @@ from math import ceil, log
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from .errors import (
-    ConfigInvalid,
-    CorruptRecord,
-    DataError,
-    NoCandidates,
-    TooFewDocuments,
-    VersionMismatch,
-)
+from .errors import ConfigInvalid, CorruptRecord, DataError, VersionMismatch
 from .hashing import mix64
 from .parallel import ordered_map
 from .segment import Document
@@ -174,7 +167,7 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
         cls_id, sep_id = vocab.cls_id, vocab.sep_id
         candidates = [i for i, t in enumerate(token_ids) if t != cls_id and t != sep_id]
     if not candidates:
-        raise NoCandidates("sequence contains only [CLS]/[SEP]")
+        raise DataError("sequence contains only [CLS]/[SEP]")
     count = min(cfg.max_predictions_per_seq,
                 max(1, int(round(cfg.masked_lm_prob * len(candidates)))))
     getrandbits = rng.getrandbits
@@ -316,8 +309,7 @@ def _built_chunks(documents: Iterable[Document], vocab: Vocabulary, cfg: Pretrai
     cfg.validate()
     tok_docs = tokenize_documents(documents, vocab, stats)
     if len(tok_docs) < 2:
-        raise TooFewDocuments(
-            f"need at least 2 tokenizable documents, got {len(tok_docs)}")
+        raise DataError(f"need at least 2 tokenizable documents, got {len(tok_docs)}")
     vocab.replacement_pool  # built here, once, not in every worker
     # a literal [CLS] or [SEP] word breaks the layout's candidates
     cls_id, sep_id = vocab.cls_id, vocab.sep_id

@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .errors import EmptyText, MalformedLayout, SinkFailure
-from .normalize import collapse_whitespace, read_text_lines
+from .errors import DataError, IOFailure
+from .normalize import collapse_whitespace, not_utf8, read_text_lines
 
 # A run of terminators; a boundary can follow it (see split_sentences).
 _BOUNDARY_RE = re.compile(r"[!.?…]+")
@@ -52,7 +52,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     """
     text = collapse_whitespace(text)
     if not text:
-        raise EmptyText("cannot split empty text")
+        raise DataError("cannot split empty text")
     if abbreviations is None:
         abbreviations = default_abbreviations()
     sentences = []
@@ -82,10 +82,10 @@ class Document:
 
     def __post_init__(self):
         if not self.sentences:
-            raise MalformedLayout("document has no sentences")
+            raise DataError("document has no sentences")
         for s in self.sentences:
             if not s or "\n" in s:
-                raise MalformedLayout(f"bad sentence {s!r}")
+                raise DataError(f"bad sentence {s!r}")
 
     def __iter__(self):
         return iter(self.sentences)
@@ -106,7 +106,7 @@ def write_documents(documents: Iterable[Document], sink: TextIO) -> int:
                 sink.write("\n")
             count += 1
     except OSError as exc:
-        raise SinkFailure(str(exc)) from exc
+        raise IOFailure(str(exc)) from exc
     return count
 
 
@@ -119,7 +119,7 @@ def read_documents(source: Iterable[str]) -> Iterator[Document]:
             pending.append(line)
         else:
             if not pending:
-                raise MalformedLayout(f"line {lineno}: empty document")
+                raise DataError(f"line {lineno}: empty document")
             yield Document(tuple(pending))
             pending = []
     if pending:
@@ -127,6 +127,13 @@ def read_documents(source: Iterable[str]) -> Iterator[Document]:
 
 
 def read_document_file(path) -> Iterator[Document]:
+    """Stream the documents of the UTF-8 document file ``path``; damage
+    raises DataError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        yield from read_documents(fh)
+        try:
+            yield from read_documents(fh)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 

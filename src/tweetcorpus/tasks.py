@@ -22,13 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidBIO,
-    LengthMismatch,
-    MalformedRow,
-    ShapeMismatch,
-    UnknownLabel,
-)
+from .errors import DataError, InvalidBIO, UnknownLabel
 from .normalize import read_text_lines
 from .vocab import Vocabulary, wordpiece_tokenize
 
@@ -109,7 +103,7 @@ def align_first_subwords(words: Sequence[str], vocab: Vocabulary) -> tuple[int, 
 def _as_matrix(y, name: str) -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-dimensional, got shape {arr.shape}")
+        raise DataError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     return arr
 
 
@@ -117,7 +111,7 @@ def _check_shapes(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     t = _as_matrix(y_true, "y_true")
     p = _as_matrix(y_pred, "y_pred")
     if t.shape != p.shape:
-        raise ShapeMismatch(f"shape mismatch: {t.shape} vs {p.shape}")
+        raise DataError(f"shape mismatch: {t.shape} vs {p.shape}")
     return t, p
 
 
@@ -193,7 +187,7 @@ def prf_singlelabel(y_true: Sequence, y_pred: Sequence, averaging: str) -> Metri
     """Per-class and averaged precision/recall/F1 for one label per row,
     over the classes that are gold or predicted."""
     if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} gold vs {len(y_pred)} predicted")
+        raise DataError(f"{len(y_true)} gold vs {len(y_pred)} predicted")
     tp = Counter(t for t, p in zip(y_true, y_pred) if t == p)
     n_pred, n_gold = Counter(y_pred), Counter(y_true)
     return _scores(tp, n_pred, n_gold, sorted(n_gold.keys() | n_pred.keys()), averaging)
@@ -251,14 +245,14 @@ def entity_f1(true_tags, pred_tags, repair: bool = False) -> MetricReport:
     gold_sents = _as_sentences(true_tags)
     pred_sents = _as_sentences(pred_tags)
     if len(gold_sents) != len(pred_sents):
-        raise LengthMismatch(f"{len(gold_sents)} gold vs {len(pred_sents)} predicted sentences")
+        raise DataError(f"{len(gold_sents)} gold vs {len(pred_sents)} predicted sentences")
 
     gold_count: Counter = Counter()
     pred_count: Counter = Counter()
     match_count: Counter = Counter()
     for gold, pred in zip(gold_sents, pred_sents):
         if len(gold) != len(pred):
-            raise LengthMismatch(f"sentence length {len(gold)} vs {len(pred)}")
+            raise DataError(f"sentence length {len(gold)} vs {len(pred)}")
         gold_spans = set(bio_decode(gold, repair=repair))
         pred_spans = set(bio_decode(pred, repair=repair))
         gold_count.update(span[0] for span in gold_spans)
@@ -277,16 +271,16 @@ def _parse_binary(value: str, path, lineno: int) -> int:
         return 0
     if value == "1":
         return 1
-    raise MalformedRow(f"{path}:{lineno}: expected 0/1, got {value!r}")
+    raise DataError(f"{path}:{lineno}: expected 0/1, got {value!r}")
 
 
 def _parse_intensity(value: str, path, lineno: int) -> float:
     try:
         x = float(value)
     except ValueError as exc:
-        raise MalformedRow(f"{path}:{lineno}: bad intensity {value!r}") from exc
+        raise DataError(f"{path}:{lineno}: bad intensity {value!r}") from exc
     if not 0.0 <= x <= 1.0:
-        raise MalformedRow(f"{path}:{lineno}: intensity {x} outside [0, 1]")
+        raise DataError(f"{path}:{lineno}: intensity {x} outside [0, 1]")
     return x
 
 
@@ -303,7 +297,7 @@ def load_emotion_dataset(path) -> list[EmotionExample]:
     out = []
     for lineno, cols in read_tsv(path):
         if len(cols) not in (1 + n, 1 + 2 * n):
-            raise MalformedRow(
+            raise DataError(
                 f"{path}:{lineno}: expected {1 + n} or {1 + 2 * n} columns, got {len(cols)}")
         labels = tuple(_parse_binary(v, path, lineno) for v in cols[1:1 + n])
         intensities = None
@@ -318,7 +312,7 @@ def load_sexism_dataset(path) -> list[SexismExample]:
     out = []
     for lineno, cols in read_tsv(path):
         if len(cols) != 2:
-            raise MalformedRow(f"{path}:{lineno}: expected text<TAB>label")
+            raise DataError(f"{path}:{lineno}: expected text<TAB>label")
         try:
             binary, threeway = derive_sli_labels(cols[1])
         except UnknownLabel as exc:
@@ -341,7 +335,7 @@ def read_conll(path) -> Iterator[tuple[int, list[str], list[str]]]:
             continue
         cols = line.split(" ")
         if len(cols) != 2 or not cols[0] or not cols[1]:
-            raise MalformedRow(f"{path}:{lineno}: expected 'word tag'")
+            raise DataError(f"{path}:{lineno}: expected 'word tag'")
         words.append(cols[0])
         tags.append(cols[1])
     if words:

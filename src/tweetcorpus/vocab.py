@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import emojidata
-from .errors import DataError, DuplicateWithinAdditions, EmptyTable, IdOutOfRange
+from .errors import DataError
 from .normalize import read_text_lines
 
 PAD_TOKEN = "[PAD]"
@@ -98,7 +98,7 @@ def select_top_emojis(counts: Counter, fraction: float = 0.25) -> list[str]:
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if not counts:
-        raise EmptyTable("no emojis counted")
+        raise DataError("no emojis counted")
     k = math.ceil(fraction * len(counts))
     return [emoji_seq for emoji_seq, _ in _emoji_ranking(counts)[:k]]
 
@@ -116,7 +116,7 @@ def extend_vocabulary(base: Vocabulary, specials: Sequence[str],
     additions = list(specials) + list(emojis)
     dupes = [t for t, c in Counter(additions).items() if c > 1]
     if dupes:
-        raise DuplicateWithinAdditions(f"repeated additions: {dupes[:5]}")
+        raise DataError(f"repeated additions: {dupes[:5]}")
     for token in additions:
         if any(ch.isspace() for ch in token):
             raise DataError(f"token contains whitespace: {token!r}")
@@ -174,6 +174,6 @@ def decode(ids: Iterable[int], vocab: Vocabulary) -> list[str]:
     out = []
     for i in ids:
         if not 0 <= i < len(tokens):
-            raise IdOutOfRange(f"id {i} outside vocabulary of {len(tokens)}")
+            raise DataError(f"id {i} outside vocabulary of {len(tokens)}")
         out.append(tokens[i])
     return out

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -527,6 +528,8 @@ def finished_stages(tmp_path_factory, valid_inputs):
     stage_clean(build_config(overrides=models), valid_inputs["ingest"], root / "clean")
     stage_segment(build_config(), root / "clean", root / "segment")
     (root / "not-utf8.txt").write_bytes(_NOT_UTF8)
+    model = valid_inputs["a"].read_bytes()  # its first language code starts at offset 20
+    (root / "not-utf8.rlid").write_bytes(model[:20] + b"\xff" + model[21:])
     (root / "no-cls.txt").write_text("[PAD]\n[UNK]\n[SEP]\n[MASK]\nsalut\n", encoding="utf-8")
     return root
 
@@ -540,6 +543,10 @@ _BAD_OUTSIDE = {
                                            "--model-b", "{b}"),
                                  ("--emoji-map", "{root}/not-utf8.txt"), 2,
                                  "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
+    "clean-model-a-not-utf8": ("clean", ("--input-dir", "{ingest}", "--model-a", "{a}",
+                                         "--model-b", "{b}"),
+                               ("--model-a", "{root}/not-utf8.rlid"), 2,
+                               "{root}/not-utf8.rlid: byte 0xff at offset 20 is not UTF-8"),
     "segment-abbreviations-not-utf8": ("segment", ("--input-dir", "{root}/clean"),
                                        ("--abbreviations", "{root}/not-utf8.txt"), 2,
                                        "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
@@ -616,6 +623,19 @@ def test_a_non_utf8_text_file_is_an_error_naming_its_line(tmp_path, valid_inputs
     assert proc.returncode == code
     assert f"{prefix}{bad}:3: not UTF-8 (byte 0xff)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_pretrain_data_names_a_corpus_file_that_is_not_utf8(tmp_path, finished_stages):
+    segment = tmp_path / "segment"
+    shutil.copytree(finished_stages / "segment", segment)
+    corpus = segment / "corpus-00000.txt"
+    corpus.write_bytes(_NOT_UTF8)
+    proc = run_cli("pretrain-data", "--input-dir", str(segment), "--output-dir",
+                   str(tmp_path / "out"), "--vocab", str(finished_stages / "vocab" / "vocab.txt"))
+    assert proc.returncode == 2
+    assert f"error: stage pretrain-data: {corpus}:3: not UTF-8 (byte 0xff)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 
 def test_every_config_flag_names_its_key_in_help():
     parser = build_parser()

@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from tweetcorpus.errors import InvalidEncoding, MalformedRecord
+from tweetcorpus.errors import MalformedRecord
 from tweetcorpus.ingest import (
     DedupState,
     IngestStats,
@@ -99,7 +99,7 @@ def test_read_archive_digests_every_byte_it_reads(tmp_path):
 
 
 def test_parse_invalid_utf8_bytes():
-    with pytest.raises(InvalidEncoding):
+    with pytest.raises(MalformedRecord, match="can't decode byte 0xff"):
         parse_record(b'{"id":1,"text":"\xff\xfe"}')
 
 

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweetcorpus import langid
-from tweetcorpus.errors import (
-    CorruptRecord,
-    EmptyAfterStripping,
-    EmptySample,
-    InsufficientLanguages,
-)
+from tweetcorpus.errors import CorruptRecord, DataError
 from tweetcorpus.langid import LangModel, LangScore, agreement_filter, classify, train
 
 from conftest import EN_WORDS, RO_WORDS, make_bilingual_samples, make_text
@@ -28,12 +23,12 @@ def test_disjoint_alphabets_force_ranking():
 
 
 def test_single_language_rejected():
-    with pytest.raises(InsufficientLanguages):
+    with pytest.raises(DataError, match="need at least 2 languages"):
         train([("aaa", "xx"), ("aab", "xx")])
 
 
 def test_empty_sample_rejected():
-    with pytest.raises(EmptySample):
+    with pytest.raises(DataError, match="training sample with empty text"):
         train([("   ", "xx"), ("bbb", "yy")])
 
 
@@ -41,9 +36,9 @@ def test_classify_empty_after_stripping():
     model = train([("aaaa", "xx"), ("bbbb", "yy")], (1, 1), 1.0)
     model_b = train([("aaaa", "xx"), ("bbbb", "yy")], (1, 2), 1.0)
     for text in ("", "123 456", "USER HTTPURL HASHTAG", "USER 99"):
-        with pytest.raises(EmptyAfterStripping):
+        with pytest.raises(DataError, match="nothing classifiable"):
             classify(model, text)
-        with pytest.raises(EmptyAfterStripping):
+        with pytest.raises(DataError, match="nothing classifiable"):
             agreement_filter(text, model, model_b, "xx")
 
 
@@ -249,6 +244,20 @@ def test_model_file_with_a_repeated_language_is_corrupt(tmp_path):
         LangModel.load(path)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: data[:20] + b"\xff" + data[21:], "byte 0xff at offset 20 is not UTF-8"),
+    (lambda data: data[:-3], "unexpected end of model file"),
+], ids=["language-code-not-utf8", "truncated"])
+def test_a_damaged_model_file_is_named(tmp_path, damage, message):
+    # offset 20 is the first byte of the first language code, "en"
+    model = train([("aaaa", "en"), ("bbbb", "ro")], (1, 1), 1.0)
+    path = tmp_path / "damaged.rlid"
+    model.save(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CorruptRecord, match=f"^{re.escape(f'{path}: {message}')}$"):
+        LangModel.load(path)
+
+
 def test_likelihoods_sum_to_one_per_language():
     import math
     rng = random.Random(51)
@@ -313,7 +322,7 @@ def test_prepare_strips_placeholders_only_as_whole_words(text):
 def reference_classify(model, text):
     stripped = langid._prepare(text)
     if not stripped:
-        raise EmptyAfterStripping(text)
+        raise DataError(text)
     grams = Counter()
     min_n, max_n = model.ngram_range
     for n in range(min_n, max_n + 1):
@@ -384,11 +393,11 @@ def test_row_tables_match_reference_exactly(model_pairs, text):
     for model_a, model_b in model_pairs:
         try:
             expected = [reference_classify(m, text) for m in (model_a, model_b)]
-        except EmptyAfterStripping:
+        except DataError:
             for model in (model_a, model_b):
-                with pytest.raises(EmptyAfterStripping):
+                with pytest.raises(DataError, match="nothing classifiable"):
                     classify(model, text)
-            with pytest.raises(EmptyAfterStripping):
+            with pytest.raises(DataError, match="nothing classifiable"):
                 agreement_filter(text, model_a, model_b, "ro")
             continue
         for model, ranked in zip((model_a, model_b), expected):
@@ -547,7 +556,7 @@ def test_margins_match_exact_scoring_on_benchmark_traffic(tmp_path, monkeypatch,
             for text in texts:
                 try:
                     tops = [reference_classify(model, text)[0] for model in models]
-                except EmptyAfterStripping:
+                except DataError:
                     continue
                 for threshold in (0.3, 0.5, 0.9):
                     expected = all(lang == "ro" and p >= threshold for lang, p in tops)

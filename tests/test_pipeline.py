@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from tweetcorpus import parallel, pipeline
-from tweetcorpus.errors import (ConfigInvalid, DataError, InputMissing, TooFewDocuments,
-                                TweetCorpusError)
+from tweetcorpus.errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
 from tweetcorpus.filtering import apply_filters
 from tweetcorpus.ingest import parse_record, serialize_record
 from tweetcorpus.langid import LangModel, agreement_filter
@@ -552,7 +551,7 @@ def test_pipeline_records_a_failed_pretrain_data_stage(tmp_path):
                  "vocab.base": str(base_vocab), "pretrain.dupe_factor": 1}
     run_pipeline(build_config(overrides=overrides))  # one shard of 3 documents
     # three shards of one document each: pretrain-data cannot pair sentences
-    with pytest.raises(TooFewDocuments) as err:
+    with pytest.raises(DataError, match="need at least 2 tokenizable documents") as err:
         run_pipeline(build_config(overrides={**overrides, "io.shards": 3}))
     assert str(err.value).count("stage pretrain-data") == 1
     payload = json.loads((tmp_path / "out" / "manifest-pipeline.json").read_text())
@@ -646,7 +645,7 @@ def test_failed_rerun_leaves_no_outputs_of_either_run(workspace):
     small = root / "small.jsonl"
     _write_archive(small, [make_text(rng, RO_WORDS, 8).capitalize() + "." for _ in range(3)])
     # two documents in shard 0, one in shard 1: pretrain-data fails on shard 1
-    with pytest.raises(TooFewDocuments):
+    with pytest.raises(DataError, match="need at least 2 tokenizable documents"):
         run_pipeline(build_config(overrides={**cfg.flat(), "io.input": str(small)}))
     assert sorted(p.name for p in (root / "out" / "pretrain").iterdir()) == []
 

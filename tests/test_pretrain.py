@@ -13,8 +13,6 @@ from tweetcorpus.errors import (
     ConfigInvalid,
     CorruptRecord,
     DataError,
-    NoCandidates,
-    TooFewDocuments,
     VersionMismatch,
 )
 from tweetcorpus.hashing import mix64
@@ -51,7 +49,7 @@ def test_config_validation():
 
 def test_mask_requires_candidates(word_vocab):
     rng = random.Random(0)
-    with pytest.raises(NoCandidates):
+    with pytest.raises(DataError, match=r"sequence contains only \[CLS\]/\[SEP\]"):
         mask_sequence([word_vocab.cls_id, word_vocab.sep_id],
                       word_vocab, PretrainConfig(), rng)
 
@@ -228,7 +226,7 @@ def test_mask_lossless_restoration(word_vocab):
 
 def test_too_few_documents(word_vocab):
     docs = [Document(("salut lume",))]
-    with pytest.raises(TooFewDocuments):
+    with pytest.raises(DataError, match="need at least 2 tokenizable documents"):
         list(build_instances(docs, word_vocab, PretrainConfig()))
 
 
@@ -447,7 +445,7 @@ def test_layout_candidates_change_no_record(word_vocab, data, structural, max_se
 
 
 def test_build_records_needs_two_documents(word_vocab, tmp_path):
-    with pytest.raises(TooFewDocuments):
+    with pytest.raises(DataError, match="need at least 2 tokenizable documents"):
         build_records([Document(("salut lume",))], word_vocab, PretrainConfig(),
                       tmp_path / "out.rbtw")
 

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetcorpus.errors import EmptyText, MalformedLayout
+from tweetcorpus.errors import DataError
 from tweetcorpus.segment import (
     Document,
     default_abbreviations,
+    read_document_file,
     read_documents,
     split_sentences,
     write_documents,
@@ -48,7 +49,7 @@ def test_terminator_runs_group_as_one():
 
 
 def test_split_empty_raises():
-    with pytest.raises(EmptyText):
+    with pytest.raises(DataError, match="cannot split empty text"):
         split_sentences("   ")
 
 
@@ -80,18 +81,30 @@ def test_read_layout_inverse():
 
 
 def test_read_rejects_consecutive_blank_lines():
-    with pytest.raises(MalformedLayout):
+    with pytest.raises(DataError, match="^line 1: empty document$"):
         list(read_documents(io.StringIO("\n\n\n")))
-    with pytest.raises(MalformedLayout):
+    with pytest.raises(DataError, match="^line 3: empty document$"):
         list(read_documents(io.StringIO("A.\n\n\nB.\n")))
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"Salut.\n\nCe\xff faci?\n", ":3: not UTF-8 (byte 0xff)"),
+    (b"A.\n\n\nB.\n", ": line 3: empty document"),
+], ids=["not-utf8", "empty-document"])
+def test_a_damaged_document_file_is_named(tmp_path, data, message):
+    path = tmp_path / "corpus-00000.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as err:
+        list(read_document_file(path))
+    assert str(err.value) == f"{path}{message}"
+
+
 def test_document_invariants():
-    with pytest.raises(MalformedLayout):
+    with pytest.raises(DataError, match="document has no sentences"):
         Document(())
-    with pytest.raises(MalformedLayout):
+    with pytest.raises(DataError, match="bad sentence ''"):
         Document(("ok", ""))
-    with pytest.raises(MalformedLayout):
+    with pytest.raises(DataError, match=r"bad sentence 'a\\nb'"):
         Document(("a\nb",))
 
 

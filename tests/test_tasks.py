@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetcorpus.errors import (
-    InvalidBIO,
-    LengthMismatch,
-    MalformedRow,
-    ShapeMismatch,
-    UnknownLabel,
-)
+from tweetcorpus.errors import DataError, InvalidBIO, UnknownLabel
 from tweetcorpus.tasks import (
     EMOTIONS,
     ENTITY_TYPES,
@@ -92,9 +86,9 @@ def test_hamming_identity_and_known_value():
 
 
 def test_hamming_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="shape mismatch"):
         hamming_loss([[1, 0]], [[1, 0, 1]])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="must be 2-dimensional"):
         hamming_loss([1, 0], [1, 1])
 
 
@@ -258,7 +252,7 @@ def test_prf_matches_oracle():
 
 
 def test_prf_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="1 gold vs 2 predicted"):
         prf_singlelabel(["a"], ["a", "b"], "macro")
 
 
@@ -417,9 +411,9 @@ def test_entity_f1_invariant_under_sentence_permutation():
 
 
 def test_entity_f1_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="1 gold vs 2 predicted sentences"):
         entity_f1([["O"]], [["O"], ["O"]])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="sentence length 2 vs 1"):
         entity_f1([["O", "O"]], [["O"]])
 
 
@@ -442,11 +436,11 @@ def test_load_emotion_rows(tmp_path):
 def test_load_emotion_rejects_bad_rows(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("text\t0\t1\n", encoding="utf-8")
-    with pytest.raises(MalformedRow) as err:
+    with pytest.raises(DataError, match="expected 8 or 15 columns, got 3") as err:
         load_emotion_dataset(path)
     assert ":1:" in str(err.value)
     path.write_text("text\t0\t1\t2\t0\t0\t0\t0\n", encoding="utf-8")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match="expected 0/1, got '2'"):
         load_emotion_dataset(path)
 
 
@@ -507,7 +501,7 @@ def test_load_ner_unknown_entity_type(tmp_path, toy_vocab):
 def test_load_ner_malformed_row(tmp_path, toy_vocab):
     path = tmp_path / "ner.txt"
     path.write_text("salut\n", encoding="utf-8")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match="expected 'word tag'"):
         load_ner_dataset(path, toy_vocab)
 
 

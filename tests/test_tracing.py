@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import tweetcorpus.pipeline as pipeline
+import tweetcorpus.pretrain as pretrain
 from tweetcorpus.pipeline import PIPELINE, STAGES, build_config, run_pipeline
 from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
-from conftest import RO_WORDS, make_text
+from conftest import EN_WORDS, RO_WORDS, make_bilingual_samples, make_text
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,8 +31,8 @@ def tracing(monkeypatch):
     return tracing
 
 
-def _run_traced(tmp_path, tracing, texts, dupe_factor=3):
-    """One-worker pipeline over ``texts`` (the language gate is off)."""
+def _config(tmp_path, texts, overrides):
+    """A one-worker pipeline over an archive of ``texts``."""
     archive = tmp_path / "raw.jsonl"
     with open(archive, "w", encoding="utf-8") as fh:
         for i, text in enumerate(texts):
@@ -38,14 +40,18 @@ def _run_traced(tmp_path, tracing, texts, dupe_factor=3):
     base_vocab = tmp_path / "base-vocab.txt"
     base_vocab.write_text("\n".join(list(STRUCTURAL_TOKENS) + sorted(set(RO_WORDS))) + "\n",
                           encoding="utf-8")
-    cfg = build_config(overrides={
+    return build_config(overrides={
         "io.input": str(archive),
         "io.output_dir": str(tmp_path / "out"),
         "vocab.base": str(base_vocab),
         "pretrain.max_seq_length": 24,
-        "pretrain.dupe_factor": dupe_factor,
+        **overrides,
     })
 
+
+def _run_traced(tmp_path, tracing, texts, dupe_factor=3):
+    """One-worker pipeline over ``texts`` (the language gate is off)."""
+    cfg = _config(tmp_path, texts, {"pretrain.dupe_factor": dupe_factor})
     for module, attr, _ in tracing.TRACED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     with tracing.Tracer() as tracer:
@@ -122,3 +128,34 @@ def test_the_pipeline_runs_each_stage_once_through_its_traced_name(tmp_path, tra
     spans = Counter(name for name in tracer.names if name.startswith("pipeline.stage_"))
     assert spans == {f"pipeline.{STAGES[name].runner}": 1 for name in PIPELINE}
     assert len(spans) == 5
+
+
+# Wrapped by name, but called by nothing: dedup keys are BLAKE2b digests,
+# the gate scores without ``classify``, and the pipeline builds and
+# writes records through ``build_records``. Deleting them needs the
+# benchmark's tracer to stop wrapping them.
+UNCALLED = {"hashing.fnv1a64_text", "langid.classify", "pretrain.build_instances",
+            "pretrain.write_records"}
+
+
+def test_every_traced_name_but_the_uncalled_records_a_call(tmp_path, tracing):
+    rng = random.Random(37)
+    corpus = tmp_path / "langid.tsv"
+    corpus.write_text("".join(f"{code}\t{text}\n" for text, code in
+                              make_bilingual_samples(rng, 60)), encoding="utf-8")
+    texts = [make_text(rng, RO_WORDS, 8).capitalize() + ". " +
+             make_text(rng, RO_WORDS, 7).capitalize() + ". \U0001F600" for _ in range(12)]
+    texts += [make_text(rng, EN_WORDS, 8).capitalize() + "." for _ in range(4)]
+    models = tmp_path / "models"
+    cfg = _config(tmp_path, texts, {"langid.model_a": str(models / "model-a.rlid"),
+                                    "langid.model_b": str(models / "model-b.rlid")})
+    with tracing.Tracer() as tracer:
+        pipeline.stage_langid_train(cfg, corpus, models)
+        manifest = run_pipeline(cfg)
+        for path in sorted((tmp_path / "out" / "pretrain").glob("*.rbtw")):
+            assert list(pretrain.read_records(path))
+    _, calls = tracer.totals()
+
+    rejected = manifest.counts["clean"]["rejected"]
+    assert 0 < rejected.get("not_target_language", 0) < len(texts)
+    assert {name for _, _, name in tracing.TRACED if not calls[name]} == UNCALLED
