@@ -17,14 +17,14 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
-from .errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
+from .errors import ConfigInvalid, DataError, InputMissing, IOFailure, TweetCorpusError
 from .filtering import FilterConfig, RejectReason, apply_filters, word_count
 from .ingest import IngestStats, RawTweet, dedup, parse_record, read_archive, serialize_record
 from .langid import LangModel, agreement_filter, read_training_corpus, train
@@ -663,27 +663,29 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
 
 
 def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
-    """Dispatch one named stage; extra keyword arguments reach the stage.
-
-    A stage's error is raised again with ``stage <name>: `` in front,
-    once: the pipeline's message names the stage that failed inside it.
-    """
+    """Dispatch one named stage, with extra keyword arguments; its error, an
+    OSError included, is raised again named once (``_named``), so the
+    pipeline's message names the stage that failed inside it."""
     if stage not in STAGES:
         raise ConfigInvalid(f"unknown stage {stage!r} (task-prep and eval "
                             "take dataset paths; use the CLI or tasks module)")
-    try:
+    with _named(stage):
         # looked up when called, so a wrapper set on this module sees the stage
         return globals()[STAGES[stage].runner](cfg, **kwargs)
-    except TweetCorpusError as exc:
-        if exc.stage is not None:
+
+
+@contextmanager
+def _named(stage: str) -> Iterator[None]:
+    """Raise an error from inside again as ``stage <name>: ...``; an OSError as IOFailure."""
+    try:
+        yield
+    except (TweetCorpusError, OSError) as exc:
+        if getattr(exc, "stage", None) is not None:
             raise
-        raise _named(stage, exc) from exc
-
-
-def _named(stage: str, exc: TweetCorpusError) -> TweetCorpusError:
-    named = type(exc)(f"stage {stage}: {exc}")
-    named.stage = stage
-    return named
+        named = (type(exc) if isinstance(exc, TweetCorpusError) else IOFailure)(
+            f"stage {stage}: {exc}")
+        named.stage = stage
+        raise named from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
@@ -692,9 +694,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     Vocabulary extension runs right after ingest because emoji counting
     needs the pre-translation text. An archive whose tweets are all
     rejected still succeeds: the corpus is empty, a warning is printed,
-    and the record stage is skipped. A stage that fails, or whose
-    outside input file is missing or bad (all are read before ingest),
-    is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
+    and the record stage is skipped. A stage that fails (I/O included),
+    or whose outside input file is missing or bad (all are read before
+    ingest), is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
     """
     if not cfg.output_dir:
         raise ConfigInvalid("io.output_dir is not set")
@@ -708,7 +710,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     stage_manifests = []
     try:
         for name in PIPELINE:
-            _read_outside(name, cfg)
+            with _named(name):
+                _read_outside(name, cfg)
         for name in PIPELINE:
             if name == "pretrain-data" and counts["segment"]["documents"] < 2:
                 print("warning: fewer than 2 documents survived cleaning; "
@@ -719,11 +722,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             manifest = run_stage(name, cfg)
             counts[name] = manifest.counts
             stage_manifests.append(manifest)
-    except TweetCorpusError as exc:
+    except TweetCorpusError:  # named: an OSError is an IOFailure by now
         counts["failed_stage"] = name
         final.write(out)
-        if exc.stage is None:  # an outside input, which run_stage has not named
-            raise _named(name, exc) from exc
         raise
 
     final.inputs = stage_manifests[0].inputs

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .errors import DataError, IOFailure
+from .errors import DataError
 from .normalize import collapse_whitespace, not_utf8, read_text_lines
 
 # A run of terminators; a boundary can follow it (see split_sentences).
@@ -97,16 +97,13 @@ class Document:
 def write_documents(documents: Iterable[Document], sink: TextIO) -> int:
     """One sentence per line, one empty line between documents."""
     count = 0
-    try:
-        for doc in documents:
-            if count:
-                sink.write("\n")
-            for sentence in doc.sentences:
-                sink.write(sentence)
-                sink.write("\n")
-            count += 1
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    for doc in documents:
+        if count:
+            sink.write("\n")
+        for sentence in doc.sentences:
+            sink.write(sentence)
+            sink.write("\n")
+        count += 1
     return count
 
 

@@ -4,8 +4,10 @@ import json
 import os
 import random
 import shutil
+import socket
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -572,13 +574,24 @@ def test_a_bad_outside_input_keeps_the_previous_outputs(valid_inputs, finished_s
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.fixture
+def unix_socket():
+    """The path of a bound UNIX socket, which open() refuses with errno 6
+    (ENXIO). ``sun_path`` holds only 108 bytes, so it lives in a short
+    temporary directory, not under ``tmp_path``."""
+    with tempfile.TemporaryDirectory() as short, socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(os.path.join(short, "s"))
+        yield os.path.join(short, "s")
+
+
 @pytest.mark.parametrize("bad, code, message", [
     (("--target", "de"), 1, "langid.target 'de' is not a language of both models"),
     (("--emoji-map", "{root}/not-utf8.txt"), 2, "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
-], ids=["target-de", "emoji-map-not-utf8"])
+    (("--emoji-map", "{socket}"), 3, "[Errno 6] No such device or address: '{socket}'"),
+], ids=["target-de", "emoji-map-not-utf8", "emoji-map-socket"])
 def test_pipeline_reads_the_clean_inputs_before_ingest(tmp_path, valid_inputs, finished_stages,
-                                                       bad, code, message):
-    names = {**valid_inputs, "root": finished_stages}
+                                                       unix_socket, bad, code, message):
+    names = {**valid_inputs, "root": finished_stages, "socket": unix_socket}
     out = tmp_path / "out"
     args = [arg.format(**names) for arg in (*_STAGE_ARGS["pipeline"], *bad)]
     proc = run_cli("pipeline", *args, "--output-dir", str(out))
@@ -588,6 +601,20 @@ def test_pipeline_reads_the_clean_inputs_before_ingest(tmp_path, valid_inputs, f
     payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
     assert payload["counts"]["failed_stage"] == "clean"
     assert [p.name for p in out.iterdir()] == ["manifest-pipeline.json"]
+
+
+def test_an_os_error_inside_a_pipeline_stage_is_a_failed_stage(tmp_path, valid_inputs):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "clean").write_text("a file where the clean directory goes\n", encoding="utf-8")
+    args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS["pipeline"]]
+    proc = run_cli("pipeline", *args, "--output-dir", str(out))
+    assert proc.returncode == 3
+    assert f"error: stage clean: [Errno 17] File exists: '{out / 'clean'}'" in proc.stderr
+    assert "i/o error" not in proc.stderr and "Traceback" not in proc.stderr
+    payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
+    assert payload["counts"]["failed_stage"] == "clean"
+    assert "vocab" in payload["counts"] and "clean" not in payload["counts"]
 
 
 # Each outside text file, given as ``{bad}``: exit code, and the text

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from tweetcorpus import parallel, pipeline
-from tweetcorpus.errors import ConfigInvalid, DataError, InputMissing, TweetCorpusError
+from tweetcorpus.errors import (ConfigInvalid, DataError, InputMissing, IOFailure,
+                               TweetCorpusError)
 from tweetcorpus.filtering import apply_filters
 from tweetcorpus.ingest import parse_record, serialize_record
 from tweetcorpus.langid import LangModel, agreement_filter
@@ -22,6 +23,7 @@ from tweetcorpus.pipeline import (
     file_digest,
     parse_config_file,
     run_pipeline,
+    run_stage,
     stage_clean,
     stage_ingest,
     stage_langid_train,
@@ -677,6 +679,23 @@ def test_a_write_that_fails_half_way_leaves_no_output(workspace, monkeypatch):
     assert sorted(p.name for p in (root / "out" / "ingest").iterdir()) == []
     monkeypatch.undo()
     assert stage_ingest(cfg).outputs == first.outputs
+
+
+def test_run_stage_names_an_os_error_as_an_io_failure(workspace, monkeypatch):
+    import tweetcorpus.pipeline
+
+    cfg, root = workspace
+
+    def failing(tweet):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tweetcorpus.pipeline, "serialize_record", failing)
+    with pytest.raises(IOFailure) as err:
+        run_stage("ingest", cfg)
+    assert err.value.stage == "ingest"
+    assert str(err.value) == "stage ingest: [Errno 28] No space left on device"
+    assert isinstance(err.value.__cause__, OSError)
+    assert sorted(p.name for p in (root / "out" / "ingest").iterdir()) == []
 
 
 def test_a_missing_upstream_manifest_is_input_missing(workspace):
