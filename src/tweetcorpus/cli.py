@@ -185,8 +185,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise DataError(f"{len(preds)} predictions for {len(y_true)} gold rows")
         report = tasks.prf_singlelabel(y_true, preds, args.averaging)
     else:
-        gold_tags = [tags for _, _, tags in tasks.read_conll(args.gold)]
-        pred_tags = [tags for _, _, tags in tasks.read_conll(args.pred)]
+        gold_tags = [tags for _, _, tags in tasks.read_conll(args.gold, args.repair_bio)]
+        pred_tags = [tags for _, _, tags in tasks.read_conll(args.pred, args.repair_bio)]
         report = tasks.entity_f1(gold_tags, pred_tags, repair=args.repair_bio)
 
     text = report.to_json()
@@ -198,6 +198,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_task_prep(args: argparse.Namespace) -> int:
+    if args.task == "ner" and not args.vocab:
+        raise ConfigInvalid("--vocab is required for ner")
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     examples = tasks.load_task_dataset(args.input, args.task, vocab,
                                        repair_bio=args.repair_bio)
@@ -243,7 +245,7 @@ def main() -> None:
     except TweetCorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(exc.exit_code)
-    except OSError as exc:
+    except OSError as exc:  # task-prep, eval, --config: run_stage names a stage's own
         print(f"i/o error: {exc}", file=sys.stderr)
         sys.exit(3)
 

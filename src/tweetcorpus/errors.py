@@ -53,4 +53,4 @@ class UnknownLabel(DataError):
 
 
 class InvalidBIO(DataError):
-    """A BIO tag sequence that is malformed; ``load_task_dataset`` adds the file position."""
+    """A BIO tag sequence that is malformed; ``read_conll`` adds the file position."""

@@ -161,8 +161,8 @@ def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1,
     min_n, max_n = ngram_range
     if not (1 <= min_n <= max_n <= 5):
         raise ValueError(f"ngram_range must satisfy 1 <= min <= max <= 5, got {ngram_range}")
-    if smoothing_alpha <= 0:
-        raise ValueError("smoothing_alpha must be positive")
+    if not 0 < smoothing_alpha < math.inf:
+        raise ValueError(f"smoothing_alpha must be finite and > 0, got {smoothing_alpha}")
 
     gram_counts: dict[str, Counter] = {}
     sample_counts: Counter = Counter()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack, contextmanager
@@ -174,8 +175,8 @@ class PipelineConfig:
             raise ConfigInvalid("io.workers must be >= 1")
         if not 0 < self.langid_threshold < 1:
             raise ConfigInvalid("langid.threshold must be in (0, 1)")
-        if not self.langid_alpha > 0:
-            raise ConfigInvalid("langid.alpha must be > 0")
+        if not 0 < self.langid_alpha < math.inf:
+            raise ConfigInvalid("langid.alpha must be finite and > 0")
         for model, (low, high) in (("a", self.langid_ngrams_a), ("b", self.langid_ngrams_b)):
             if not 1 <= low <= high <= 5:
                 raise ConfigInvalid(f"langid.ngram_min_{model} and langid.ngram_max_{model} "
@@ -624,19 +625,16 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
     vocab_file = Path(vocab_path or _stage_dir("vocab", cfg) / "vocab.txt")
     _require_inputs([vocab_file], "vocabulary")
     vocab = Vocabulary.load(vocab_file)
-    counts = {"documents": 0, "degenerate_documents": 0, "instances": 0}
+    stats = BuildStats()  # summed over every shard
     with _Outputs("pretrain-data", cfg, out_dir, in_dir) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
-            stats = BuildStats()
             build_records(read_document_file(shard_file), vocab, cfg.pretrain, dst,
                           workers=cfg.workers, stats=stats)
             if debug_jsonl:
                 write_records_jsonl(read_records(dst), out.path(f"{name}.jsonl"), cfg.pretrain)
-            for key in counts:
-                counts[key] += getattr(stats, key)
-        return out.commit(counts, [vocab_file])
+        return out.commit(dataclasses.asdict(stats), [vocab_file])
 
 
 def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
@@ -676,7 +674,7 @@ def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
 
 @contextmanager
 def _named(stage: str) -> Iterator[None]:
-    """Raise an error from inside again as ``stage <name>: ...``; an OSError as IOFailure."""
+    """Raise an error from inside again as ``stage <name>: ...``, once; an OSError as IOFailure."""
     try:
         yield
     except (TweetCorpusError, OSError) as exc:

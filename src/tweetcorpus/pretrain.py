@@ -69,8 +69,9 @@ class PretrainConfig:
     seed: int = 0
 
     def validate(self) -> "PretrainConfig":
-        if abs(self.mask_token_frac + self.keep_frac + self.random_frac - 1.0) > 1e-12:
-            raise ConfigInvalid("mask/keep/random fractions must sum to 1")
+        fractions = (self.mask_token_frac, self.keep_frac, self.random_frac)
+        if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-12:
+            raise ConfigInvalid("mask/keep/random fractions must each be in [0, 1] and sum to 1")
         if not 0 < self.masked_lm_prob < 1:
             raise ConfigInvalid("masked_lm_prob must be in (0, 1)")
         if self.dupe_factor < 1:

@@ -321,16 +321,29 @@ def load_sexism_dataset(path) -> list[SexismExample]:
     return out
 
 
-def read_conll(path) -> Iterator[tuple[int, list[str], list[str]]]:
+def _checked_sentence(path, lineno: int, words: list[str], tags: list[str], repair: bool):
+    """(lineno, words, tags) once ``tags`` are valid BIO over ENTITY_TYPES."""
+    where = f"{path}: sentence ending at line {lineno}"
+    try:
+        bio_decode(tags, repair=repair)
+    except InvalidBIO as exc:
+        raise InvalidBIO(f"{where}: {exc}") from exc
+    if unknown := [tag for tag in tags if tag != "O" and tag[2:] not in ENTITY_TYPES]:
+        raise UnknownLabel(f"{where}: unknown entity type in {unknown[0]!r}")
+    return lineno, words, tags
+
+
+def read_conll(path, repair: bool = False) -> Iterator[tuple[int, list[str], list[str]]]:
     """Sentences of a CoNLL-style two-column file (``word tag`` lines, a
-    blank line between sentences) as (line ending it, words, tags)."""
+    blank line between sentences) as (line ending it, words, tags), with
+    valid BIO tags over ENTITY_TYPES (``repair``: see ``bio_decode``)."""
     words: list[str] = []
     tags: list[str] = []
     lineno = 0
     for lineno, line in enumerate(read_text_lines(path), 1):
         if not line.strip():
             if words:
-                yield lineno, words, tags
+                yield _checked_sentence(path, lineno, words, tags, repair)
                 words, tags = [], []
             continue
         cols = line.split(" ")
@@ -339,23 +352,13 @@ def read_conll(path) -> Iterator[tuple[int, list[str], list[str]]]:
         words.append(cols[0])
         tags.append(cols[1])
     if words:
-        yield lineno, words, tags
+        yield _checked_sentence(path, lineno, words, tags, repair)
 
 
 def load_ner_dataset(path, vocab: Vocabulary, repair: bool = False) -> list[NerExample]:
-    """A CoNLL-style file (see read_conll) with valid BIO tags over ENTITY_TYPES."""
-    out = []
-    for lineno, words, tags in read_conll(path):
-        try:
-            bio_decode(tags, repair=repair)
-        except InvalidBIO as exc:
-            raise InvalidBIO(f"{path}: sentence ending at line {lineno}: {exc}") from exc
-        for tag in tags:
-            if tag != "O" and tag[2:] not in ENTITY_TYPES:
-                raise UnknownLabel(f"{path}: unknown entity type in {tag!r}")
-        out.append(NerExample(tuple(words), tuple(tags),
-                              align_first_subwords(words, vocab)))
-    return out
+    """The sentences of a CoNLL-style file (see read_conll), aligned to subwords."""
+    return [NerExample(tuple(words), tuple(tags), align_first_subwords(words, vocab))
+            for _, words, tags in read_conll(path, repair)]
 
 
 def load_task_dataset(path, task: str, vocab: Vocabulary | None = None,

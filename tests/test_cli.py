@@ -271,6 +271,39 @@ def test_task_prep_ner_writes_alignment(tmp_path):
     assert row["first_subword_index"] == [1, 2]
 
 
+def test_task_prep_ner_without_vocab_is_a_config_error(tmp_path):
+    data = tmp_path / "ner.txt"
+    data.write_text("Ion B-PER\nmerge O\n", encoding="utf-8")
+    out = tmp_path / "ner.jsonl"
+    proc = run_cli("task-prep", "--task", "ner", "--input", str(data), "--output", str(out))
+    assert proc.returncode == 1
+    assert "config error: --vocab is required for ner" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_eval_ner_checks_tags_as_task_prep_does(tmp_path):
+    valid = tmp_path / "valid.txt"
+    valid.write_text("Ion O\nPopescu O\n\nazi O\n", encoding="utf-8")
+    orphan = tmp_path / "orphan.txt"
+    orphan.write_text("Ion O\nPopescu I-PER\n\nazi B-TM\n", encoding="utf-8")
+    unknown = tmp_path / "unknown.txt"
+    unknown.write_text("Ion O\nPopescu B-PER\n\nazi B-FOO\n", encoding="utf-8")
+    for gold, pred, bad, message in [
+        (orphan, valid, orphan, "sentence ending at line 3: position 1: orphan 'I-PER'"),
+        (unknown, valid, unknown, "sentence ending at line 4: unknown entity type in 'B-FOO'"),
+        (valid, unknown, unknown, "sentence ending at line 4: unknown entity type in 'B-FOO'"),
+    ]:
+        proc = run_cli("eval", "--task", "ner", "--gold", str(gold), "--pred", str(pred))
+        assert proc.returncode == 2
+        assert f"error: {bad}: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    # --repair-bio reaches both reads
+    for gold, pred in ((orphan, valid), (valid, orphan)):
+        run_cli("eval", "--task", "ner", "--gold", str(gold), "--pred", str(pred),
+                "--repair-bio", check=True)
+
+
 def test_end_to_end_pipeline_subcommand(tmp_path):
     rng = random.Random(123)
     archive = tmp_path / "raw.jsonl"
@@ -394,6 +427,10 @@ _OUT_OF_RANGE = {
     "pipeline-emoji-fraction-0": ("pipeline", (), "vocab.emoji_fraction = 0\n"),
     "pipeline-emoji-fraction-1.5": ("pipeline", (), "vocab.emoji_fraction = 1.5\n"),
     "pipeline-alpha-negative": ("pipeline", (), "langid.alpha = -1\n"),
+    "langid-train-alpha-inf": ("langid-train", ("--alpha", "inf"), ""),
+    "pipeline-mask-frac-nan": ("pipeline", (), "pretrain.mask_token_frac = nan\n"),
+    "pipeline-fractions-outside-0-1": ("pipeline", (), "pretrain.mask_token_frac = 1.2\n"
+                                       "pretrain.keep_frac = -0.3\npretrain.random_frac = 0.1\n"),
     "pipeline-ngram-min-a-0": ("pipeline", (), "langid.ngram_min_a = 0\n"),
     "pipeline-ngram-max-b-6": ("pipeline", (), "langid.ngram_max_b = 6\n"),
 }

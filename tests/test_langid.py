@@ -276,8 +276,9 @@ def test_ngram_range_validation():
         train(samples, (3, 2))
     with pytest.raises(ValueError):
         train(samples, (1, 6))
-    with pytest.raises(ValueError):
-        train(samples, (1, 1), smoothing_alpha=0)
+    for alpha in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="smoothing_alpha must be finite and > 0"):
+            train(samples, (1, 1), smoothing_alpha=alpha)
 
 
 # --- text preparation --------------------------------------------------------

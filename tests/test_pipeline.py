@@ -103,6 +103,19 @@ def test_build_config_validates():
         build_config(overrides={"pretrain.dupe_factor": "abc"})
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"langid.alpha": "inf"}, "langid.alpha must be finite and > 0"),
+    ({"langid.alpha": "nan"}, "langid.alpha must be finite and > 0"),
+    ({"pretrain.mask_token_frac": "nan"}, "fractions must each be in"),
+    # they sum to 1, yet every masked position would become [MASK]
+    ({"pretrain.mask_token_frac": 1.2, "pretrain.keep_frac": -0.3, "pretrain.random_frac": 0.1},
+     "fractions must each be in"),
+], ids=["alpha-inf", "alpha-nan", "mask-frac-nan", "fractions-outside-0-1"])
+def test_build_config_rejects_non_finite_and_out_of_range_values(values, message):
+    with pytest.raises(ConfigInvalid, match=message):
+        build_config(overrides=values)
+
+
 def _write_archive(path, texts, start_id=1):
     with open(path, "w", encoding="utf-8") as fh:
         for i, text in enumerate(texts, start_id):
