@@ -6,14 +6,20 @@ pattern, ``EMOJI_RE``. ZWJ chains, flag
 (regional-indicator) pairs, keycaps, skin-tone and variation-selector
 extensions, and tag sequences all match as a single emoji.
 
-Each element of a sequence opens with ``START_CLASS``, the class of
-every code point that can start one: the Extended_Pictographic ranges,
+Each element of a sequence opens with ``START_CLASS``, which holds every
+code point that can start one: the Extended_Pictographic ranges,
 regional indicators, skin-tone modifiers and keycap bases. A
-one-character lookbehind then picks the element's branch from the
-character just matched. The leading class matters for speed: it gives
-``re`` a prefix character set, so ``finditer`` and ``search`` skip
-straight to candidate positions instead of trying the alternation at
-every character.
+one-character lookbehind then picks the element's branch, testing the
+character just matched against that branch's exact class. The leading
+class gives ``re`` a prefix character set, so ``finditer`` and
+``search`` skip straight to candidate positions.
+
+That skip is where plain text spends its time. ``re`` tests the BMP part
+of a class as one bitmap, but each range above U+FFFF in turn (27 in
+``START_RANGES``). So ``prefix_ranges`` folds the astral starts into the
+one block that holds them, U+1F000..U+1FFFF, and keeps the BMP exact. A
+code point that only the fold lets in passes no lookbehind, so the
+matches stay those of the exact class.
 """
 
 import re
@@ -70,19 +76,26 @@ def char_class(ranges) -> re.Pattern:
     return re.compile(f"[{body}]")
 
 
+def prefix_ranges(ranges) -> tuple:
+    """``ranges`` with every range inside U+1F000..U+1FFFF widened to that
+    whole block, for a prefix class whose match is checked again."""
+    kept = tuple(r for r in ranges if not 0x1F000 <= r[0] <= r[1] <= 0x1FFFF)
+    return kept + ((0x1F000, 0x1FFFF),) if len(kept) < len(ranges) else kept
+
+
 # Every code point at which a sequence can start. The four kinds are
 # disjoint, so the character an element opens with selects one branch.
 START_RANGES = EXTENDED_PICTOGRAPHIC + _RI + _SKIN + _KEYCAP_BASES
-START_CLASS = char_class(START_RANGES)
+START_CLASS = char_class(prefix_ranges(START_RANGES))
 
 
 def _sequence_pattern() -> str:
-    start, ep, ri, skin, tag, keycap_base = (
+    ep, ri, skin, tag, keycap_base = (
         char_class(ranges).pattern for ranges in (
-            START_RANGES, EXTENDED_PICTOGRAPHIC, _RI, _SKIN, _TAG, _KEYCAP_BASES))
+            EXTENDED_PICTOGRAPHIC, _RI, _SKIN, _TAG, _KEYCAP_BASES))
     vs = f"[{VARIATION_SELECTORS}]"
     element = (
-        f"{start}(?:"
+        f"{START_CLASS.pattern}(?:"
         f"(?<={ri}){ri}?"  # a flag pair, or a lone regional indicator
         f"|(?<={skin})"  # a lone skin-tone modifier
         f"|(?<={keycap_base})\ufe0f?\u20e3"  # a keycap needs U+20E3

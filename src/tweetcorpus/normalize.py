@@ -40,14 +40,17 @@ def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError)
     """The lines of the UTF-8 text file ``path``, without their newlines.
 
     Lines split as in text mode with universal newlines: at "\\n", "\\r"
-    and "\\r\\n" only. A byte that is not UTF-8 raises ``error`` naming
-    ``path:line``.
+    and "\\r\\n" only. A byte that is not UTF-8, or a leading byte-order
+    mark, raises ``error`` naming ``path:line``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
+            lines = [line.rstrip("\n") for line in fh]
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc, error) from None
+    if lines and lines[0].startswith("\ufeff"):
+        raise error(f"{path}:1: starts with a byte-order mark (U+FEFF)")
+    return lines
 
 
 def not_utf8(path: str | Path, exc: UnicodeDecodeError,
@@ -132,11 +135,11 @@ class EmojiMap:
         for keys in by_first.values():
             keys.sort(key=len, reverse=True)
         self._by_first = by_first
-        # positions where a key or an emoji sequence can start; first
-        # characters inside the emoji start ranges merge into them, which
-        # keeps the class short (``re`` tries a class's items in turn)
-        self._candidates = emojidata.char_class(
-            emojidata.START_RANGES + tuple((ord(ch), ord(ch)) for ch in by_first))
+        # positions where a key or an emoji sequence can start, as a prefix
+        # class (see ``emojidata``): ``translate_emojis`` steps past a
+        # position that neither a key nor a sequence matches
+        self._candidates = emojidata.char_class(emojidata.prefix_ranges(
+            emojidata.START_RANGES + tuple((ord(ch), ord(ch)) for ch in by_first)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -150,6 +153,7 @@ class EmojiMap:
     @classmethod
     def load(cls, path: str | Path) -> "EmojiMap":
         entries = {}
+        key_line = {}
         for lineno, line in enumerate(read_text_lines(path), 1):
             # a "#" line is a comment unless it starts with an emoji such as the keycap #️⃣
             if not line or line.startswith("#") and emojidata.match_emoji(line, 0) is None:
@@ -157,6 +161,10 @@ class EmojiMap:
             if "\t" not in line:
                 raise DataError(f"{path}:{lineno}: expected emoji<TAB>description")
             key, desc = line.split("\t", 1)
+            if key in key_line:
+                raise DataError(f"{path}:{lineno}: duplicate emoji {key!r}, "
+                                f"first at {path}:{key_line[key]}")
+            key_line[key] = lineno
             entries[key] = desc
         return cls(entries)
 

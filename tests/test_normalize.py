@@ -7,6 +7,7 @@ import regex
 from hypothesis import given, settings, strategies as st
 
 from tweetcorpus import emojidata
+from tweetcorpus.errors import DataError
 from tweetcorpus.normalize import (
     HASHTAG_PATTERN,
     MENTION_PATTERN,
@@ -280,6 +281,15 @@ def test_default_map_loads():
     assert translate_emojis("\U0001F600", m) == ":grinning face:"
 
 
+def test_map_file_names_both_lines_of_a_duplicate_key(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_text("\U0001F600\tfata\n# comentariu\n\U0001F680\tracheta\n"
+                    "\U0001F600\tzambet\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:4: duplicate emoji '\U0001F600', first at {path}:1")):
+        EmojiMap.load(path)
+
+
 def test_map_file_keeps_keycap_hash_lines_and_skips_comments(tmp_path):
     path = tmp_path / "map.tsv"
     path.write_text("#comment\n#\n#\ufe0f\u20e3\tdiez\n#\u20e3\tdiez scurt\n"
@@ -411,11 +421,15 @@ SCANNER_ALPHABET = (
     # the code points just outside the regional-indicator, skin-tone and
     # pictographic ranges
     + ["\U0001F1E5", "\U0001F3FA", "\U0001F400"]
+    # code points the prefix classes' fold of U+1F000..U+1FFFF lets in
+    # that start no emoji
+    + ["\U0001F10B", "\U0001F650", "\U0001F700", "\U0001FB00", "\U0001FFFE"]
     # ASCII letters and whitespace, and the custom map's key characters
     + list("abcXYZ") + [" ", "\n", "\t"] + ["<", "3", ":", ")"]
 )
 CUSTOM_MAP = EmojiMap({"<3": "inima", ":)": "zambet", "\U0001F600": "fata",
-                       "\U0001F468‍\U0001F469": "cuplu", "1️⃣": "unu"})
+                       "\U0001F468‍\U0001F469": "cuplu", "1️⃣": "unu",
+                       "\U0001F650\U0001F600": "nod"})
 
 
 DEFAULT_MAP = default_emoji_map()
@@ -468,3 +482,48 @@ def test_tag_runs(text, end):
 def test_custom_map_keys_still_translate():
     assert translate_emojis("te iubesc <3 :) \U0001F600", CUSTOM_MAP) \
         == "te iubesc :inima: :zambet: :fata:"
+    # a key that opens with a code point only the fold lets in, and that
+    # code point alone, which no key or sequence matches
+    assert translate_emojis("a\U0001F650\U0001F600 \U0001F650b\U0001F600", CUSTOM_MAP) \
+        == "a :nod: \U0001F650b :fata:"
+
+
+def _merged(ranges):
+    """Inclusive code point ranges, sorted, with overlapping and adjacent
+    ones merged."""
+    out = []
+    for lo, hi in sorted(ranges):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _matched_ranges(char_class, lo, hi):
+    """The ranges of the code points in lo..hi that the one-character class
+    ``char_class`` matches, found by matching each."""
+    text = "".join(map(chr, range(lo, hi + 1)))
+    return _merged((ord(found.group()),) * 2 for found in char_class.finditer(text))
+
+
+ASTRAL_EMOJI_BLOCK = (0x1F000, 0x1FFFF)
+
+
+def test_prefix_classes_hold_one_astral_range_for_the_emoji_starts():
+    # The element opener and a map's candidate class may fold the astral
+    # starts into the one block that holds them, which keeps ``re``'s
+    # search from testing each astral range in turn on plain text. They
+    # must still hold every start code point and every key's first
+    # character, and keep the BMP exact.
+    # U+1F10B lies inside the block, and U+20BB7 outside it
+    emoji_map = EmojiMap({"<3": "inima", "\U0001F10B": "cerc", "\U00020BB7": "ideograma"})
+    starts = _merged(emojidata.START_RANGES)
+    assert all(ASTRAL_EMOJI_BLOCK[0] <= lo <= hi <= ASTRAL_EMOJI_BLOCK[1]
+               for lo, hi in starts if hi > 0xFFFF)
+    assert emojidata.EMOJI_RE.pattern.startswith(emojidata.START_CLASS.pattern)
+    for prefix, firsts in ((emojidata.START_CLASS, ""), (emoji_map._candidates, "<\U00020BB7")):
+        exact = _merged(starts + [(ord(ch), ord(ch)) for ch in firsts])
+        assert _matched_ranges(prefix, 0, 0xFFFF) == [r for r in exact if r[1] <= 0xFFFF]
+        assert _matched_ranges(prefix, 0x10000, 0x10FFFF) == [ASTRAL_EMOJI_BLOCK] + [
+            r for r in exact if r[0] > ASTRAL_EMOJI_BLOCK[1]]

@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 import tweetcorpus
 from tweetcorpus.filtering import word_count
 from tweetcorpus.ingest import text_dedup_key
-from tweetcorpus.langid import _prepare
+from tweetcorpus.langid import _prepare, read_training_corpus
 from tweetcorpus.errors import ConfigInvalid, DataError
 from tweetcorpus.normalize import (
+    EmojiMap,
     collapse_whitespace,
     count_entities,
     default_emoji_map,
@@ -30,7 +31,10 @@ from tweetcorpus.normalize import (
     read_text_lines,
     translate_emojis,
 )
-from tweetcorpus.segment import split_sentences
+from tweetcorpus.pipeline import parse_config_file
+from tweetcorpus.segment import load_abbreviations, split_sentences
+from tweetcorpus.tasks import read_conll
+from tweetcorpus.vocab import STRUCTURAL_TOKENS, Vocabulary
 
 # every character str.split breaks on that a tweet may plausibly hold,
 # U+001C..U+001F (which the third-party regex engine's \s leaves out)
@@ -82,6 +86,53 @@ def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, data, lineno,
     path.write_bytes(data)
     with pytest.raises(error, match=re.escape(f"{path}:{lineno}: not UTF-8")):
         read_text_lines(path, error)
+
+
+BOM_MESSAGE = ":1: starts with a byte-order mark (U+FEFF)"
+
+
+@pytest.mark.parametrize("error", [DataError, ConfigInvalid])
+def test_a_leading_byte_order_mark_names_its_file(tmp_path, error):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\nb\n")
+    with pytest.raises(error, match=re.escape(f"{path}{BOM_MESSAGE}")):
+        read_text_lines(path, error)
+
+
+def test_a_later_zero_width_no_break_space_is_text(tmp_path):
+    path = tmp_path / "text.txt"
+    path.write_text("a\ufeffb\n\ufeffc\n", encoding="utf-8")
+    assert read_text_lines(path) == ["a\ufeffb", "\ufeffc"]
+
+
+# Each reader of an outside text file, a file it loads, what it loads
+# from it, and the error family it raises. The first three once read a
+# leading byte-order mark as part of the first line: a language
+# "\ufeffro", no "dr.", a key "\ufeff\U0001F600".
+TEXT_READERS = {
+    "langid_corpus": (read_training_corpus, "ro\tazi plouă\nen\tit rains\n",
+                      lambda out: {code for _, code in out} == {"ro", "en"}, DataError),
+    "abbreviations": (load_abbreviations, "dr.\nprof\n",
+                      lambda out: out == {"dr.", "prof."}, DataError),
+    "emoji_map": (EmojiMap.load, "\U0001F600\tfata\n",
+                  lambda out: translate_emojis("\U0001F600", out) == ":fata:", DataError),
+    "vocabulary": (Vocabulary.load, "\n".join(STRUCTURAL_TOKENS) + "\n",
+                   lambda out: out.pad_id == 0, DataError),
+    "config": (parse_config_file, "seed = 3\n", lambda out: out == {"seed": "3"}, ConfigInvalid),
+    "conll": (lambda path: list(read_conll(path)), "Ion B-PER\n",
+              lambda out: out == [(1, ["Ion"], ["B-PER"])], DataError),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_READERS)
+def test_every_text_reader_rejects_a_leading_byte_order_mark(tmp_path, name):
+    reader, text, loaded, error = TEXT_READERS[name]
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert loaded(reader(path))
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    with pytest.raises(error, match=re.escape(f"{path}{BOM_MESSAGE}")):
+        reader(path)
 
 
 def test_url_ends_at_an_information_separator():
