@@ -13,12 +13,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import MalformedRecord
-# fnv1a64_text stays importable from here: the traced benchmark
-# (bench/tracing.py) wraps it under this name.
-from .hashing import fnv1a64_text
 from .normalize import collapse_whitespace
 
 _MAX_ID = 2**64 - 1
@@ -27,6 +25,7 @@ _EPOCH = datetime(1970, 1, 1)
 _UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
 _MIN_TS, _MAX_TS = -62135596800, 253402300799  # 0001-01-01, 9999-12-31T23:59:59 UTC
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_BOM = b"\xef\xbb\xbf"
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,15 @@ def serialize_record(tweet: RawTweet) -> str:
     return _encode(obj)
 
 
+def fnv1a64_text(text: str) -> int:
+    """64-bit FNV-1a of the UTF-8 text. No stage calls it; it stays only
+    because bench/tracing.py wraps it here, and goes when that wrap does."""
+    h = 0xCBF29CE484222325
+    for b in text.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def text_dedup_key(text: str) -> int:
     """The 64-bit BLAKE2b digest of the canonical text, little-endian."""
     canonical = collapse_whitespace(text).lower().encode("utf-8")
@@ -146,20 +154,18 @@ def dedup(
 ) -> Iterator[RawTweet]:
     """Drop id and near-verbatim text duplicates, keeping first occurrences."""
     state = state if state is not None else DedupState()
+    stats = stats or IngestStats()
     for tweet in tweets:
         if tweet.id in state.seen_ids:
-            if stats:
-                stats.duplicates_id += 1
+            stats.duplicates_id += 1
             continue
         key = text_dedup_key(tweet.text)
         if key in state.seen_text_hashes:
-            if stats:
-                stats.duplicates_text += 1
+            stats.duplicates_text += 1
             continue
         state.seen_ids.add(tweet.id)
         state.seen_text_hashes.add(key)
-        if stats:
-            stats.emitted += 1
+        stats.emitted += 1
         yield tweet
 
 
@@ -167,22 +173,26 @@ def read_archive(path, stats: IngestStats | None = None,
                  digests: dict | None = None) -> Iterator[RawTweet]:
     """Stream an archive file, counting malformed and undecodable lines.
 
-    Once the stream is exhausted, ``digests[path]`` is the sha256 of
-    every byte it read: the file is read once, so it may be a FIFO.
+    A UTF-8 byte-order mark may lead the file, not a later line. Once
+    the stream is exhausted, ``digests[path]`` is the sha256 of every
+    byte it read: the file is read once, so it may be a FIFO.
     """
+    stats = stats or IngestStats()
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        for raw in fh:
+        first = fh.readline()
+        if first.startswith(_BOM):  # it leads the file, not the first record
+            sha.update(_BOM)
+            first = first[len(_BOM):]
+        for raw in chain((first,), fh):
             sha.update(raw)
             raw = raw.strip()
             if not raw:
                 continue
-            if stats:
-                stats.read += 1
+            stats.read += 1
             try:
                 yield parse_record(raw)
             except MalformedRecord:
-                if stats:
-                    stats.malformed += 1
+                stats.malformed += 1
     if digests is not None:
         digests[path] = sha.hexdigest()

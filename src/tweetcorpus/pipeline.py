@@ -20,7 +20,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -452,16 +452,12 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     inputs = _input_paths(cfg)
     stats = IngestStats()
     digests: dict[Path, str] = {}
-
-    def tweets():
-        for path in inputs:
-            yield from read_archive(path, stats, digests)
-
     with _Outputs("ingest", cfg, out_dir) as out:
         with ExitStack() as files:
             sinks = [files.enter_context(open(out.path(f"tweets-{i:05}.jsonl"), "w",
                                               encoding="utf-8")) for i in range(cfg.shards)]
-            for k, tweet in enumerate(dedup(tweets(), stats=stats)):
+            tweets = chain.from_iterable(read_archive(p, stats, digests) for p in inputs)
+            for k, tweet in enumerate(dedup(tweets, stats=stats)):
                 sink = sinks[k % cfg.shards]
                 sink.write(serialize_record(tweet))
                 sink.write("\n")
@@ -472,7 +468,7 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
                        out_dir: str | Path | None = None) -> RunManifest:
     """Train the two agreement-ensemble models from code<TAB>text lines."""
     corpus = Path(corpus)
-    _require_inputs([corpus], "language training corpus")
+    _require_inputs([corpus])
     samples = read_training_corpus(corpus)
     with _Outputs("langid-train", cfg, out_dir) as out:
         train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(out.path("model-a.rlid"))
@@ -623,7 +619,7 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
                         debug_jsonl: bool = False) -> RunManifest:
     """Generate and serialize MLM/NSP instances per document shard."""
     vocab_file = Path(vocab_path or _stage_dir("vocab", cfg) / "vocab.txt")
-    _require_inputs([vocab_file], "vocabulary")
+    _require_inputs([vocab_file])
     vocab = Vocabulary.load(vocab_file)
     stats = BuildStats()  # summed over every shard
     with _Outputs("pretrain-data", cfg, out_dir, in_dir) as out:
@@ -644,13 +640,12 @@ def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunMa
     digests: dict[Path, str] = {}
     words = 0
     entity_totals = {"mentions": 0, "hashtags": 0, "urls": 0, "emojis": 0}
-    for path in inputs:
-        for tweet in read_archive(path, stats, digests):
-            stats.emitted += 1
-            words += word_count(tweet.text)
-            counts = count_entities(tweet.text)
-            for key in entity_totals:
-                entity_totals[key] += getattr(counts, key)
+    for tweet in chain.from_iterable(read_archive(p, stats, digests) for p in inputs):
+        stats.emitted += 1
+        words += word_count(tweet.text)
+        counts = count_entities(tweet.text)
+        for key in entity_totals:
+            entity_totals[key] += getattr(counts, key)
     counts = dataclasses.asdict(stats)
     counts.pop("duplicates_id")
     counts.pop("duplicates_text")

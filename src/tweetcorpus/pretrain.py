@@ -35,7 +35,7 @@ import sys
 import zlib
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain
 from math import ceil, log
@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import ConfigInvalid, CorruptRecord, DataError, VersionMismatch
-from .hashing import mix64
 from .parallel import ordered_map
 from .segment import Document
 from .vocab import Vocabulary, encode, wordpiece_tokenize
@@ -95,14 +94,39 @@ class PretrainInstance:
     masked_positions: tuple[int, ...]
     masked_label_ids: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "token_ids": list(self.token_ids),
-            "segment_ids": list(self.segment_ids),
-            "is_random_next": self.is_random_next,
-            "masked_positions": list(self.masked_positions),
-            "masked_label_ids": list(self.masked_label_ids),
-        }
+
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+_MASK = 0xFFFFFFFFFFFFFFFF
+# _ZERO_BYTES[k]: folding k zero bytes, FNV_PRIME**k mod 2**64
+_ZERO_BYTES = tuple(pow(FNV_PRIME, k, 1 << 64) for k in range(9))
+
+
+def mix64(seed: int, *parts: int) -> int:
+    """Mix a base seed with integer parts into one 64-bit seed.
+
+    The builtin ``hash`` is salted per process; FNV-1a is the same on
+    every platform. The seed, then each part, is folded in through the
+    FNV-1a step function over the 8 bytes of its little-endian
+    representation (mod 2**64), then finalized with an xor-shift so that
+    nearby (seed, part) tuples land far apart. XOR with a zero byte
+    changes nothing, so the zero high bytes of a small value are folded
+    as one multiplication by a power of FNV_PRIME; the result is the
+    same as folding all 8 bytes one at a time.
+    """
+    h = FNV_OFFSET
+    for word in (seed, *parts):
+        word &= _MASK
+        zeros = 8
+        while word:
+            h = ((h ^ (word & 0xFF)) * FNV_PRIME) & _MASK
+            word >>= 8
+            zeros -= 1
+        h = (h * _ZERO_BYTES[zeros]) & _MASK
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & _MASK
+    h ^= h >> 33
+    return h
 
 
 def _below(getrandbits, n: int) -> int:
@@ -276,11 +300,11 @@ def tokenize_documents(documents: Iterable[Document], vocab: Vocabulary,
     WordPiece treats every whitespace-separated word on its own, so each
     distinct word is tokenized once per call and its ids are reused.
     """
+    stats = stats or BuildStats()
     word_ids: dict[str, list[int]] = {}
     out = []
     for doc in documents:
-        if stats:
-            stats.documents += 1
+        stats.documents += 1
         sentences = []
         for sentence in doc:
             ids: list[int] = []
@@ -293,7 +317,7 @@ def tokenize_documents(documents: Iterable[Document], vocab: Vocabulary,
                 sentences.append(ids)
         if sentences:
             out.append(sentences)
-        elif stats:
+        else:
             stats.degenerate_documents += 1
     return out
 
@@ -304,7 +328,7 @@ CHUNK_PAIRS = 512
 
 
 def _built_chunks(documents: Iterable[Document], vocab: Vocabulary, cfg: PretrainConfig,
-                  workers: int, stats: BuildStats | None) -> Iterator[tuple[int, bytes]]:
+                  workers: int, stats: BuildStats) -> Iterator[tuple[int, bytes]]:
     """Each chunk's ``(count, frames)``, in pair order. The documents are
     tokenized and checked at the call, before any chunk is built."""
     cfg.validate()
@@ -345,9 +369,9 @@ def build_instances(documents: Iterable[Document], vocab: Vocabulary,
     from the frames that ``build_records`` writes, so they equal the
     records on disk.
     """
+    stats = stats or BuildStats()
     for built, frames in _built_chunks(documents, vocab, cfg, workers, stats):
-        if stats:
-            stats.instances += built
+        stats.instances += built
         for payload in _walk(frames)[0]:
             yield _unpack_instance(payload)
 
@@ -361,9 +385,9 @@ def build_records(documents: Iterable[Document], vocab: Vocabulary,
     Every chunk of pairs is packed into framed records where it is
     built, so this process only writes bytes. Returns the record count.
     """
+    stats = stats or BuildStats()
     count = _write_file(sink, cfg, _built_chunks(documents, vocab, cfg, workers, stats))
-    if stats:
-        stats.instances += count
+    stats.instances += count
     return count
 
 
@@ -548,6 +572,6 @@ def write_records_jsonl(instances: Iterable[PretrainInstance],
             "max_predictions_per_seq": cfg.max_predictions_per_seq,
         }) + "\n")
         for inst in instances:
-            out.write(json.dumps(inst.as_dict()) + "\n")
+            out.write(json.dumps(asdict(inst)) + "\n")
             count += 1
     return count

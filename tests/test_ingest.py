@@ -98,6 +98,36 @@ def test_read_archive_digests_every_byte_it_reads(tmp_path):
     assert digests == {path: hashlib.sha256(data).hexdigest()}
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_read_archive_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "archive.jsonl"
+    data = BOM + b'{"id":1,"text":"a"}\n{"id":2,"text":"b"}\n'
+    path.write_bytes(data)
+    stats, digests = IngestStats(), {}
+    assert [t.id for t in read_archive(path, stats, digests)] == [1, 2]
+    assert (stats.read, stats.malformed) == (2, 0)
+    assert digests == {path: hashlib.sha256(data).hexdigest()}  # the mark included
+
+
+def test_read_archive_counts_a_later_byte_order_mark_as_malformed(tmp_path):
+    path = tmp_path / "archive.jsonl"
+    path.write_bytes(b'{"id":1,"text":"a"}\n' + BOM + b'{"id":2,"text":"b"}\n')
+    stats = IngestStats()
+    assert [t.id for t in read_archive(path, stats)] == [1]
+    assert (stats.read, stats.malformed) == (2, 1)
+
+
+@pytest.mark.parametrize("data", [b"", BOM, BOM + b"\r\n", BOM + b"\n\n"])
+def test_read_archive_of_a_mark_and_blank_lines_reads_nothing(tmp_path, data):
+    path = tmp_path / "archive.jsonl"
+    path.write_bytes(data)
+    stats = IngestStats()
+    assert list(read_archive(path, stats)) == []
+    assert stats == IngestStats()
+
+
 def test_parse_invalid_utf8_bytes():
     with pytest.raises(MalformedRecord, match="can't decode byte 0xff"):
         parse_record(b'{"id":1,"text":"\xff\xfe"}')

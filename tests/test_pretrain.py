@@ -15,7 +15,6 @@ from tweetcorpus.errors import (
     DataError,
     VersionMismatch,
 )
-from tweetcorpus.hashing import mix64
 from tweetcorpus.pretrain import (
     BuildStats,
     PretrainConfig,
@@ -23,6 +22,7 @@ from tweetcorpus.pretrain import (
     build_instances,
     build_records,
     mask_sequence,
+    mix64,
     read_header,
     read_records,
     tokenize_documents,
@@ -636,6 +636,7 @@ def test_write_rejects_labels_not_matching_positions():
 
 
 def test_jsonl_emitter_mirrors_fields(tmp_path):
+    import dataclasses
     import json
     cfg = PretrainConfig()
     rng = random.Random(5)
@@ -645,8 +646,8 @@ def test_jsonl_emitter_mirrors_fields(tmp_path):
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
     assert head["max_seq_length"] == cfg.max_seq_length
-    row = json.loads(lines[1])
-    assert row == instances[0].as_dict()
+    rows = [json.loads(line) for line in lines[1:]]
+    assert rows == [json.loads(json.dumps(dataclasses.asdict(inst))) for inst in instances]
 
 
 def _mix64_bytewise(seed, *parts):
