@@ -52,14 +52,14 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class FilterVerdict:
-    accepted: bool
     reason: RejectReason
 
-    def __post_init__(self):
-        assert self.accepted == (self.reason is RejectReason.NONE)
+    @property
+    def accepted(self) -> bool:
+        return self.reason is RejectReason.NONE
 
 
-_ACCEPT = FilterVerdict(True, RejectReason.NONE)
+_ACCEPT = FilterVerdict(RejectReason.NONE)
 
 
 def word_count(text: str) -> int:
@@ -75,15 +75,15 @@ def apply_filters(text: str, counts: EntityCounts, cfg: FilterConfig) -> FilterV
     """
     n = word_count(text)
     if n < cfg.min_words:
-        return FilterVerdict(False, RejectReason.TOO_SHORT)
+        return FilterVerdict(RejectReason.TOO_SHORT)
     if n > cfg.max_words:
-        return FilterVerdict(False, RejectReason.TOO_LONG)
+        return FilterVerdict(RejectReason.TOO_LONG)
     if counts.mentions > cfg.max_mentions:
-        return FilterVerdict(False, RejectReason.TOO_MANY_MENTIONS)
+        return FilterVerdict(RejectReason.TOO_MANY_MENTIONS)
     if counts.hashtags > cfg.max_hashtags:
-        return FilterVerdict(False, RejectReason.TOO_MANY_HASHTAGS)
+        return FilterVerdict(RejectReason.TOO_MANY_HASHTAGS)
     if counts.urls > cfg.max_urls:
-        return FilterVerdict(False, RejectReason.TOO_MANY_URLS)
+        return FilterVerdict(RejectReason.TOO_MANY_URLS)
     if counts.emojis > cfg.max_emojis:
-        return FilterVerdict(False, RejectReason.TOO_MANY_EMOJIS)
+        return FilterVerdict(RejectReason.TOO_MANY_EMOJIS)
     return _ACCEPT

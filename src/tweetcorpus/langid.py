@@ -220,19 +220,14 @@ def _ranked(model: LangModel, counters: Sequence[Counter]) -> list[tuple[str, fl
                   key=lambda pair: (-pair[1], pair[0]))
 
 
-def _classifiable(text: str) -> str:
-    stripped = _prepare(text)
-    if not stripped:
-        raise DataError(f"nothing classifiable in {text!r}")
-    return stripped
-
-
 def classify(model: LangModel, text: str) -> list[LangScore]:
     """Full posterior over the model's languages, descending.
 
     Ties break by language code ascending; probabilities sum to 1.
     """
-    counters = _count_ngrams(_classifiable(text), *model.ngram_range)
+    if not (stripped := _prepare(text)):
+        raise DataError(f"nothing classifiable in {text!r}")
+    counters = _count_ngrams(stripped, *model.ngram_range)
     return [LangScore(lang, p) for lang, p in _ranked(model, counters)]
 
 
@@ -346,13 +341,15 @@ def _margin_verdict(model: LangModel, target: str, threshold: float,
 
 def agreement_filter(text: str, model_a: LangModel, model_b: LangModel,
                      target: str, threshold: float = 0.5) -> bool:
-    """True iff both models rank ``target`` first at or above ``threshold``.
+    """True iff both models rank ``target`` first at or above ``threshold``;
+    False for a text with nothing to classify, which ``classify`` rejects.
 
     Each model is decided from its margins where they prove the answer,
     else by exact scoring; the answer is the same either way."""
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    stripped = _classifiable(text)
+    if not (stripped := _prepare(text)):
+        return False
     lo = min(model_a.ngram_range[0], model_b.ngram_range[0])
     # orders lo, lo + 1, ... are built once, for both models, and the
     # orders only model B uses only after model A has accepted

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -105,8 +104,6 @@ _ARCHIVES = ("ingest", "stats", "pipeline")
 _CLEAN = ("clean", "pipeline")
 _RECORDS = ("pretrain-data", "pipeline")
 
-_ONE_MODEL = "language filtering needs both langid.model_a and model_b"
-
 
 @dataclass
 class PipelineConfig:
@@ -184,7 +181,7 @@ class PipelineConfig:
         if not 0 < self.emoji_fraction <= 1:
             raise ConfigInvalid("vocab.emoji_fraction must be in (0, 1]")
         if bool(self.langid_model_a) != bool(self.langid_model_b):
-            raise ConfigInvalid(_ONE_MODEL)
+            raise ConfigInvalid("language filtering needs both langid.model_a and model_b")
         return self
 
 
@@ -477,10 +474,8 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
 
 
 def _load_clean_context(cfg: PipelineConfig) -> dict:
+    cfg.validate()  # again: library callers may set the model paths after build_config
     model_a = model_b = None
-    # validate() checks this too, but library callers may set the paths later
-    if bool(cfg.langid_model_a) != bool(cfg.langid_model_b):
-        raise ConfigInvalid(_ONE_MODEL)
     if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)
         model_b = LangModel.load(cfg.langid_model_b)
@@ -515,14 +510,9 @@ def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
     verdict = apply_filters(normalized, counts, ctx["filters"])
     if not verdict.accepted:
         return None, verdict.reason.value
-    if ctx["model_a"] is not None:
-        try:
-            ok = agreement_filter(text, ctx["model_a"], ctx["model_b"],
-                                  ctx["target"], ctx["threshold"])
-        except TweetCorpusError:
-            return None, RejectReason.NOT_TARGET_LANGUAGE.value
-        if not ok:
-            return None, RejectReason.NOT_TARGET_LANGUAGE.value
+    if ctx["model_a"] is not None and not agreement_filter(
+            text, ctx["model_a"], ctx["model_b"], ctx["target"], ctx["threshold"]):
+        return None, RejectReason.NOT_TARGET_LANGUAGE.value
     return translate_emojis(normalized, ctx["emoji_map"]), RejectReason.NONE.value
 
 
@@ -600,7 +590,7 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
     with _Outputs("vocab", cfg, out_dir, in_dir) as out:
         emojis = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
                                          for line in _shard_lines(shard))
-        top = select_top_emojis(emojis, cfg.emoji_fraction) if emojis else []
+        top = select_top_emojis(emojis, cfg.emoji_fraction)
         base = out.loaded
         extended = extend_vocabulary(base, TWEET_TOKENS, top)
         extended.save(out.path("vocab.txt"))
@@ -685,11 +675,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """ingest -> vocab -> clean -> segment -> pretrain-data.
 
     Vocabulary extension runs right after ingest because emoji counting
-    needs the pre-translation text. An archive whose tweets are all
-    rejected still succeeds: the corpus is empty, a warning is printed,
-    and the record stage is skipped. A stage that fails (I/O included),
-    or whose outside input file is missing or bad (all are read before
-    ingest), is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
+    needs the pre-translation text. An empty corpus shard (every tweet
+    rejected) gives a header-only record file; a shard of one document
+    fails the record stage, as documents pair only within their shard.
+    A stage that fails (I/O included), or whose outside input file is
+    missing or bad (all are read before ingest), is recorded as
+    ``failed_stage`` in ``manifest-pipeline.json``.
     """
     if not cfg.output_dir:
         raise ConfigInvalid("io.output_dir is not set")
@@ -706,12 +697,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             with _named(name):
                 _read_outside(name, cfg)
         for name in PIPELINE:
-            if name == "pretrain-data" and counts["segment"]["documents"] < 2:
-                print("warning: fewer than 2 documents survived cleaning; "
-                      "skipping pretraining records", file=sys.stderr)
-                counts[name] = {"documents": counts["segment"]["documents"],
-                                "degenerate_documents": 0, "instances": 0, "skipped": True}
-                continue
             manifest = run_stage(name, cfg)
             counts[name] = manifest.counts
             stage_manifests.append(manifest)

@@ -333,8 +333,8 @@ def _built_chunks(documents: Iterable[Document], vocab: Vocabulary, cfg: Pretrai
     tokenized and checked at the call, before any chunk is built."""
     cfg.validate()
     tok_docs = tokenize_documents(documents, vocab, stats)
-    if len(tok_docs) < 2:
-        raise DataError(f"need at least 2 tokenizable documents, got {len(tok_docs)}")
+    if len(tok_docs) == 1:
+        raise DataError("need at least 2 tokenizable documents, got 1")
     vocab.replacement_pool  # built here, once, not in every worker
     # a literal [CLS] or [SEP] word breaks the layout's candidates
     cls_id, sep_id = vocab.cls_id, vocab.sep_id
@@ -364,10 +364,10 @@ def build_instances(documents: Iterable[Document], vocab: Vocabulary,
                     stats: BuildStats | None = None) -> Iterator[PretrainInstance]:
     """Generate instances in (document index, duplicate index) order.
 
-    Requires at least two non-degenerate documents so a foreign document
-    always exists for random-next sampling. The instances are unpacked
-    from the frames that ``build_records`` writes, so they equal the
-    records on disk.
+    No non-degenerate document gives no instances; exactly one is an
+    error, as random-next sampling needs a foreign document. The
+    instances are unpacked from the frames that ``build_records``
+    writes, so they equal the records on disk.
     """
     stats = stats or BuildStats()
     for built, frames in _built_chunks(documents, vocab, cfg, workers, stats):

@@ -94,11 +94,9 @@ def _emoji_ranking(counts: Counter) -> list[tuple[str, int]]:
 
 
 def select_top_emojis(counts: Counter, fraction: float = 0.25) -> list[str]:
-    """The first ceil(fraction * distinct) emojis of the ranking."""
+    """The first ceil(fraction * distinct) emojis of the ranking (none of an empty table)."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if not counts:
-        raise DataError("no emojis counted")
     k = math.ceil(fraction * len(counts))
     return [emoji_seq for emoji_seq, _ in _emoji_ranking(counts)[:k]]
 

@@ -402,8 +402,7 @@ def test_pipeline_workers_do_not_change_digests(workspace, tmp_path):
     assert manifest1.outputs == manifest2.outputs
 
 
-def test_pipeline_all_spam_is_success_with_warning(tmp_path, capsys):
-    rng = random.Random(9)
+def test_pipeline_all_spam_writes_an_empty_record_file(tmp_path, capsys):
     archive = tmp_path / "raw.jsonl"
     _write_archive(archive, ["@a @b @c @d spam aici " + str(i) + " x y z"
                              for i in range(10)])
@@ -415,9 +414,63 @@ def test_pipeline_all_spam_is_success_with_warning(tmp_path, capsys):
         "vocab.base": str(base_vocab),
     })
     manifest = run_pipeline(cfg)
+    assert capsys.readouterr().err == ""
     assert manifest.counts["clean"]["emitted"] == 0
-    assert manifest.counts["pretrain-data"]["instances"] == 0
-    assert manifest.counts["pretrain-data"].get("skipped") is True
+    empty = {"documents": 0, "degenerate_documents": 0, "instances": 0}
+    assert manifest.counts["pretrain-data"] == empty
+    stage = json.loads((tmp_path / "out" / "pretrain" / "manifest-pretrain-data.json")
+                       .read_text())
+    assert stage["counts"] == empty
+    listed = json.loads((tmp_path / "out" / "manifest-pipeline.json").read_text())["outputs"]
+    assert "pretrain-data/pretrain-00000.rbtw" in listed
+    assert (tmp_path / "out" / "pretrain" / "pretrain-00000.rbtw").stat().st_size == 18
+
+
+def _short_and_long_archive(path, shards, short_shards):
+    """Two tweets per shard, round-robin; those of ``short_shards`` fail min_words."""
+    texts = [f"scurt {k}" if k % shards in short_shards else
+             f"Tweetul numarul {k} are destule cuvinte aici." for k in range(2 * shards)]
+    _write_archive(path, texts)
+
+
+def test_pipeline_with_all_rejected_shards_writes_header_only_records(tmp_path):
+    from tweetcorpus.pretrain import read_records
+    archive = tmp_path / "raw.jsonl"
+    _short_and_long_archive(archive, 4, {2, 3})
+    base_vocab = tmp_path / "base.txt"
+    _write_base_vocab(base_vocab)
+    out = tmp_path / "out"
+    manifest = run_pipeline(build_config(overrides={
+        "io.input": str(archive), "io.output_dir": str(out), "io.shards": 4,
+        "vocab.base": str(base_vocab), "pretrain.dupe_factor": 1}))
+    assert manifest.counts["clean"]["rejected"]["too_short"] == 4
+    assert manifest.counts["pretrain-data"]["documents"] == 4
+    assert manifest.counts["pretrain-data"]["instances"] > 0
+    for shard in (2, 3):
+        assert (out / "segment" / f"corpus-{shard:05}.txt").read_text() == ""
+        records = out / "pretrain" / f"pretrain-{shard:05}.rbtw"
+        assert records.stat().st_size == 18
+        assert list(read_records(records)) == []
+        assert f"pretrain-data/{records.name}" in manifest.outputs
+    for shard in (0, 1):
+        assert list(read_records(out / "pretrain" / f"pretrain-{shard:05}.rbtw"))
+
+
+def test_pipeline_fails_on_a_shard_of_one_document(tmp_path):
+    archive = tmp_path / "raw.jsonl"
+    _write_archive(archive, ["Un singur tweet are destule cuvinte aici.", "prea scurt"])
+    base_vocab = tmp_path / "base.txt"
+    _write_base_vocab(base_vocab)
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match="need at least 2 tokenizable documents, got 1"):
+        run_pipeline(build_config(overrides={
+            "io.input": str(archive), "io.output_dir": str(out),
+            "vocab.base": str(base_vocab)}))
+    payload = json.loads((out / "manifest-pipeline.json").read_text())
+    assert payload["counts"]["failed_stage"] == "pretrain-data"
+    assert payload["counts"]["segment"]["documents"] == 1
+    assert "pretrain-data" not in payload["counts"]
+    assert payload["outputs"] == {}
 
 
 def test_pretrain_stage_rerun_identical_digest(workspace, tmp_path):

@@ -450,6 +450,21 @@ def test_build_records_needs_two_documents(word_vocab, tmp_path):
                       tmp_path / "out.rbtw")
 
 
+@pytest.mark.parametrize("docs", [[], [Document((" ",)), Document(("  ", " "))]],
+                         ids=["none", "degenerate"])
+def test_build_records_of_no_documents_writes_a_header_only_file(word_vocab, tmp_path, docs):
+    stats = BuildStats()
+    dst = tmp_path / "out.rbtw"
+    cfg = PretrainConfig(max_seq_length=32)
+    assert build_records(docs, word_vocab, cfg, dst, stats=stats) == 0
+    assert dst.stat().st_size == 18  # header and its CRC32
+    header = []
+    assert list(read_records(dst, header_out=header)) == []
+    assert (header[0].max_seq_length, header[0].max_predictions_per_seq) == (32, 20)
+    assert stats == BuildStats(documents=len(docs), degenerate_documents=len(docs))
+    assert list(build_instances(docs, word_vocab, cfg)) == []
+
+
 # --- records -----------------------------------------------------------------
 
 

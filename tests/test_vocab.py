@@ -66,8 +66,8 @@ def test_select_tie_break_by_codepoint():
 
 
 def test_select_empty_table():
-    with pytest.raises(DataError, match="no emojis counted"):
-        select_top_emojis(Counter(), 0.25)
+    assert select_top_emojis(Counter(), 0.25) == []
+    assert select_top_emojis(Counter(), 1.0) == []
 
 
 def test_select_matches_full_sort_oracle():
