@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     add_sub("vocab", "extend the base vocabulary")
 
     sub = add_sub("pretrain-data", "generate MLM/NSP records")
-    sub.add_argument("--vocab", help="vocabulary file")
+    sub.add_argument("--vocab", help="vocabulary file (default <output-dir>/vocab/vocab.txt)")
     sub.add_argument("--debug-jsonl", action="store_true",
                      help="also write line-delimited JSON twins of the records")
 

@@ -39,7 +39,7 @@ class FilterConfig:
     max_urls: int = 3
     max_emojis: int = 3
 
-    def validate(self) -> "FilterConfig":
+    def __post_init__(self) -> None:
         if self.min_words < 1:
             raise ConfigInvalid("min_words must be >= 1")
         if self.max_words < self.min_words:
@@ -47,7 +47,6 @@ class FilterConfig:
         for name in ("max_mentions", "max_hashtags", "max_urls", "max_emojis"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
-        return self
 
 
 @dataclass(frozen=True)

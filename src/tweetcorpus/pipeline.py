@@ -105,7 +105,7 @@ _CLEAN = ("clean", "pipeline")
 _RECORDS = ("pretrain-data", "pipeline")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Every stage knob, with paper-faithful defaults.
 
@@ -114,6 +114,8 @@ class PipelineConfig:
     ``build_config`` and the CLI flags are derived from them. The fields
     of ``filters`` and ``pretrain`` are keys ``filter.<field>`` and
     ``pretrain.<field>`` with flags ``--<field>``.
+
+    A config is frozen, and checked whenever it is built, by ``dataclasses.replace`` too.
     """
 
     input: str = _key("io.input", "", "--input", _ARCHIVES, "archive(s), comma separated")
@@ -162,10 +164,9 @@ class PipelineConfig:
         return {key: getattr(getattr(self, spec.section) if spec.section else self, spec.name)
                 for key, spec in CONFIG_KEYS.items()}
 
-    def validate(self) -> "PipelineConfig":
-        """Reject out-of-range values before any stage runs."""
-        self.filters.validate()
-        self.pretrain.validate()
+    def __post_init__(self) -> None:
+        """Reject out-of-range values; the records take the global seed."""
+        object.__setattr__(self, "pretrain", dataclasses.replace(self.pretrain, seed=self.seed))
         if self.shards < 1:
             raise ConfigInvalid("io.shards must be >= 1")
         if self.workers < 1:
@@ -182,7 +183,6 @@ class PipelineConfig:
             raise ConfigInvalid("vocab.emoji_fraction must be in (0, 1]")
         if bool(self.langid_model_a) != bool(self.langid_model_b):
             raise ConfigInvalid("language filtering needs both langid.model_a and model_b")
-        return self
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,16 @@ class ConfigKey:
     name: str  # the field holding the value
 
     def coerce(self, raw):
-        """Parse a config-file string; numbers pass as they are."""
-        if isinstance(raw, (int, float)) or self.type is str:
+        """Parse a config-file string; a value of the key's type, or an int
+        for a float key, passes as it is (a bool is not an int here)."""
+        if isinstance(raw, str) and self.type is not str:
+            try:
+                return self.type(raw)
+            except ValueError as exc:
+                raise ConfigInvalid(f"bad value for {self.key}: {raw!r}") from exc
+        if type(raw) is self.type or (type(raw) is int and self.type is float):
             return raw
-        try:
-            return self.type(raw)
-        except ValueError as exc:
-            raise ConfigInvalid(f"bad value for {self.key}: {raw!r}") from exc
+        raise ConfigInvalid(f"bad value for {self.key}: {raw!r} is not {self.type.__name__}")
 
 
 def _config_keys() -> dict[str, ConfigKey]:
@@ -264,8 +267,8 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     return PipelineConfig(
         **fields_of(None),
         filters=FilterConfig(**fields_of("filters")),
-        pretrain=PretrainConfig(**fields_of("pretrain"), seed=values["seed"]),
-    ).validate()
+        pretrain=PretrainConfig(**fields_of("pretrain")),
+    )
 
 
 # --- manifests ---------------------------------------------------------------
@@ -474,7 +477,6 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
 
 
 def _load_clean_context(cfg: PipelineConfig) -> dict:
-    cfg.validate()  # again: library callers may set the model paths after build_config
     model_a = model_b = None
     if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)

@@ -67,7 +67,7 @@ class PretrainConfig:
     nsp_random_prob: float = 0.5
     seed: int = 0
 
-    def validate(self) -> "PretrainConfig":
+    def __post_init__(self) -> None:
         fractions = (self.mask_token_frac, self.keep_frac, self.random_frac)
         if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-12:
             raise ConfigInvalid("mask/keep/random fractions must each be in [0, 1] and sum to 1")
@@ -83,7 +83,6 @@ class PretrainConfig:
             raise ConfigInvalid("short_seq_prob must be in [0, 1]")
         if not 0 <= self.nsp_random_prob <= 1:
             raise ConfigInvalid("nsp_random_prob must be in [0, 1]")
-        return self
 
 
 @dataclass(frozen=True)
@@ -214,11 +213,10 @@ def mask_sequence(token_ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConf
 
 
 def _truncate_pair(tokens_a: list[int], tokens_b: list[int], max_num_tokens: int) -> None:
-    # longer segment loses tokens from its end; segments never drop below 1
+    # longer segment loses tokens from its end; it holds at least 2, as the
+    # pair holds more than max_num_tokens >= 2 (PretrainConfig checks max_seq_length >= 5)
     while len(tokens_a) + len(tokens_b) > max_num_tokens:
         longer = tokens_a if len(tokens_a) >= len(tokens_b) else tokens_b
-        if len(longer) <= 1:
-            break
         longer.pop()
 
 
@@ -331,7 +329,6 @@ def _built_chunks(documents: Iterable[Document], vocab: Vocabulary, cfg: Pretrai
                   workers: int, stats: BuildStats) -> Iterator[tuple[int, bytes]]:
     """Each chunk's ``(count, frames)``, in pair order. The documents are
     tokenized and checked at the call, before any chunk is built."""
-    cfg.validate()
     tok_docs = tokenize_documents(documents, vocab, stats)
     if len(tok_docs) == 1:
         raise DataError("need at least 2 tokenizable documents, got 1")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -122,9 +123,11 @@ def test_loosening_bounds_is_monotone():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        FilterConfig(min_words=0).validate()
+        FilterConfig(min_words=0)
     with pytest.raises(ConfigInvalid):
-        FilterConfig(min_words=10, max_words=5).validate()
+        FilterConfig(min_words=10, max_words=5)
     with pytest.raises(ConfigInvalid):
-        FilterConfig(max_urls=-1).validate()
-    FilterConfig().validate()
+        FilterConfig(max_urls=-1)
+    with pytest.raises(ConfigInvalid):
+        dataclasses.replace(FilterConfig(), max_words=4)
+    FilterConfig()

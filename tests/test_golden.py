@@ -11,6 +11,7 @@ words, where masking scans each sequence for its candidates, and
 another the ingest and clean shards, the bytes of the record codec.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -123,8 +124,8 @@ def _check_golden_run(fixture_inputs, name, workers):
         "pretrain.dupe_factor": 5,
     })
     stage_langid_train(cfg, corpus, root / f"models-{name}")
-    cfg.langid_model_a = str(root / f"models-{name}" / "model-a.rlid")
-    cfg.langid_model_b = str(root / f"models-{name}" / "model-b.rlid")
+    cfg = dataclasses.replace(cfg, langid_model_a=str(root / f"models-{name}" / "model-a.rlid"),
+                              langid_model_b=str(root / f"models-{name}" / "model-b.rlid"))
     run_pipeline(cfg)
     assert {path: _sha256(out / path) for path in GOLDEN} == GOLDEN
     clean = json.loads((out / "clean" / "manifest-clean.json").read_text(encoding="utf-8"))

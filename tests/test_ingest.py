@@ -34,6 +34,9 @@ def test_parse_missing_text_is_malformed():
 def test_parse_timestamp():
     t = parse_record('{"id":3,"text":"a","created_at":"2008-01-01T00:00:00Z"}')
     assert t.created_at == 1199145600
+    # a timestamp with no offset is read as UTC
+    t = parse_record('{"id":3,"text":"a","created_at":"2008-01-01T00:00:00"}')
+    assert t.created_at == 1199145600
 
 
 @pytest.mark.parametrize("line", [
@@ -45,6 +48,8 @@ def test_parse_timestamp():
     '{"id":1,"text":""}',
     '{"id":1,"text":42}',
     '{"id":1,"text":"a","created_at":"yesterday"}',
+    '{"id":1,"text":"a","created_at":1199145600}',
+    '{"id":1,"text":"a","lang":5}',
     '{"id":true,"text":"a"}',
     '[1,2]',
 ])

@@ -16,7 +16,9 @@ from tweetcorpus.langid import LangModel, agreement_filter
 from tweetcorpus.normalize import (count_entities, default_emoji_map, normalize_entities,
                                    translate_emojis, unescape_basic_entities)
 from tweetcorpus.pipeline import (
+    CONFIG_KEYS,
     PIPELINE,
+    PipelineConfig,
     STAGES,
     _require_inputs,
     build_config,
@@ -32,6 +34,7 @@ from tweetcorpus.pipeline import (
     stage_stats,
     stage_vocab,
 )
+from tweetcorpus.pretrain import PretrainConfig
 from tweetcorpus.vocab import STRUCTURAL_TOKENS
 
 from conftest import EN_WORDS, HOSTILE_LINES, RO_WORDS, make_text
@@ -103,17 +106,66 @@ def test_build_config_validates():
         build_config(overrides={"pretrain.dupe_factor": "abc"})
 
 
-@pytest.mark.parametrize("values, message", [
-    ({"langid.alpha": "inf"}, "langid.alpha must be finite and > 0"),
-    ({"langid.alpha": "nan"}, "langid.alpha must be finite and > 0"),
-    ({"pretrain.mask_token_frac": "nan"}, "fractions must each be in"),
+OUT_OF_RANGE = {
+    "alpha-inf": ({"langid.alpha": "inf"}, "langid.alpha must be finite and > 0"),
+    "alpha-nan": ({"langid.alpha": "nan"}, "langid.alpha must be finite and > 0"),
+    "mask-frac-nan": ({"pretrain.mask_token_frac": "nan"}, "fractions must each be in"),
     # they sum to 1, yet every masked position would become [MASK]
-    ({"pretrain.mask_token_frac": 1.2, "pretrain.keep_frac": -0.3, "pretrain.random_frac": 0.1},
-     "fractions must each be in"),
-], ids=["alpha-inf", "alpha-nan", "mask-frac-nan", "fractions-outside-0-1"])
+    "fractions-outside-0-1": ({"pretrain.mask_token_frac": 1.2, "pretrain.keep_frac": -0.3,
+                               "pretrain.random_frac": 0.1}, "fractions must each be in"),
+    "shards-0": ({"io.shards": 0}, "io.shards must be >= 1"),
+    "workers-0": ({"io.workers": 0}, "io.workers must be >= 1"),
+    "threshold-1": ({"langid.threshold": 1}, r"langid.threshold must be in \(0, 1\)"),
+    "ngram-max-6": ({"langid.ngram_max_b": 6}, "langid.ngram_min_b and langid.ngram_max_b"),
+    "emoji-fraction-0": ({"vocab.emoji_fraction": 0}, "vocab.emoji_fraction"),
+    "one-model": ({"langid.model_a": "model-a.rlid"}, "needs both"),
+    "min-words-0": ({"filter.min_words": 0}, "min_words must be >= 1"),
+    "max-seq-length-4": ({"pretrain.max_seq_length": 4}, "max_seq_length must be >= 5"),
+}
+WRONG_TYPE = {
+    "float-for-int": ({"io.shards": 2.5}, "io.shards: 2.5 is not int"),
+    "float-dupe-factor": ({"pretrain.dupe_factor": 1.5}, "pretrain.dupe_factor: 1.5 is not int"),
+    "bool-for-int": ({"io.shards": True}, "io.shards: True is not int"),
+    "bool-for-float": ({"langid.threshold": False}, "langid.threshold: False is not float"),
+    "int-for-str": ({"langid.target": 7}, "langid.target: 7 is not str"),
+    "list-for-int": ({"io.workers": [2]}, r"io.workers: \[2\] is not int"),
+}
+
+
+@pytest.mark.parametrize("values, message", [*OUT_OF_RANGE.values(), *WRONG_TYPE.values()],
+                         ids=[*OUT_OF_RANGE, *WRONG_TYPE])
 def test_build_config_rejects_non_finite_and_out_of_range_values(values, message):
     with pytest.raises(ConfigInvalid, match=message):
         build_config(overrides=values)
+
+
+@pytest.mark.parametrize("values, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_replace_rejects_out_of_range_values(values, message):
+    """A config is checked whenever it is built, by dataclasses.replace too."""
+    cfg = build_config()
+    changes, sections = {}, {}
+    for key, raw in values.items():
+        spec = CONFIG_KEYS[key]
+        into = sections.setdefault(spec.section, {}) if spec.section else changes
+        into[spec.name] = spec.coerce(raw)
+    with pytest.raises(ConfigInvalid, match=message):
+        for section, fields in sections.items():
+            changes[section] = dataclasses.replace(getattr(cfg, section), **fields)
+        dataclasses.replace(cfg, **changes)
+
+
+def test_a_config_is_frozen():
+    cfg = build_config()
+    for obj, name, value in ((cfg, "seed", 9), (cfg, "shards", 0),
+                             (cfg.filters, "min_words", 1), (cfg.pretrain, "seed", 9)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+
+
+def test_the_record_seed_is_the_global_seed():
+    assert PipelineConfig(seed=3).pretrain.seed == 3
+    assert PipelineConfig(seed=3, pretrain=PretrainConfig(seed=7)).pretrain.seed == 3
+    assert dataclasses.replace(build_config(overrides={"seed": 5}), seed=9).pretrain.seed == 9
 
 
 def _write_archive(path, texts, start_id=1):
@@ -167,9 +219,25 @@ def workspace(tmp_path):
         "pretrain.dupe_factor": 2,
     })
     models = stage_langid_train(cfg, corpus, tmp_path / "models")
-    cfg.langid_model_a = str(tmp_path / "models" / "model-a.rlid")
-    cfg.langid_model_b = str(tmp_path / "models" / "model-b.rlid")
+    cfg = dataclasses.replace(cfg, langid_model_a=str(tmp_path / "models" / "model-a.rlid"),
+                              langid_model_b=str(tmp_path / "models" / "model-b.rlid"))
     return cfg, tmp_path
+
+
+def test_a_replaced_seed_is_the_seed_of_the_records_and_manifests(workspace):
+    cfg, root = workspace
+    replaced = dataclasses.replace(cfg, seed=9, output_dir=str(root / "replaced"))
+    built = build_config(overrides={**cfg.flat(), "seed": 9,
+                                    "io.output_dir": str(root / "built")})
+    run_pipeline(replaced)
+    run_pipeline(built)
+    records = sorted((root / "built" / "pretrain").glob("*.rbtw"))
+    assert len(records) == 2
+    for path in records:
+        assert (root / "replaced" / "pretrain" / path.name).read_bytes() == path.read_bytes()
+    manifests = sorted((root / "replaced").glob("**/manifest-*.json"))
+    assert len(manifests) == 6
+    assert {json.loads(path.read_text())["seed"] for path in manifests} == {9}
 
 
 def test_ingest_stage_counts_and_shards(workspace, tmp_path):
@@ -200,8 +268,8 @@ def test_clean_stage_hand_fixture(tmp_path):
     cfg = build_config(overrides={
         "io.input": str(archive), "io.output_dir": str(out), "seed": 1})
     stage_langid_train(cfg, corpus, tmp_path / "models")
-    cfg.langid_model_a = str(tmp_path / "models" / "model-a.rlid")
-    cfg.langid_model_b = str(tmp_path / "models" / "model-b.rlid")
+    cfg = dataclasses.replace(cfg, langid_model_a=str(tmp_path / "models" / "model-a.rlid"),
+                              langid_model_b=str(tmp_path / "models" / "model-b.rlid"))
 
     stage_ingest(cfg)
     manifest = stage_clean(cfg)
@@ -272,8 +340,8 @@ def _four_kinds_workspace(tmp_path):
     cfg = build_config(overrides={"io.input": str(archive),
                                   "io.output_dir": str(tmp_path / "out"), "seed": 1})
     stage_langid_train(cfg, corpus, tmp_path / "models")
-    cfg.langid_model_a = str(tmp_path / "models" / "model-a.rlid")
-    cfg.langid_model_b = str(tmp_path / "models" / "model-b.rlid")
+    cfg = dataclasses.replace(cfg, langid_model_a=str(tmp_path / "models" / "model-a.rlid"),
+                              langid_model_b=str(tmp_path / "models" / "model-b.rlid"))
     stage_ingest(cfg)
     return cfg
 
@@ -311,8 +379,7 @@ def _language_first_clean(cfg, shard_file):
 def test_clean_matches_a_language_first_oracle(tmp_path, monkeypatch, workers):
     """Running the gate last emits the same tweets as running it first;
     only a tweet that fails both is counted under its filter's reason."""
-    cfg = _four_kinds_workspace(tmp_path)
-    cfg.workers = workers
+    cfg = dataclasses.replace(_four_kinds_workspace(tmp_path), workers=workers)
     monkeypatch.setattr(pipeline, "CLEAN_BATCH", 8)  # 2 workers start a pool
     pooled = []
     real_pool = parallel.multiprocessing.Pool
@@ -523,33 +590,32 @@ def test_missing_input_raises(tmp_path):
         "io.output_dir": str(tmp_path / "out")})
     with pytest.raises(InputMissing):
         stage_ingest(cfg)
+    with pytest.raises(InputMissing, match="no input files found"):
+        stage_ingest(dataclasses.replace(cfg, input=","))
 
 
 def test_vocab_stage_requires_base(workspace):
     cfg, _ = workspace
     stage_ingest(cfg)
-    cfg.base_vocab_path = ""
     with pytest.raises(ConfigInvalid):
-        stage_vocab(cfg)
+        stage_vocab(dataclasses.replace(cfg, base_vocab_path=""))
 
 
 def test_one_language_model_is_rejected_by_config_and_stage(workspace):
     cfg, root = workspace
     with pytest.raises(ConfigInvalid, match="both"):
         build_config(overrides={"langid.model_a": cfg.langid_model_a})
-    stage_ingest(cfg)
-    cfg.langid_model_b = ""  # the paths are set after build_config
+    # a config is checked when built, so no stage can be given such a one
     with pytest.raises(ConfigInvalid, match="both"):
-        stage_clean(cfg)
+        dataclasses.replace(cfg, langid_model_b="")
 
 
 def test_a_target_the_models_lack_is_a_config_error(workspace):
     # neither model can rank "de" first, so every tweet would be rejected
     cfg, root = workspace
     stage_ingest(cfg)
-    cfg.langid_target = "de"
     with pytest.raises(ConfigInvalid, match=r"'de'.*\['en', 'ro'\].*\['en', 'ro'\]"):
-        stage_clean(cfg)
+        stage_clean(dataclasses.replace(cfg, langid_target="de"))
     assert not list((root / "out" / "clean").glob("*.jsonl"))
     assert not (root / "out" / "clean" / "manifest-clean.json").exists()
 
@@ -586,8 +652,8 @@ def test_run_stage_attaches_stage_name(tmp_path):
 
     # the pipeline names the stage that failed inside it, and only that one
     _write_archive(tmp_path / "raw.jsonl", ["un text destul de lung aici"])
-    cfg.input = str(tmp_path / "raw.jsonl")
-    cfg.base_vocab_path = str(tmp_path / "no-base.txt")
+    cfg = dataclasses.replace(cfg, input=str(tmp_path / "raw.jsonl"),
+                              base_vocab_path=str(tmp_path / "no-base.txt"))
     with pytest.raises(InputMissing) as err:
         run_stage("pipeline", cfg)
     assert str(err.value).count("stage vocab") == 1
@@ -668,9 +734,8 @@ def test_pretrain_stage_writes_the_records_of_its_instances(workspace, workers,
         write_records(build_instances(docs, vocab, cfg.pretrain), buf, cfg.pretrain)
         want[f"pretrain-{shard}.rbtw"] = buf.getvalue()
 
-    cfg.workers = workers
     monkeypatch.setattr(tweetcorpus.pretrain, "CHUNK_PAIRS", 7)
-    stage_pretrain_data(cfg)
+    stage_pretrain_data(dataclasses.replace(cfg, workers=workers))
     assert {name: (root / "out" / "pretrain" / name).read_bytes() for name in want} == want
 
 
@@ -772,6 +837,14 @@ def test_a_missing_upstream_manifest_is_input_missing(workspace):
         stage_clean(cfg)
 
 
+def test_an_upstream_manifest_that_is_not_json_is_a_data_error(workspace):
+    cfg, root = workspace
+    stage_ingest(cfg)
+    (root / "out" / "ingest" / "manifest-ingest.json").write_text("not json")
+    with pytest.raises(DataError, match="manifest-ingest.json: not a stage manifest"):
+        stage_clean(cfg)
+
+
 @pytest.mark.parametrize("manifest", ["ingest/manifest-ingest.json",
                                       "clean/manifest-clean.json"])
 def test_a_manifest_listing_a_path_outside_its_directory_is_rejected(workspace, manifest):
@@ -831,7 +904,8 @@ def _write_outside_files(root):
 def test_every_manifest_lists_every_file_its_stage_read(workspace):
     cfg, root = workspace
     emoji_map, abbreviations = _write_outside_files(root)
-    cfg.emoji_map_path, cfg.abbreviations_path = str(emoji_map), str(abbreviations)
+    cfg = dataclasses.replace(cfg, emoji_map_path=str(emoji_map),
+                              abbreviations_path=str(abbreviations))
     run_pipeline(cfg)
     out = root / "out"
     manifests = {stage: json.loads((out / d / f"manifest-{stage}.json").read_text())
@@ -857,7 +931,7 @@ def test_every_manifest_lists_every_file_its_stage_read(workspace):
 
 def test_unset_outside_files_are_not_listed(workspace):
     cfg, root = workspace
-    cfg.langid_model_a = cfg.langid_model_b = ""
+    cfg = dataclasses.replace(cfg, langid_model_a="", langid_model_b="")
     ingest = stage_ingest(cfg)
     clean = stage_clean(cfg)
     segment = stage_segment(cfg)
@@ -869,7 +943,7 @@ def test_unset_outside_files_are_not_listed(workspace):
 def test_editing_the_emoji_map_in_place_changes_the_clean_manifest_inputs(workspace):
     cfg, root = workspace
     emoji_map, _ = _write_outside_files(root)
-    cfg.emoji_map_path = str(emoji_map)
+    cfg = dataclasses.replace(cfg, emoji_map_path=str(emoji_map))
     stage_ingest(cfg)
     before = stage_clean(cfg)
     emoji_map.write_text("\U0001F600\tzambet\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import struct
@@ -36,15 +37,17 @@ from conftest import RO_WORDS, make_documents
 
 
 def test_config_validation():
-    PretrainConfig().validate()
+    PretrainConfig()
     with pytest.raises(ConfigInvalid):
-        PretrainConfig(mask_token_frac=0.9).validate()
+        PretrainConfig(mask_token_frac=0.9)
     with pytest.raises(ConfigInvalid):
-        PretrainConfig(masked_lm_prob=0.0).validate()
+        PretrainConfig(masked_lm_prob=0.0)
     with pytest.raises(ConfigInvalid):
-        PretrainConfig(dupe_factor=0).validate()
+        PretrainConfig(dupe_factor=0)
     with pytest.raises(ConfigInvalid):
-        PretrainConfig(max_seq_length=4).validate()
+        PretrainConfig(max_seq_length=4)
+    with pytest.raises(ConfigInvalid):
+        dataclasses.replace(PretrainConfig(), max_seq_length=4)
 
 
 def test_mask_requires_candidates(word_vocab):
@@ -549,6 +552,13 @@ def test_version_mismatch_with_valid_header_crc():
         list(read_records(io.BytesIO(data)))
 
 
+def test_foreign_magic_with_valid_header_crc():
+    header = struct.pack("<4sHII", b"RBTX", 1, 128, 20)
+    data = header + struct.pack("<I", zlib.crc32(header))
+    with pytest.raises(CorruptRecord, match="bad magic b'RBTX'"):
+        list(read_records(io.BytesIO(data)))
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
 def test_reading_in_blocks_gives_the_same_instances(monkeypatch, block):
     cfg = PretrainConfig(max_seq_length=48, max_predictions_per_seq=6)
@@ -632,8 +642,11 @@ def test_reader_accepts_a_handmade_payload():
 def test_write_rejects_oversized_instance():
     cfg = PretrainConfig(max_seq_length=8, max_predictions_per_seq=2)
     big = PretrainInstance(tuple(range(20)), tuple([0] * 20), False, (1,), (1,))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="max_seq_length"):
         write_records([big], io.BytesIO(), cfg)
+    many = PretrainInstance((1, 7, 7, 7, 2), (0,) * 5, False, (1, 2, 3), (9, 9, 9))
+    with pytest.raises(DataError, match="max_predictions_per_seq"):
+        write_records([many], io.BytesIO(), cfg)
 
 
 def test_write_rejects_segment_ids_not_matching_tokens():

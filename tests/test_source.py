@@ -1,6 +1,8 @@
-"""Static checks over the package source."""
+"""Static checks over the package source, and checks of its config classes."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,29 @@ def test_the_guard_sees_an_unused_import():
 def test_the_allowlist_is_not_stale():
     for module, name in REEXPORTED:
         assert name in _unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+
+def _checked(cls) -> bool:
+    """Whether dataclass ``cls`` is frozen and checks itself when built."""
+    return cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)
+
+
+def test_every_config_is_frozen_and_checked_when_built():
+    configs = {cls.__name__: cls for path in MODULES
+               for cls in vars(importlib.import_module(f"tweetcorpus.{path.stem}")).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__name__.endswith("Config")}
+    assert {"FilterConfig", "PipelineConfig", "PretrainConfig"} <= set(configs)
+    assert [name for name, cls in configs.items() if not _checked(cls)] == []
+
+
+def test_the_guard_sees_a_config_that_is_mutable_or_unchecked():
+    def check(self):
+        pass
+
+    mutable = dataclasses.make_dataclass("AConfig", [], namespace={"__post_init__": check})
+    unchecked = dataclasses.make_dataclass("BConfig", [("x", int, 0)], frozen=True)
+    checked = dataclasses.make_dataclass("CConfig", [], frozen=True,
+                                         namespace={"__post_init__": check})
+    assert [_checked(cls) for cls in (mutable, unchecked, checked)] == [False, False, True]
