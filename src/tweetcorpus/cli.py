@@ -116,10 +116,9 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return build_config(file_values, overrides)
 
 
-# option dest -> keyword argument of the stage function; the pipeline
-# takes none (its output directory is io.output_dir)
+# option dest -> keyword argument of the stage function
 _STAGE_ARGS = {"corpus": "corpus", "input_dir": "in_dir", "vocab": "vocab_path",
-               "output_dir": "out_dir", "debug_jsonl": "debug_jsonl"}
+               "debug_jsonl": "debug_jsonl"}
 
 
 def _parse_score(value: str, path: str, lineno: int) -> float:
@@ -229,8 +228,9 @@ def run(argv: list[str] | None = None) -> int:
         return _cmd_task_prep(args) if args.command == "task-prep" else _cmd_eval(args)
 
     cfg = config_from_args(args)
-    kwargs = {} if args.command == "pipeline" else {
-        param: getattr(args, dest) for dest, param in _STAGE_ARGS.items() if dest in args}
+    kwargs = {param: getattr(args, dest) for dest, param in _STAGE_ARGS.items() if dest in args}
+    if args.command != "pipeline":  # a single stage writes into io.output_dir itself
+        kwargs["out_dir"] = cfg.output_dir
     manifest = pipeline.run_stage(args.command, cfg, **kwargs)
     print(json.dumps(manifest.counts, sort_keys=True))
     return 0

@@ -93,16 +93,14 @@ PIPELINE = ("ingest", *(name for name, stage in STAGES.items() if stage.upstream
 
 def _key(key: str, default, flag: str | None = None, commands: tuple[str, ...] = (),
          help: str = ""):
-    """A field holding config key ``key``; ``flag`` sets it on ``commands``."""
+    """A field holding config key ``key``; ``flag`` sets it on ``commands``,
+    the stage subcommands that read it (``_config_keys`` adds ``pipeline``)."""
     return field(default=default,
                  metadata={"key": key, "flag": flag, "commands": commands, "help": help})
 
 
 # The subcommands that take a flag; GLOBAL flags go before or after any.
 GLOBAL = ("*",)
-_ARCHIVES = ("ingest", "stats", "pipeline")
-_CLEAN = ("clean", "pipeline")
-_RECORDS = ("pretrain-data", "pipeline")
 
 
 @dataclass(frozen=True)
@@ -118,17 +116,18 @@ class PipelineConfig:
     A config is frozen, and checked whenever it is built, by ``dataclasses.replace`` too.
     """
 
-    input: str = _key("io.input", "", "--input", _ARCHIVES, "archive(s), comma separated")
+    input: str = _key("io.input", "", "--input", ("ingest", "stats"),
+                      "archive(s), comma separated")
     output_dir: str = _key("io.output_dir", "", "--output-dir", tuple(STAGES), "output directory")
     shards: int = _key("io.shards", 1, "--shards", GLOBAL, "output shard count")
     workers: int = _key("io.workers", 1, "--workers", GLOBAL, "worker process count")
     seed: int = _key("seed", 0, "--seed", GLOBAL, "global RNG seed")
 
-    langid_model_a: str = _key("langid.model_a", "", "--model-a", _CLEAN, "first model file")
-    langid_model_b: str = _key("langid.model_b", "", "--model-b", _CLEAN, "second model file")
-    langid_threshold: float = _key("langid.threshold", 0.5, "--threshold", _CLEAN,
+    langid_model_a: str = _key("langid.model_a", "", "--model-a", ("clean",), "first model file")
+    langid_model_b: str = _key("langid.model_b", "", "--model-b", ("clean",), "second model file")
+    langid_threshold: float = _key("langid.threshold", 0.5, "--threshold", ("clean",),
                                    "agreement probability floor")
-    langid_target: str = _key("langid.target", "ro", "--target", _CLEAN, "target language")
+    langid_target: str = _key("langid.target", "ro", "--target", ("clean",), "target language")
     langid_alpha: float = _key("langid.alpha", 1.0, "--alpha", ("langid-train",),
                                "add-alpha smoothing")
     langid_ngram_min_a: int = _key("langid.ngram_min_a", 1)
@@ -136,20 +135,20 @@ class PipelineConfig:
     langid_ngram_min_b: int = _key("langid.ngram_min_b", 2)
     langid_ngram_max_b: int = _key("langid.ngram_max_b", 3)
 
-    emoji_map_path: str = _key("normalize.emoji_map", "", "--emoji-map", _CLEAN,
+    emoji_map_path: str = _key("normalize.emoji_map", "", "--emoji-map", ("clean",),
                                "emoji translation TSV")
     abbreviations_path: str = _key("segment.abbreviations", "", "--abbreviations",
                                    ("segment",), "abbreviation list file")
-    base_vocab_path: str = _key("vocab.base", "", "--base-vocab", ("vocab", "pipeline"),
+    base_vocab_path: str = _key("vocab.base", "", "--base-vocab", ("vocab",),
                                 "base vocabulary file")
     emoji_fraction: float = _key("vocab.emoji_fraction", 0.25, "--emoji-fraction", ("vocab",),
                                  "share of distinct emojis added")
 
     filters: FilterConfig = field(default_factory=FilterConfig,
-                                  metadata={"prefix": "filter", "commands": _CLEAN})
+                                  metadata={"prefix": "filter", "commands": ("clean",)})
     # the record seed is the global seed, not a key of its own
     pretrain: PretrainConfig = field(default_factory=PretrainConfig, metadata={
-        "prefix": "pretrain", "commands": _RECORDS, "omitted": ("seed",),
+        "prefix": "pretrain", "commands": ("pretrain-data",), "omitted": ("seed",),
         "unflagged": ("mask_token_frac", "keep_frac", "random_frac")})
 
     @property
@@ -212,13 +211,17 @@ class ConfigKey:
 
 
 def _config_keys() -> dict[str, ConfigKey]:
+    """The config table; ``pipeline`` takes the flags of every stage it runs."""
     types = {"int": int, "float": float, "str": str}  # annotations are strings here
     keys = {}
     for f in dataclasses.fields(PipelineConfig):
         meta = f.metadata
+        commands = meta["commands"]
+        if "pipeline" not in commands and not set(commands).isdisjoint(PIPELINE):
+            commands += ("pipeline",)
         if "key" in meta:
             keys[meta["key"]] = ConfigKey(meta["key"], types[f.type], f.default, meta["flag"],
-                                          meta["commands"], meta["help"], None, f.name)
+                                          commands, meta["help"], None, f.name)
             continue
         for sub in dataclasses.fields(f.default_factory):
             if sub.name not in meta.get("omitted", ()):
@@ -226,7 +229,7 @@ def _config_keys() -> dict[str, ConfigKey]:
                 flag = (None if sub.name in meta.get("unflagged", ())
                         else "--" + sub.name.replace("_", "-"))
                 keys[key] = ConfigKey(key, types[sub.type], sub.default, flag,
-                                      meta["commands"], "", f.name, sub.name)
+                                      commands, "", f.name, sub.name)
     return keys
 
 
@@ -476,7 +479,9 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
         return out.commit({"samples": len(samples)}, [corpus])
 
 
-def _load_clean_context(cfg: PipelineConfig) -> dict:
+def _load_clean_context(cfg: PipelineConfig) -> tuple:
+    """What ``clean_tweet_text`` reads: the config, both language models
+    (None when language filtering is off) and the emoji map."""
     model_a = model_b = None
     if cfg.langid_model_a:
         model_a = LangModel.load(cfg.langid_model_a)
@@ -488,17 +493,10 @@ def _load_clean_context(cfg: PipelineConfig) -> dict:
                 f"model_a has {model_a.languages}, model_b has {model_b.languages}")
     emoji_map = (EmojiMap.load(cfg.emoji_map_path) if cfg.emoji_map_path
                  else default_emoji_map())
-    return {
-        "model_a": model_a,
-        "model_b": model_b,
-        "threshold": cfg.langid_threshold,
-        "target": cfg.langid_target,
-        "filters": cfg.filters,
-        "emoji_map": emoji_map,
-    }
+    return cfg, model_a, model_b, emoji_map
 
 
-def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
+def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
     """One tweet through unescape, entity counting, normalize, length and
     entity filters, language gate, and emoji translation. Returns (cleaned
     text or None, reason value).
@@ -506,23 +504,24 @@ def clean_tweet_text(text: str, ctx: dict) -> tuple[str | None, str]:
     The gate scores two models, so it runs after the microsecond filters;
     a tweet failing both counts under the filter's reason. It sees the
     unescaped text, not the normalized one."""
+    cfg, model_a, model_b, emoji_map = ctx
     text = unescape_basic_entities(text)
     counts = count_entities(text)
     normalized = normalize_entities(text)
-    verdict = apply_filters(normalized, counts, ctx["filters"])
+    verdict = apply_filters(normalized, counts, cfg.filters)
     if not verdict.accepted:
         return None, verdict.reason.value
-    if ctx["model_a"] is not None and not agreement_filter(
-            text, ctx["model_a"], ctx["model_b"], ctx["target"], ctx["threshold"]):
+    if model_a is not None and not agreement_filter(
+            text, model_a, model_b, cfg.langid_target, cfg.langid_threshold):
         return None, RejectReason.NOT_TARGET_LANGUAGE.value
-    return translate_emojis(normalized, ctx["emoji_map"]), RejectReason.NONE.value
+    return translate_emojis(normalized, emoji_map), RejectReason.NONE.value
 
 
 # Archive lines per task of the clean stage's ordered map.
 CLEAN_BATCH = 512
 
 
-def _clean_batch(ctx: dict, lines: list[bytes]) -> list[tuple[str, str]]:
+def _clean_batch(ctx: tuple, lines: list[bytes]) -> list[tuple[str, str]]:
     out = []
     for line in lines:
         tweet = parse_record(line)

@@ -122,6 +122,18 @@ def test_ingest_and_stats_roundtrip(tmp_path):
     assert counts["words"] > 0
 
 
+@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config-file"])
+def test_a_stage_writes_into_io_output_dir_however_it_is_set(tmp_path, by_flag):
+    archive = tmp_path / "raw.jsonl"
+    archive.write_text('{"id": 1, "text": "un text bun"}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    conf = tmp_path / "run.conf"
+    conf.write_text("" if by_flag else f"io.output_dir = {out}\n", encoding="utf-8")
+    flags = ("--output-dir", str(out)) if by_flag else ()
+    run_cli("--config", str(conf), "ingest", "--input", str(archive), *flags, check=True)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest-ingest.json", "tweets-00000.jsonl"]
+
+
 def test_ingest_counts_a_lone_surrogate_as_malformed(tmp_path):
     # "\ud800" and "\udc00" are JSON escapes: the lines are valid UTF-8
     # and valid JSON, but no UTF-8 shard can hold the values they decode to
@@ -525,12 +537,15 @@ def test_missing_abbreviations_names_the_segment_stage(tmp_path, valid_inputs):
     assert "Traceback" not in proc.stderr
 
 
-def test_pipeline_checks_the_abbreviations_before_any_stage(tmp_path, valid_inputs):
+@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config-file"])
+def test_pipeline_checks_the_abbreviations_before_any_stage(tmp_path, valid_inputs, by_flag):
     absent = tmp_path / "absent.txt"
     conf = tmp_path / "run.conf"
-    conf.write_text(f"segment.abbreviations = {absent}\n", encoding="utf-8")
+    conf.write_text("" if by_flag else f"segment.abbreviations = {absent}\n", encoding="utf-8")
     out = tmp_path / "out"
     args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS["pipeline"]]
+    if by_flag:
+        args += ["--abbreviations", str(absent)]
     proc = run_cli("--config", str(conf), "pipeline", *args, "--output-dir", str(out))
     assert proc.returncode == 3
     assert f"stage segment: missing input: {absent}" in proc.stderr
@@ -718,15 +733,17 @@ def test_every_config_flag_names_its_key_in_help():
 def test_stage_subcommands_write_what_the_pipeline_writes(tmp_path, valid_inputs):
     models = ("--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]))
     common = ("--seed", "7", "--dupe-factor", "2", "--max-seq-length", "32")
+    vocab = ("--base-vocab", str(valid_inputs["base"]), "--emoji-fraction", "0.5")
     run_cli("pipeline", "--input", str(valid_inputs["archive"]), "--output-dir",
-            str(tmp_path / "p"), "--base-vocab", str(valid_inputs["base"]), *models, *common,
-            check=True)
+            str(tmp_path / "p"), *vocab, *models, *common, check=True)
+    manifest = json.loads((tmp_path / "p" / "vocab" / "manifest-vocab.json").read_text())
+    assert manifest["config"]["vocab.emoji_fraction"] == 0.5
     # the same stages one subcommand at a time, each into a directory of its own
     s = tmp_path / "s"
     run_cli("ingest", "--input", str(valid_inputs["archive"]), "--output-dir", str(s / "i"),
             check=True)
-    run_cli("vocab", "--input-dir", str(s / "i"), "--output-dir", str(s / "v"),
-            "--base-vocab", str(valid_inputs["base"]), check=True)
+    run_cli("vocab", "--input-dir", str(s / "i"), "--output-dir", str(s / "v"), *vocab,
+            check=True)
     run_cli("clean", "--input-dir", str(s / "i"), "--output-dir", str(s / "c"), *models,
             check=True)
     run_cli("segment", "--input-dir", str(s / "c"), "--output-dir", str(s / "g"), check=True)

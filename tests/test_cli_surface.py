@@ -46,6 +46,11 @@ _PRETRAIN = {
     ("--short-seq-prob",): ("short_seq_prob", "float", None, False, None),
     ("--nsp-random-prob",): ("nsp_random_prob", "float", None, False, None),
 }
+_SEGMENT = {("--abbreviations",): ("abbreviations", None, None, False, None)}
+_VOCAB = {
+    ("--base-vocab",): ("base_vocab", None, None, False, None),
+    ("--emoji-fraction",): ("emoji_fraction", "float", None, False, None),
+}
 _TASKS = ("red_v2", "coroseof", "ner")
 
 SURFACE = {
@@ -65,15 +70,8 @@ SURFACE = {
         ("--alpha",): ("alpha", "float", None, False, None),
     },
     "clean": {**_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_LANGID, **_FILTERS},
-    "segment": {
-        **_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR,
-        ("--abbreviations",): ("abbreviations", None, None, False, None),
-    },
-    "vocab": {
-        **_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR,
-        ("--base-vocab",): ("base_vocab", None, None, False, None),
-        ("--emoji-fraction",): ("emoji_fraction", "float", None, False, None),
-    },
+    "segment": {**_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_SEGMENT},
+    "vocab": {**_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_VOCAB},
     "pretrain-data": {
         **_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_PRETRAIN,
         ("--vocab",): ("vocab", None, None, False, None),
@@ -101,10 +99,8 @@ SURFACE = {
         ("--output",): ("output", None, None, False, None),
     },
     "stats": {**_SUB_GLOBALS, **_IO},
-    "pipeline": {
-        **_SUB_GLOBALS, **_IO, **_LANGID, **_FILTERS, **_PRETRAIN,
-        ("--base-vocab",): ("base_vocab", None, None, False, None),
-    },
+    # the flag of every stage it runs
+    "pipeline": {**_SUB_GLOBALS, **_IO, **_LANGID, **_FILTERS, **_PRETRAIN, **_SEGMENT, **_VOCAB},
 }
 
 
