@@ -4,7 +4,14 @@ Three families map onto process exit codes: configuration problems (1),
 data problems (2), and I/O problems (3). A leaf class names a case that
 code catches by name, damage to a file format, or a missing input; any
 other check raises its family with a message saying what is wrong.
+``check_types`` is the type check every config makes when it is built.
 """
+
+import dataclasses
+from functools import cache
+from typing import get_type_hints
+
+_field_types = cache(get_type_hints)  # annotations are strings; resolve each class once
 
 
 class TweetCorpusError(Exception):
@@ -54,3 +61,18 @@ class UnknownLabel(DataError):
 
 class InvalidBIO(DataError):
     """A BIO tag sequence that is malformed; ``read_conll`` adds the file position."""
+
+
+def check_type(name: str, value, expected: type) -> None:
+    """Raise ConfigInvalid unless ``value`` is an ``expected``: a bool is
+    not an int, and an int is a float."""
+    if not (type(value) is expected or (expected is float and type(value) is int)):
+        raise ConfigInvalid(f"bad value for {name}: {value!r} is not {expected.__name__}")
+
+
+def check_types(config) -> None:
+    """``check_type`` on every field of dataclass ``config``, named by its
+    ``key`` metadata if it has one."""
+    types = _field_types(type(config))
+    for f in dataclasses.fields(config):
+        check_type(f.metadata.get("key", f.name), getattr(config, f.name), types[f.name])

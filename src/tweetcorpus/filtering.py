@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_types
 from .normalize import EntityCounts
 
 
@@ -40,6 +40,7 @@ class FilterConfig:
     max_emojis: int = 3
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.min_words < 1:
             raise ConfigInvalid("min_words must be >= 1")
         if self.max_words < self.min_words:

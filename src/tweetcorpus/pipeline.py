@@ -24,7 +24,15 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
-from .errors import ConfigInvalid, DataError, InputMissing, IOFailure, TweetCorpusError
+from .errors import (
+    ConfigInvalid,
+    DataError,
+    InputMissing,
+    IOFailure,
+    TweetCorpusError,
+    check_type,
+    check_types,
+)
 from .filtering import FilterConfig, RejectReason, apply_filters, word_count
 from .ingest import IngestStats, RawTweet, dedup, parse_record, read_archive, serialize_record
 from .langid import LangModel, agreement_filter, read_training_corpus, train
@@ -164,7 +172,9 @@ class PipelineConfig:
                 for key, spec in CONFIG_KEYS.items()}
 
     def __post_init__(self) -> None:
-        """Reject out-of-range values; the records take the global seed."""
+        """Reject values of the wrong type, then out-of-range values; the
+        records take the global seed."""
+        check_types(self)
         object.__setattr__(self, "pretrain", dataclasses.replace(self.pretrain, seed=self.seed))
         if self.shards < 1:
             raise ConfigInvalid("io.shards must be >= 1")
@@ -198,16 +208,15 @@ class ConfigKey:
     name: str  # the field holding the value
 
     def coerce(self, raw):
-        """Parse a config-file string; a value of the key's type, or an int
-        for a float key, passes as it is (a bool is not an int here)."""
+        """Parse a config-file string; any other value must be of the key's
+        type (``check_type``), checked here so the message names the key."""
         if isinstance(raw, str) and self.type is not str:
             try:
                 return self.type(raw)
             except ValueError as exc:
                 raise ConfigInvalid(f"bad value for {self.key}: {raw!r}") from exc
-        if type(raw) is self.type or (type(raw) is int and self.type is float):
-            return raw
-        raise ConfigInvalid(f"bad value for {self.key}: {raw!r} is not {self.type.__name__}")
+        check_type(self.key, raw, self.type)
+        return raw
 
 
 def _config_keys() -> dict[str, ConfigKey]:

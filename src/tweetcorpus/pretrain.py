@@ -42,7 +42,7 @@ from math import ceil, log
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from .errors import ConfigInvalid, CorruptRecord, DataError, VersionMismatch
+from .errors import ConfigInvalid, CorruptRecord, DataError, VersionMismatch, check_types
 from .parallel import ordered_map
 from .segment import Document
 from .vocab import Vocabulary, encode, wordpiece_tokenize
@@ -68,6 +68,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_types(self)
         fractions = (self.mask_token_frac, self.keep_frac, self.random_frac)
         if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-12:
             raise ConfigInvalid("mask/keep/random fractions must each be in [0, 1] and sum to 1")

@@ -130,4 +130,11 @@ def test_config_validation():
         FilterConfig(max_urls=-1)
     with pytest.raises(ConfigInvalid):
         dataclasses.replace(FilterConfig(), max_words=4)
+    # the types first: a bool is not an int, and a list is no TypeError
+    with pytest.raises(ConfigInvalid, match="bad value for min_words: True is not int"):
+        FilterConfig(min_words=True)
+    with pytest.raises(ConfigInvalid, match=r"bad value for max_urls: \[1\] is not int"):
+        dataclasses.replace(FilterConfig(), max_urls=[1])
+    with pytest.raises(ConfigInvalid, match="bad value for max_words: 9.0 is not int"):
+        FilterConfig(max_words=9.0)
     FilterConfig()

@@ -56,7 +56,14 @@ def test_parse_config_file(tmp_path):
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("filter.min_wordz = 5\n", encoding="utf-8")
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigInvalid, match=f"{path}:1: unknown key 'filter.min_wordz'"):
+        parse_config_file(path)
+
+
+def test_parse_config_rejects_a_line_without_equals_sign(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("# a comment\nfilter.min_words 5\n", encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match=f"{path}:2: expected key=value"):
         parse_config_file(path)
 
 
@@ -104,6 +111,8 @@ def test_build_config_validates():
         build_config(overrides={"filter.min_words": 0})
     with pytest.raises(ConfigInvalid):
         build_config(overrides={"pretrain.dupe_factor": "abc"})
+    with pytest.raises(ConfigInvalid, match="unknown config key 'filter.min_wordz'"):
+        build_config(overrides={"filter.min_wordz": 5})
 
 
 OUT_OF_RANGE = {
@@ -129,6 +138,8 @@ WRONG_TYPE = {
     "bool-for-float": ({"langid.threshold": False}, "langid.threshold: False is not float"),
     "int-for-str": ({"langid.target": 7}, "langid.target: 7 is not str"),
     "list-for-int": ({"io.workers": [2]}, r"io.workers: \[2\] is not int"),
+    "int-for-input": ({"io.input": 5}, "io.input: 5 is not str"),
+    "bool-min-words": ({"filter.min_words": True}, "filter.min_words: True is not int"),
 }
 
 
@@ -139,19 +150,37 @@ def test_build_config_rejects_non_finite_and_out_of_range_values(values, message
         build_config(overrides=values)
 
 
-@pytest.mark.parametrize("values, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+@pytest.mark.parametrize("values, message", [*OUT_OF_RANGE.values(), *WRONG_TYPE.values()],
+                         ids=[*OUT_OF_RANGE, *WRONG_TYPE])
 def test_replace_rejects_out_of_range_values(values, message):
-    """A config is checked whenever it is built, by dataclasses.replace too."""
+    """A config is checked whenever it is built, by dataclasses.replace too;
+    a value that is not a string reaches it as it is."""
     cfg = build_config()
     changes, sections = {}, {}
     for key, raw in values.items():
         spec = CONFIG_KEYS[key]
         into = sections.setdefault(spec.section, {}) if spec.section else changes
-        into[spec.name] = spec.coerce(raw)
+        into[spec.name] = spec.coerce(raw) if isinstance(raw, str) else raw
+        if spec.section:  # a sub-config names its field, not the key
+            message = message.replace(key, spec.name)
     with pytest.raises(ConfigInvalid, match=message):
         for section, fields in sections.items():
             changes[section] = dataclasses.replace(getattr(cfg, section), **fields)
         dataclasses.replace(cfg, **changes)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"input": 5}, "io.input: 5 is not str"),
+    ({"seed": 1.0}, "seed: 1.0 is not int"),
+    ({"langid_threshold": "0.7"}, "langid.threshold: '0.7' is not float"),
+    ({"filters": None}, "filters: None is not FilterConfig"),
+    ({"pretrain": {}}, r"pretrain: \{\} is not PretrainConfig"),
+], ids=["int-for-input", "float-for-seed", "str-for-threshold", "none-for-filters",
+        "dict-for-pretrain"])
+def test_a_config_built_directly_checks_its_types(fields, message):
+    with pytest.raises(ConfigInvalid, match=f"bad value for {message}"):
+        PipelineConfig(**fields)
+    assert PipelineConfig(langid_threshold=0.7, emoji_fraction=1).emoji_fraction == 1
 
 
 def test_a_config_is_frozen():
@@ -592,6 +621,10 @@ def test_missing_input_raises(tmp_path):
         stage_ingest(cfg)
     with pytest.raises(InputMissing, match="no input files found"):
         stage_ingest(dataclasses.replace(cfg, input=","))
+    with pytest.raises(ConfigInvalid, match="io.input is not set"):
+        stage_ingest(dataclasses.replace(cfg, input=""))
+    with pytest.raises(ConfigInvalid, match="io.output_dir is not set"):
+        run_pipeline(dataclasses.replace(cfg, output_dir=""))
 
 
 def test_vocab_stage_requires_base(workspace):

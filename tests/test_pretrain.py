@@ -48,6 +48,18 @@ def test_config_validation():
         PretrainConfig(max_seq_length=4)
     with pytest.raises(ConfigInvalid):
         dataclasses.replace(PretrainConfig(), max_seq_length=4)
+    for fields, message in (({"max_predictions_per_seq": 0}, "max_predictions_per_seq must be"),
+                            ({"short_seq_prob": 1.5}, r"short_seq_prob must be in \[0, 1\]"),
+                            ({"nsp_random_prob": -0.1}, r"nsp_random_prob must be in \[0, 1\]"),
+                            # the types first: an int is a float, a bool is not an int
+                            ({"dupe_factor": 1.5}, "dupe_factor: 1.5 is not int"),
+                            ({"seed": False}, "seed: False is not int"),
+                            ({"masked_lm_prob": [0.1]}, r"masked_lm_prob: \[0.1\] is not float")):
+        with pytest.raises(ConfigInvalid, match=message):
+            PretrainConfig(**fields)
+        with pytest.raises(ConfigInvalid, match=message):
+            dataclasses.replace(PretrainConfig(), **fields)
+    assert PretrainConfig(short_seq_prob=1).short_seq_prob == 1
 
 
 def test_mask_requires_candidates(word_vocab):
