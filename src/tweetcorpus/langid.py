@@ -35,19 +35,19 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorruptRecord, DataError, VersionMismatch
-from .normalize import collapse_whitespace, read_text_lines
+from .normalize import HASHTAG_TOKEN, MENTION_TOKEN, URL_TOKEN, collapse_whitespace, read_text_lines
 
 MODEL_MAGIC = b"RLID"
 MODEL_VERSION = 1
 
-_PLACEHOLDER_RE = re.compile(r"\b(USER|HTTPURL|HASHTAG)\b")
+_PLACEHOLDER_RE = re.compile(rf"\b({MENTION_TOKEN}|{URL_TOKEN}|{HASHTAG_TOKEN})\b")
 _DIGITS_RE = re.compile(r"\d+")
 
 
 def _prepare(text: str) -> str:
     # placeholders and digits carry no language signal; a placeholder
     # holds no digit and touches none (\b), so two passes strip both
-    if "USER" in text or "HTTPURL" in text or "HASHTAG" in text:
+    if MENTION_TOKEN in text or URL_TOKEN in text or HASHTAG_TOKEN in text:
         text = _PLACEHOLDER_RE.sub(" ", text)
     return collapse_whitespace(_DIGITS_RE.sub(" ", text))
 

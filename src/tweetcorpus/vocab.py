@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import emojidata
 from .errors import DataError
-from .normalize import read_text_lines
+from .normalize import HASHTAG_TOKEN, MENTION_TOKEN, URL_TOKEN, read_text_lines
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -23,7 +23,7 @@ CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 MASK_TOKEN = "[MASK]"
 STRUCTURAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, MASK_TOKEN)
-TWEET_TOKENS = ("USER", "HTTPURL", "HASHTAG")
+TWEET_TOKENS = (MENTION_TOKEN, URL_TOKEN, HASHTAG_TOKEN)
 CONTINUATION_PREFIX = "##"
 
 MAX_WORD_CHARS = 100  # longer words become a single [UNK]
