@@ -537,22 +537,17 @@ def test_missing_abbreviations_names_the_segment_stage(tmp_path, valid_inputs):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config-file"])
-def test_pipeline_checks_the_abbreviations_before_any_stage(tmp_path, valid_inputs, by_flag):
+def test_pipeline_checks_the_abbreviations_before_any_stage(tmp_path, valid_inputs):
     absent = tmp_path / "absent.txt"
-    conf = tmp_path / "run.conf"
-    conf.write_text("" if by_flag else f"segment.abbreviations = {absent}\n", encoding="utf-8")
-    out = tmp_path / "out"
     args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS["pipeline"]]
-    if by_flag:
-        args += ["--abbreviations", str(absent)]
-    proc = run_cli("--config", str(conf), "pipeline", *args, "--output-dir", str(out))
+    proc = run_cli("pipeline", *args, "--abbreviations", str(absent),
+                   "--output-dir", str(tmp_path / "out"))
     assert proc.returncode == 3
     assert f"stage segment: missing input: {absent}" in proc.stderr
     assert "Traceback" not in proc.stderr
-    payload = json.loads((out / "manifest-pipeline.json").read_text(encoding="utf-8"))
+    payload = json.loads((tmp_path / "out" / "manifest-pipeline.json").read_text())
     assert payload["counts"]["failed_stage"] == "segment"
-    assert [p.name for p in out.iterdir()] == ["manifest-pipeline.json"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest-pipeline.json"]
 
 
 def test_pipeline_without_base_vocab_fails_before_ingest(tmp_path, valid_inputs):

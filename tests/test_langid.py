@@ -30,6 +30,8 @@ def test_single_language_rejected():
 def test_empty_sample_rejected():
     with pytest.raises(DataError, match="training sample with empty text"):
         train([("   ", "xx"), ("bbb", "yy")])
+    with pytest.raises(DataError, match="training sample empty after stripping: 'USER 42'"):
+        train([("USER 42", "xx"), ("bbb", "yy")])
 
 
 def test_classify_empty_after_stripping():
@@ -161,6 +163,9 @@ def test_agreement_threshold_monotonicity():
         decisions = [agreement_filter(text, model_a, model_b, "ro", t) for t in thresholds]
         # once rejected at some threshold, stays rejected above it
         assert decisions == sorted(decisions, reverse=True)
+    for threshold in (0, 1, 1.5):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            agreement_filter(texts[0], model_a, model_b, "ro", threshold)
 
 
 def test_threshold_sweep_matches_exhaustive_recount():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tweetcorpus
+from tweetcorpus.pipeline import CONFIG_KEYS, GLOBAL, PIPELINE, STAGES
 
 PACKAGE = Path(tweetcorpus.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -46,7 +47,6 @@ def test_the_allowlist_is_not_stale():
         assert name in _unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
-
 def _checked(cls) -> bool:
     """Whether dataclass ``cls`` is frozen and checks itself when built."""
     return cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)
@@ -70,3 +70,32 @@ def test_the_guard_sees_a_config_that_is_mutable_or_unchecked():
     checked = dataclasses.make_dataclass("CConfig", [], frozen=True,
                                          namespace={"__post_init__": check})
     assert [_checked(cls) for cls in (mutable, unchecked, checked)] == [False, False, True]
+
+
+def _misplaced_flags(keys, stages) -> list[tuple[str, str]]:
+    """(key, subcommand) for each flag that is missing or extra there:
+    ``pipeline`` takes a key's flag exactly when it runs one of the key's
+    stage subcommands, and a stage takes the flag of each outside file it reads."""
+    wrong = [(spec.key, "pipeline") for spec in keys.values()
+             if spec.flag and spec.commands != GLOBAL
+             and ("pipeline" in spec.commands) == set(spec.commands).isdisjoint(PIPELINE)]
+    fields = {spec.name: spec for spec in keys.values() if spec.section is None}
+    for command, stage in stages.items():
+        wrong += [(fields[name].key, command) for name in stage.outside
+                  if not fields[name].flag or command not in fields[name].commands]
+    return wrong
+
+
+def test_pipeline_and_every_stage_take_the_flags_of_what_they_read():
+    assert _misplaced_flags(CONFIG_KEYS, STAGES) == []
+
+
+def test_the_guard_sees_a_misplaced_flag():
+    abbreviations, alpha = CONFIG_KEYS["segment.abbreviations"], CONFIG_KEYS["langid.alpha"]
+    keys = {"segment.abbreviations": dataclasses.replace(abbreviations, commands=("segment",)),
+            "langid.alpha": dataclasses.replace(alpha, commands=("langid-train", "pipeline"))}
+    stages = {"segment": STAGES["segment"],
+              "clean": STAGES["clean"]._replace(outside=("langid_alpha",))}
+    assert _misplaced_flags(keys, stages) == [
+        ("segment.abbreviations", "pipeline"), ("langid.alpha", "pipeline"),
+        ("langid.alpha", "clean")]

@@ -442,6 +442,12 @@ def test_load_emotion_rejects_bad_rows(tmp_path):
     path.write_text("text\t0\t1\t2\t0\t0\t0\t0\n", encoding="utf-8")
     with pytest.raises(DataError, match="expected 0/1, got '2'"):
         load_emotion_dataset(path)
+    cells = "\t0" * 7 + "\t0.5" * 6
+    for intensity, message in (("x", "bad intensity 'x'"),
+                               ("1.5", r"intensity 1.5 outside \[0, 1\]")):
+        path.write_text(f"text{cells}\t{intensity}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f":1: {message}"):
+            load_emotion_dataset(path)
 
 
 def test_load_emotion_intensity_threshold_consistency(tmp_path):
@@ -469,6 +475,13 @@ def test_load_sexism_unknown_label(tmp_path):
     with pytest.raises(UnknownLabel) as err:
         load_sexism_dataset(path)
     assert ":1:" in str(err.value)
+
+
+def test_load_sexism_rejects_a_row_without_two_columns(tmp_path):
+    path = tmp_path / "sli.tsv"
+    path.write_text("un text\tsexist direct\nalt\ttext\tsexist direct\n", encoding="utf-8")
+    with pytest.raises(DataError, match=":2: expected text<TAB>label"):
+        load_sexism_dataset(path)
 
 
 def test_load_ner_rows(tmp_path, toy_vocab):

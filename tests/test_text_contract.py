@@ -135,6 +135,28 @@ def test_every_text_reader_rejects_a_leading_byte_order_mark(tmp_path, name):
         reader(path)
 
 
+# Each reader of an outside text file, a file with a bad line, and what it says.
+BAD_LINES = {
+    "langid-corpus-without-tab": (read_training_corpus, "ro\tazi plouă\nen it rains\n",
+                                  "{path}:2: expected code<TAB>text"),
+    "emoji-map-without-tab": (EmojiMap.load, "\U0001F600\tfata\n\U0001F680 racheta\n",
+                              "{path}:2: expected emoji<TAB>description"),
+    "emoji-map-empty-description": (EmojiMap.load, "\U0001F600\t \n",
+                                    "empty emoji map entry: '\U0001F600' -> ' '"),
+    "vocabulary-repeated-token": (Vocabulary.load, "\n".join([*STRUCTURAL_TOKENS, "a", "a"]),
+                                  "duplicate tokens in vocabulary: ['a']"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_LINES)
+def test_every_text_reader_rejects_a_bad_line(tmp_path, name):
+    reader, text, message = BAD_LINES[name]
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(message.format(path=path))):
+        reader(path)
+
+
 def test_url_ends_at_an_information_separator():
     assert normalize_entities("vezi http://x.ro\x1cacum") == "vezi HTTPURL acum"
 

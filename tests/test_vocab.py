@@ -70,6 +70,12 @@ def test_select_empty_table():
     assert select_top_emojis(Counter(), 1.0) == []
 
 
+@pytest.mark.parametrize("fraction", [0, -0.5, 1.5])
+def test_select_rejects_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+        select_top_emojis(Counter({"\U0001F600": 1}), fraction)
+
+
 def test_select_matches_full_sort_oracle():
     rng = random.Random(13)
     emojis = [chr(0x1F600 + i) for i in range(100)]
@@ -105,6 +111,11 @@ def test_extension_identity_when_present():
 def test_extension_rejects_duplicate_additions():
     with pytest.raises(DataError, match=r"repeated additions: \['X'\]"):
         extend_vocabulary(_base_vocab(5), ("X", "X"), [])
+
+
+def test_extension_rejects_a_token_holding_whitespace():
+    with pytest.raises(DataError, match="token contains whitespace: 'A B'"):
+        extend_vocabulary(_base_vocab(5), TWEET_TOKENS, ["A B"])
 
 
 def test_extension_size_matches_set_union_oracle():
