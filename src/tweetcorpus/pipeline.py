@@ -21,7 +21,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, get_type_hints
 
 from . import __version__
 from .errors import (
@@ -221,7 +221,7 @@ class ConfigKey:
 
 def _config_keys() -> dict[str, ConfigKey]:
     """The config table; ``pipeline`` takes the flags of every stage it runs."""
-    types = {"int": int, "float": float, "str": str}  # annotations are strings here
+    types = get_type_hints(PipelineConfig)  # the annotations, resolved from strings
     keys = {}
     for f in dataclasses.fields(PipelineConfig):
         meta = f.metadata
@@ -229,15 +229,16 @@ def _config_keys() -> dict[str, ConfigKey]:
         if "pipeline" not in commands and not set(commands).isdisjoint(PIPELINE):
             commands += ("pipeline",)
         if "key" in meta:
-            keys[meta["key"]] = ConfigKey(meta["key"], types[f.type], f.default, meta["flag"],
+            keys[meta["key"]] = ConfigKey(meta["key"], types[f.name], f.default, meta["flag"],
                                           commands, meta["help"], None, f.name)
             continue
+        sub_types = get_type_hints(f.default_factory)
         for sub in dataclasses.fields(f.default_factory):
             if sub.name not in meta.get("omitted", ()):
                 key = f"{meta['prefix']}.{sub.name}"
                 flag = (None if sub.name in meta.get("unflagged", ())
                         else "--" + sub.name.replace("_", "-"))
-                keys[key] = ConfigKey(key, types[sub.type], sub.default, flag,
+                keys[key] = ConfigKey(key, sub_types[sub.name], sub.default, flag,
                                       commands, "", f.name, sub.name)
     return keys
 

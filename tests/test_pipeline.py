@@ -140,6 +140,7 @@ WRONG_TYPE = {
     "list-for-int": ({"io.workers": [2]}, r"io.workers: \[2\] is not int"),
     "int-for-input": ({"io.input": 5}, "io.input: 5 is not str"),
     "bool-min-words": ({"filter.min_words": True}, "filter.min_words: True is not int"),
+    "float-for-seed": ({"seed": 1.0}, "seed: 1.0 is not int"),
 }
 
 
@@ -153,8 +154,9 @@ def test_build_config_rejects_non_finite_and_out_of_range_values(values, message
 @pytest.mark.parametrize("values, message", [*OUT_OF_RANGE.values(), *WRONG_TYPE.values()],
                          ids=[*OUT_OF_RANGE, *WRONG_TYPE])
 def test_replace_rejects_out_of_range_values(values, message):
-    """A config is checked whenever it is built, by dataclasses.replace too;
-    a value that is not a string reaches it as it is."""
+    """A config is checked whenever it is built: by dataclasses.replace and
+    by direct construction too. A value that is not a string reaches it as
+    it is."""
     cfg = build_config()
     changes, sections = {}, {}
     for key, raw in values.items():
@@ -167,20 +169,19 @@ def test_replace_rejects_out_of_range_values(values, message):
         for section, fields in sections.items():
             changes[section] = dataclasses.replace(getattr(cfg, section), **fields)
         dataclasses.replace(cfg, **changes)
+    with pytest.raises(ConfigInvalid, match=message):
+        for section, fields in sections.items():
+            changes[section] = type(getattr(cfg, section))(**fields)
+        PipelineConfig(**changes)
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"input": 5}, "io.input: 5 is not str"),
-    ({"seed": 1.0}, "seed: 1.0 is not int"),
-    ({"langid_threshold": "0.7"}, "langid.threshold: '0.7' is not float"),
     ({"filters": None}, "filters: None is not FilterConfig"),
     ({"pretrain": {}}, r"pretrain: \{\} is not PretrainConfig"),
-], ids=["int-for-input", "float-for-seed", "str-for-threshold", "none-for-filters",
-        "dict-for-pretrain"])
-def test_a_config_built_directly_checks_its_types(fields, message):
+], ids=["none-for-filters", "dict-for-pretrain"])
+def test_a_config_holds_checked_sub_configs(fields, message):
     with pytest.raises(ConfigInvalid, match=f"bad value for {message}"):
         PipelineConfig(**fields)
-    assert PipelineConfig(langid_threshold=0.7, emoji_fraction=1).emoji_fraction == 1
 
 
 def test_a_config_is_frozen():
