@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, pipeline, tasks
 from .errors import ConfigInvalid, DataError, TweetCorpusError
 from .normalize import read_text_lines
-from .pipeline import CONFIG_KEYS, GLOBAL, STAGES, PipelineConfig, build_config, parse_config_file
+from .pipeline import CONFIG_KEYS, GLOBAL, PipelineConfig, build_config, parse_config_file
 from .tasks import threshold_intensities
 from .vocab import Vocabulary
 
@@ -60,10 +60,6 @@ def build_parser() -> _Parser:
     def add_sub(name, help_text):
         sub = subs.add_parser(name, help=help_text)
         _add_config_flags(sub, name)
-        upstream = name in STAGES and STAGES[name].upstream
-        if upstream:
-            sub.add_argument("--input-dir", help=f"{upstream} output directory; "
-                             "its manifest lists the shards")
         return sub
 
     add_sub("ingest", "parse and dedup raw archives")
@@ -76,7 +72,6 @@ def build_parser() -> _Parser:
     add_sub("vocab", "extend the base vocabulary")
 
     sub = add_sub("pretrain-data", "generate MLM/NSP records")
-    sub.add_argument("--vocab", help="vocabulary file (default <output-dir>/vocab/vocab.txt)")
     sub.add_argument("--debug-jsonl", action="store_true",
                      help="also write line-delimited JSON twins of the records")
 
@@ -116,9 +111,8 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return build_config(file_values, overrides)
 
 
-# option dest -> keyword argument of the stage function
-_STAGE_ARGS = {"corpus": "corpus", "input_dir": "in_dir", "vocab": "vocab_path",
-               "debug_jsonl": "debug_jsonl"}
+# options passed on to the stage function as keyword arguments of the same name
+_STAGE_ARGS = ("corpus", "debug_jsonl")
 
 
 def _parse_score(value: str, path: str, lineno: int) -> float:
@@ -228,9 +222,7 @@ def run(argv: list[str] | None = None) -> int:
         return _cmd_task_prep(args) if args.command == "task-prep" else _cmd_eval(args)
 
     cfg = config_from_args(args)
-    kwargs = {param: getattr(args, dest) for dest, param in _STAGE_ARGS.items() if dest in args}
-    if args.command != "pipeline":  # a single stage writes into io.output_dir itself
-        kwargs["out_dir"] = cfg.output_dir
+    kwargs = {dest: getattr(args, dest) for dest in _STAGE_ARGS if dest in args}
     manifest = pipeline.run_stage(args.command, cfg, **kwargs)
     print(json.dumps(manifest.counts, sort_keys=True))
     return 0

@@ -77,7 +77,7 @@ from .vocab import (
 
 class Stage(NamedTuple):
     runner: str  # the function of this module that runs the stage
-    directory: str  # its default output directory under io.output_dir
+    directory: str  # its directory under io.output_dir, "" for the root
     upstream: str | None = None  # the stage whose manifest lists its inputs
     outside: tuple[str, ...] = ()  # config fields naming the outside files it reads
 
@@ -92,8 +92,8 @@ STAGES = {
                    ("langid_model_a", "langid_model_b", "emoji_map_path")),
     "segment": Stage("stage_segment", "segment", "clean", ("abbreviations_path",)),
     "pretrain-data": Stage("stage_pretrain_data", "pretrain", "segment"),
-    "langid-train": Stage("stage_langid_train", "langid"),
-    "stats": Stage("stage_stats", "stats"),
+    "langid-train": Stage("stage_langid_train", ""),
+    "stats": Stage("stage_stats", ""),
     "pipeline": Stage("run_pipeline", ""),
 }
 PIPELINE = ("ingest", *(name for name, stage in STAGES.items() if stage.upstream))
@@ -247,8 +247,9 @@ CONFIG_KEYS = _config_keys()
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Flat ``section.key = value`` lines; '#' comments; unknown keys fail."""
+    """Flat ``section.key = value`` lines; '#' comments; unknown or repeated keys fail."""
     values: dict = {}
+    key_line: dict[str, int] = {}
     for lineno, line in enumerate(read_text_lines(path, ConfigInvalid), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -258,6 +259,10 @@ def parse_config_file(path: str | Path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_line:
+            raise ConfigInvalid(f"{path}:{lineno}: duplicate key {key!r}, "
+                                f"first at {path}:{key_line[key]}")
+        key_line[key] = lineno
         values[key] = raw
     return values
 
@@ -340,6 +345,9 @@ def _input_paths(cfg: PipelineConfig) -> list[Path]:
 
 
 def _stage_dir(stage: str, cfg: PipelineConfig) -> Path:
+    """Where ``stage`` writes, and the stages downstream of it read: the one layout."""
+    if not cfg.output_dir:
+        raise ConfigInvalid("io.output_dir is not set")
     return Path(cfg.output_dir) / STAGES[stage].directory
 
 
@@ -387,8 +395,8 @@ def _listed(manifest: Path) -> list[str]:
 class _Outputs:
     """One run of ``stage``: what it reads, and the files it writes, committed as a unit.
 
-    ``out_dir`` and ``in_dir`` default to the stage's and its upstream's
-    ``STAGES`` directory. Entering reads the upstream manifest's files
+    It writes into the stage's ``STAGES`` directory and reads from its
+    upstream's (``_stage_dir``). Entering reads the upstream manifest's files
     into ``upstream`` and reads the outside files into ``outside`` and
     ``loaded`` (see ``_read_outside``), so a missing or bad input fails
     before anything is deleted; then it deletes the old manifest and the
@@ -400,12 +408,10 @@ class _Outputs:
     stage that raises leaves neither outputs nor a manifest.
     """
 
-    def __init__(self, stage: str, cfg: PipelineConfig, out_dir: str | Path | None = None,
-                 in_dir: str | Path | None = None):
+    def __init__(self, stage: str, cfg: PipelineConfig):
         self.stage = stage
         self.cfg = cfg
-        self.directory = Path(out_dir or _stage_dir(stage, cfg))
-        self.in_dir = in_dir
+        self.directory = _stage_dir(stage, cfg)
         self.manifest_path = self.directory / f"manifest-{stage}.json"
         self.partials: dict[str, Path] = {}
 
@@ -413,7 +419,7 @@ class _Outputs:
         self.upstream: list[Path] = []
         source = STAGES[self.stage].upstream
         if source:
-            src = Path(self.in_dir or _stage_dir(source, self.cfg))
+            src = _stage_dir(source, self.cfg)
             self.upstream = _require_inputs(
                 [src / name for name in _listed(src / f"manifest-{source}.json")],
                 f"{source} outputs")
@@ -460,12 +466,12 @@ class _Outputs:
 # --- stages ------------------------------------------------------------------
 
 
-def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
+def stage_ingest(cfg: PipelineConfig) -> RunManifest:
     """Parse archives, dedup, and write round-robin shard files."""
     inputs = _input_paths(cfg)
     stats = IngestStats()
     digests: dict[Path, str] = {}
-    with _Outputs("ingest", cfg, out_dir) as out:
+    with _Outputs("ingest", cfg) as out:
         with ExitStack() as files:
             sinks = [files.enter_context(open(out.path(f"tweets-{i:05}.jsonl"), "w",
                                               encoding="utf-8")) for i in range(cfg.shards)]
@@ -479,11 +485,14 @@ def stage_ingest(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
 
 def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
                        out_dir: str | Path | None = None) -> RunManifest:
-    """Train the two agreement-ensemble models from code<TAB>text lines."""
+    """Train the two agreement-ensemble models from code<TAB>text lines;
+    ``out_dir``, which the benchmark passes, stands for ``io.output_dir``."""
+    if out_dir is not None:
+        cfg = dataclasses.replace(cfg, output_dir=str(out_dir))
     corpus = Path(corpus)
     _require_inputs([corpus])
     samples = read_training_corpus(corpus)
-    with _Outputs("langid-train", cfg, out_dir) as out:
+    with _Outputs("langid-train", cfg) as out:
         train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(out.path("model-a.rlid"))
         train(samples, cfg.langid_ngrams_b, cfg.langid_alpha).save(out.path("model-b.rlid"))
         return out.commit({"samples": len(samples)}, [corpus])
@@ -549,13 +558,12 @@ def _batches(lines: Iterable[bytes], size: int) -> Iterator[list[bytes]]:
     return iter(lambda: list(islice(lines, size)), [])
 
 
-def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
-                out_dir: str | Path | None = None) -> RunManifest:
+def stage_clean(cfg: PipelineConfig) -> RunManifest:
     """Normalize, filter, language-filter, and emoji-translate each shard."""
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
-    with _Outputs("clean", cfg, out_dir, in_dir) as out:
+    with _Outputs("clean", cfg) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             dst = out.path(f"clean-{shard_index:05}.jsonl")
             with open(dst, "w", encoding="utf-8") as sink:
@@ -572,8 +580,7 @@ def stage_clean(cfg: PipelineConfig, in_dir: str | Path | None = None,
         return out.commit(counts)
 
 
-def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
-                  out_dir: str | Path | None = None) -> RunManifest:
+def stage_segment(cfg: PipelineConfig) -> RunManifest:
     """Split cleaned tweets into sentences and emit document files."""
     counts = {"read": 0, "documents": 0, "sentences": 0}
 
@@ -584,21 +591,20 @@ def stage_segment(cfg: PipelineConfig, in_dir: str | Path | None = None,
             counts["sentences"] += len(sentences)
             yield Document(tuple(sentences))
 
-    with _Outputs("segment", cfg, out_dir, in_dir) as out:
+    with _Outputs("segment", cfg) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
                 counts["documents"] += write_documents(documents(shard_file, out.loaded), sink)
         return out.commit(counts)
 
 
-def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
-                out_dir: str | Path | None = None) -> RunManifest:
+def stage_vocab(cfg: PipelineConfig) -> RunManifest:
     """Extend the base vocabulary with tweet tokens and top emojis.
 
     Runs on the deduped (pre-translation) shards so emoji frequencies
     see the original emoji characters.
     """
-    with _Outputs("vocab", cfg, out_dir, in_dir) as out:
+    with _Outputs("vocab", cfg) as out:
         emojis = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
                                          for line in _shard_lines(shard))
         top = select_top_emojis(emojis, cfg.emoji_fraction)
@@ -614,16 +620,13 @@ def stage_vocab(cfg: PipelineConfig, in_dir: str | Path | None = None,
         })
 
 
-def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
-                        vocab_path: str | Path | None = None,
-                        out_dir: str | Path | None = None,
-                        debug_jsonl: bool = False) -> RunManifest:
+def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunManifest:
     """Generate and serialize MLM/NSP instances per document shard."""
-    vocab_file = Path(vocab_path or _stage_dir("vocab", cfg) / "vocab.txt")
+    vocab_file = _stage_dir("vocab", cfg) / "vocab.txt"
     _require_inputs([vocab_file])
     vocab = Vocabulary.load(vocab_file)
     stats = BuildStats()  # summed over every shard
-    with _Outputs("pretrain-data", cfg, out_dir, in_dir) as out:
+    with _Outputs("pretrain-data", cfg) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
@@ -634,25 +637,25 @@ def stage_pretrain_data(cfg: PipelineConfig, in_dir: str | Path | None = None,
         return out.commit(dataclasses.asdict(stats), [vocab_file])
 
 
-def stage_stats(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
+def stage_stats(cfg: PipelineConfig) -> RunManifest:
     """Summarize an archive without transforming it."""
     inputs = _input_paths(cfg)
     stats = IngestStats()
     digests: dict[Path, str] = {}
     words = 0
     entity_totals = {"mentions": 0, "hashtags": 0, "urls": 0, "emojis": 0}
-    for tweet in chain.from_iterable(read_archive(p, stats, digests) for p in inputs):
-        stats.emitted += 1
-        words += word_count(tweet.text)
-        counts = count_entities(tweet.text)
-        for key in entity_totals:
-            entity_totals[key] += getattr(counts, key)
-    counts = dataclasses.asdict(stats)
-    counts.pop("duplicates_id")
-    counts.pop("duplicates_text")
-    counts["words"] = words
-    counts["entities"] = entity_totals
-    with _Outputs("stats", cfg, out_dir) as out:
+    with _Outputs("stats", cfg) as out:
+        for tweet in chain.from_iterable(read_archive(p, stats, digests) for p in inputs):
+            stats.emitted += 1
+            words += word_count(tweet.text)
+            counts = count_entities(tweet.text)
+            for key in entity_totals:
+                entity_totals[key] += getattr(counts, key)
+        counts = dataclasses.asdict(stats)
+        counts.pop("duplicates_id")
+        counts.pop("duplicates_text")
+        counts["words"] = words
+        counts["entities"] = entity_totals
         return out.commit(counts, digested=digests)
 
 
@@ -693,9 +696,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     missing or bad (all are read before ingest), is recorded as
     ``failed_stage`` in ``manifest-pipeline.json``.
     """
-    if not cfg.output_dir:
-        raise ConfigInvalid("io.output_dir is not set")
-    out = Path(cfg.output_dir)
+    out = _stage_dir("pipeline", cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest-pipeline.json").unlink(missing_ok=True)
 

@@ -9,12 +9,16 @@ import subprocess
 import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 
+import tweetcorpus
 from tweetcorpus.cli import build_parser
 from tweetcorpus.pipeline import (
     CONFIG_KEYS,
+    PIPELINE,
+    STAGES,
     build_config,
     stage_clean,
     stage_ingest,
@@ -27,9 +31,15 @@ from tweetcorpus.vocab import STRUCTURAL_TOKENS
 from conftest import EN_WORDS, RO_WORDS, make_text
 
 
-def run_cli(*argv, check=False, timeout=None):
+# the package under test, importable from any working directory
+SRC = str(Path(tweetcorpus.__file__).resolve().parents[1])
+
+
+def run_cli(*argv, check=False, timeout=None, cwd=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "tweetcorpus.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -66,7 +76,7 @@ def test_ingest_reads_a_fifo_once_and_records_the_digest_of_what_it_read(tmp_pat
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "out" / "manifest-ingest.json").read_text())
+    manifest = json.loads((tmp_path / "out" / "ingest" / "manifest-ingest.json").read_text())
     assert manifest["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
     assert manifest["counts"]["emitted"] == 2
 
@@ -131,7 +141,8 @@ def test_a_stage_writes_into_io_output_dir_however_it_is_set(tmp_path, by_flag):
     conf.write_text("" if by_flag else f"io.output_dir = {out}\n", encoding="utf-8")
     flags = ("--output-dir", str(out)) if by_flag else ()
     run_cli("--config", str(conf), "ingest", "--input", str(archive), *flags, check=True)
-    assert sorted(p.name for p in out.iterdir()) == ["manifest-ingest.json", "tweets-00000.jsonl"]
+    assert sorted(tree(out)) == ["ingest", "ingest/manifest-ingest.json",
+                                 "ingest/tweets-00000.jsonl"]
 
 
 def test_ingest_counts_a_lone_surrogate_as_malformed(tmp_path):
@@ -146,7 +157,7 @@ def test_ingest_counts_a_lone_surrogate_as_malformed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (counts["read"], counts["malformed"], counts["emitted"]) == (3, 2, 1)
-    shard = (tmp_path / "ing" / "tweets-00000.jsonl").read_text(encoding="utf-8")
+    shard = (tmp_path / "ing" / "ingest" / "tweets-00000.jsonl").read_text(encoding="utf-8")
     assert json.loads(shard)["text"] == "Un zâmbet 😀 și gata"
 
 
@@ -381,22 +392,32 @@ def test_filter_flags_override(tmp_path):
     archive = tmp_path / "raw.jsonl"
     archive.write_text(json.dumps({"id": 1, "text": "doar trei cuvinte"}) + "\n",
                        encoding="utf-8")
-    run_cli("ingest", "--input", str(archive),
-            "--output-dir", str(tmp_path / "ing"), check=True)
+    out = str(tmp_path / "out")
+    run_cli("ingest", "--input", str(archive), "--output-dir", out, check=True)
     # default min_words=5 rejects; --min-words 2 accepts
-    proc = run_cli("clean", "--input-dir", str(tmp_path / "ing"),
-                   "--output-dir", str(tmp_path / "cl1"), check=True)
+    proc = run_cli("clean", "--output-dir", out, check=True)
     assert json.loads(proc.stdout.splitlines()[-1])["emitted"] == 0
-    proc = run_cli("clean", "--input-dir", str(tmp_path / "ing"),
-                   "--output-dir", str(tmp_path / "cl2"), "--min-words", "2",
-                   check=True)
+    proc = run_cli("clean", "--output-dir", out, "--min-words", "2", check=True)
     assert json.loads(proc.stdout.splitlines()[-1])["emitted"] == 1
+
+
+def copy_layout(source, out, *directories):
+    """``out``, holding a copy of the stage ``directories`` of the layout at ``source``."""
+    for directory in directories:
+        shutil.copytree(source / directory, out / directory)
+    return out
+
+
+def tree(root):
+    """Every path under ``root``, relative: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """An archive with emoji, its ingest shards, a base vocabulary, and
-    trained language models: every stage below would run on them."""
+    """An archive with emoji, a layout holding its ingest shards, a base
+    vocabulary, and trained language models: every stage below would run on them."""
     root = tmp_path_factory.mktemp("inputs")
     rng = random.Random(5)
     archive = root / "raw.jsonl"
@@ -412,17 +433,20 @@ def valid_inputs(tmp_path_factory):
     base_vocab = root / "base.txt"
     base_vocab.write_text("\n".join(list(STRUCTURAL_TOKENS) + sorted(set(RO_WORDS))) + "\n",
                           encoding="utf-8")
-    stage_ingest(build_config(overrides={"io.input": str(archive)}), root / "ingest")
+    stage_ingest(build_config(overrides={"io.input": str(archive), "io.output_dir": str(root)}))
     stage_langid_train(build_config(), corpus, root / "models")
     return {"archive": archive, "corpus": corpus, "base": base_vocab,
-            "ingest": root / "ingest", "a": root / "models" / "model-a.rlid",
+            "layout": root, "a": root / "models" / "model-a.rlid",
             "b": root / "models" / "model-b.rlid"}
 
 
+# the arguments besides --output-dir that run each stage on ``valid_inputs``
 _STAGE_ARGS = {
-    "vocab": ("--input-dir", "{ingest}", "--base-vocab", "{base}"),
+    "ingest": ("--input", "{archive}"),
+    "vocab": ("--base-vocab", "{base}"),
     "langid-train": ("--corpus", "{corpus}"),
-    "clean": ("--input-dir", "{ingest}", "--model-a", "{a}", "--model-b", "{b}"),
+    "clean": ("--model-a", "{a}", "--model-b", "{b}"),
+    "stats": ("--input", "{archive}"),
     "pipeline": ("--input", "{archive}", "--base-vocab", "{base}",
                  "--model-a", "{a}", "--model-b", "{b}"),
 }
@@ -454,13 +478,24 @@ def test_out_of_range_config_fails_before_any_stage(tmp_path, valid_inputs, comm
                                                     flags, config_text):
     conf = tmp_path / "run.conf"
     conf.write_text(config_text, encoding="utf-8")
-    out = tmp_path / "out"
+    out = copy_layout(valid_inputs["layout"], tmp_path / "out", "ingest")
+    before = tree(out)
     args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS[command]]
     proc = run_cli("--config", str(conf), command, *args, *flags, "--output-dir", str(out))
     assert proc.returncode == 1
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    assert tree(out) == before
+
+
+@pytest.mark.parametrize("command", STAGES)
+def test_an_unset_output_dir_is_a_config_error_for_every_stage(tmp_path, valid_inputs, command):
+    args = [arg.format(**valid_inputs) for arg in _STAGE_ARGS.get(command, ())]
+    proc = run_cli(command, *args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert f"config error: stage {command}: io.output_dir is not set" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # nothing written under the working directory
 
 
 @pytest.mark.parametrize("models", [("--model-a", "{a}"), ("--model-b", "{b}")],
@@ -494,44 +529,43 @@ def test_missing_clean_input_is_a_failed_stage(tmp_path, valid_inputs, absent):
 
 
 def test_an_unknown_target_language_exits_with_a_config_error(tmp_path, valid_inputs):
-    out = tmp_path / "clean"
-    proc = run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
+    out = copy_layout(valid_inputs["layout"], tmp_path / "out", "ingest")
+    proc = run_cli("clean", "--output-dir", str(out),
                    "--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]),
                    "--target", "de")
     assert proc.returncode == 1
     assert "config error" in proc.stderr and "'de'" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not list(out.glob("*.jsonl")) and not (out / "manifest-clean.json").exists()
+    clean = out / "clean"
+    assert not list(clean.glob("*.jsonl")) and not (clean / "manifest-clean.json").exists()
 
 
 def test_a_clean_with_a_missing_emoji_map_keeps_the_previous_outputs(tmp_path, valid_inputs):
-    out = tmp_path / "clean"
+    out = copy_layout(valid_inputs["layout"], tmp_path / "out", "ingest")
+    clean = out / "clean"
     models = ("--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]))
-    run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
-            *models, check=True)
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    run_cli("clean", "--output-dir", str(out), *models, check=True)
+    before = {p.name: p.read_bytes() for p in clean.iterdir()}
     assert "manifest-clean.json" in before and len(before) > 1
     absent = tmp_path / "absent.tsv"
-    proc = run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
-                   *models, "--emoji-map", str(absent))
+    proc = run_cli("clean", "--output-dir", str(out), *models, "--emoji-map", str(absent))
     assert proc.returncode == 3
     assert f"stage clean: missing input: {absent}" in proc.stderr
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert {p.name: p.read_bytes() for p in clean.iterdir()} == before
     # a directory is no emoji map either
-    proc = run_cli("clean", "--input-dir", str(valid_inputs["ingest"]), "--output-dir", str(out),
-                   *models, "--emoji-map", str(tmp_path))
+    proc = run_cli("clean", "--output-dir", str(out), *models, "--emoji-map", str(tmp_path))
     assert proc.returncode == 3
     assert f"stage clean: input is a directory: {tmp_path}" in proc.stderr
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert {p.name: p.read_bytes() for p in clean.iterdir()} == before
 
 
 def test_missing_abbreviations_names_the_segment_stage(tmp_path, valid_inputs):
-    cfg = build_config(overrides={"langid.model_a": str(valid_inputs["a"]),
-                                  "langid.model_b": str(valid_inputs["b"])})
-    stage_clean(cfg, valid_inputs["ingest"], tmp_path / "clean")
+    out = copy_layout(valid_inputs["layout"], tmp_path / "out", "ingest")
+    stage_clean(build_config(overrides={"io.output_dir": str(out),
+                                        "langid.model_a": str(valid_inputs["a"]),
+                                        "langid.model_b": str(valid_inputs["b"])}))
     absent = tmp_path / "absent.txt"
-    proc = run_cli("segment", "--input-dir", str(tmp_path / "clean"),
-                   "--abbreviations", str(absent), "--output-dir", str(tmp_path / "segment"))
+    proc = run_cli("segment", "--abbreviations", str(absent), "--output-dir", str(out))
     assert proc.returncode == 3
     assert f"stage segment: missing input: {absent}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -567,15 +601,19 @@ def test_pipeline_without_base_vocab_fails_before_ingest(tmp_path, valid_inputs)
 _NOT_UTF8 = b"first\r\nsecond\rth\xffird\n"
 
 
+# the stage directories of a layout that pretrain-data would run on
+FINISHED = ("ingest", "vocab", "clean", "segment")
+
+
 @pytest.fixture(scope="module")
 def finished_stages(tmp_path_factory, valid_inputs):
-    """A finished vocab, clean and segment run over ``valid_inputs``."""
-    root = tmp_path_factory.mktemp("finished")
+    """A layout of ``FINISHED`` stages run over ``valid_inputs``, beside bad outside files."""
+    root = copy_layout(valid_inputs["layout"], tmp_path_factory.mktemp("finished"), "ingest")
+    layout = {"io.output_dir": str(root)}
     models = {"langid.model_a": str(valid_inputs["a"]), "langid.model_b": str(valid_inputs["b"])}
-    stage_vocab(build_config(overrides={"vocab.base": str(valid_inputs["base"])}),
-                valid_inputs["ingest"], root / "vocab")
-    stage_clean(build_config(overrides=models), valid_inputs["ingest"], root / "clean")
-    stage_segment(build_config(), root / "clean", root / "segment")
+    stage_vocab(build_config(overrides={**layout, "vocab.base": str(valid_inputs["base"])}))
+    stage_clean(build_config(overrides={**layout, **models}))
+    stage_segment(build_config(overrides=layout))
     (root / "not-utf8.txt").write_bytes(_NOT_UTF8)
     model = valid_inputs["a"].read_bytes()  # its first language code starts at offset 20
     (root / "not-utf8.rlid").write_bytes(model[:20] + b"\xff" + model[21:])
@@ -585,40 +623,36 @@ def finished_stages(tmp_path_factory, valid_inputs):
 
 # stage, its arguments, the bad outside input, exit code, message
 _BAD_OUTSIDE = {
-    "clean-target-de": ("clean", ("--input-dir", "{ingest}", "--model-a", "{a}",
-                                  "--model-b", "{b}"), ("--target", "de"), 1,
-                        "langid.target 'de' is not a language of both models"),
-    "clean-emoji-map-not-utf8": ("clean", ("--input-dir", "{ingest}", "--model-a", "{a}",
-                                           "--model-b", "{b}"),
+    "clean-target-de": ("clean", ("--model-a", "{a}", "--model-b", "{b}"), ("--target", "de"),
+                        1, "langid.target 'de' is not a language of both models"),
+    "clean-emoji-map-not-utf8": ("clean", ("--model-a", "{a}", "--model-b", "{b}"),
                                  ("--emoji-map", "{root}/not-utf8.txt"), 2,
                                  "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
-    "clean-model-a-not-utf8": ("clean", ("--input-dir", "{ingest}", "--model-a", "{a}",
-                                         "--model-b", "{b}"),
+    "clean-model-a-not-utf8": ("clean", ("--model-a", "{a}", "--model-b", "{b}"),
                                ("--model-a", "{root}/not-utf8.rlid"), 2,
                                "{root}/not-utf8.rlid: byte 0xff at offset 20 is not UTF-8"),
-    "segment-abbreviations-not-utf8": ("segment", ("--input-dir", "{root}/clean"),
+    "segment-abbreviations-not-utf8": ("segment", (),
                                        ("--abbreviations", "{root}/not-utf8.txt"), 2,
                                        "{root}/not-utf8.txt:3: not UTF-8 (byte 0xff)"),
-    "vocab-base-without-cls": ("vocab", ("--input-dir", "{ingest}"),
-                               ("--base-vocab", "{root}/no-cls.txt"), 2,
+    "vocab-base-without-cls": ("vocab", (), ("--base-vocab", "{root}/no-cls.txt"), 2,
                                "vocabulary is missing [CLS]"),
 }
 
 
 @pytest.mark.parametrize("stage, args, bad, code, message", _BAD_OUTSIDE.values(),
                          ids=_BAD_OUTSIDE.keys())
-def test_a_bad_outside_input_keeps_the_previous_outputs(valid_inputs, finished_stages, stage,
-                                                        args, bad, code, message):
+def test_a_bad_outside_input_keeps_the_previous_outputs(tmp_path, valid_inputs, finished_stages,
+                                                        stage, args, bad, code, message):
     names = {**valid_inputs, "root": finished_stages}
-    out = finished_stages / stage
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert f"manifest-{stage}.json" in before and len(before) > 1
+    out = copy_layout(finished_stages, tmp_path / "out", *FINISHED)
+    before = tree(out)
+    assert f"{stage}/manifest-{stage}.json" in before
     proc = run_cli(stage, *(arg.format(**names) for arg in (*args, *bad)),
                    "--output-dir", str(out))
     assert proc.returncode == code
     assert f"stage {stage}: {message.format(**names)}" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert tree(out) == before
 
 
 @pytest.fixture
@@ -671,14 +705,15 @@ _TEXT_FILES = {
                1, "config error: "),
     "langid-corpus": (("langid-train", "--corpus", "{bad}", "--output-dir", "{out}"), 2,
                       "error: stage langid-train: "),
-    "emoji-map": (("clean", "--input-dir", "{ingest}", "--emoji-map", "{bad}",
-                   "--output-dir", "{out}"), 2, "error: stage clean: "),
-    "abbreviations": (("segment", "--input-dir", "{root}/clean", "--abbreviations", "{bad}",
-                       "--output-dir", "{out}"), 2, "error: stage segment: "),
-    "base-vocab": (("vocab", "--input-dir", "{ingest}", "--base-vocab", "{bad}",
-                    "--output-dir", "{out}"), 2, "error: stage vocab: "),
-    "pretrain-vocab": (("pretrain-data", "--input-dir", "{root}/segment", "--vocab", "{bad}",
-                        "--output-dir", "{out}"), 2, "error: stage pretrain-data: "),
+    "emoji-map": (("clean", "--emoji-map", "{bad}", "--output-dir", "{out}"), 2,
+                  "error: stage clean: "),
+    "abbreviations": (("segment", "--abbreviations", "{bad}", "--output-dir", "{out}"), 2,
+                      "error: stage segment: "),
+    "base-vocab": (("vocab", "--base-vocab", "{bad}", "--output-dir", "{out}"), 2,
+                   "error: stage vocab: "),
+    # {bad} is the layout's vocab/vocab.txt, which pretrain-data reads
+    "pretrain-vocab": (("pretrain-data", "--output-dir", "{out}"), 2,
+                       "error: stage pretrain-data: "),
     "eval-gold": (("eval", "--task", "coroseof", "--averaging", "micro", "--gold", "{bad}",
                    "--pred", "{bad}"), 2, "error: "),
     "eval-ner-gold": (("eval", "--task", "ner", "--gold", "{bad}", "--pred", "{bad}"), 2,
@@ -691,8 +726,10 @@ _TEXT_FILES = {
 @pytest.mark.parametrize("argv, code, prefix", _TEXT_FILES.values(), ids=_TEXT_FILES.keys())
 def test_a_non_utf8_text_file_is_an_error_naming_its_line(tmp_path, valid_inputs,
                                                           finished_stages, argv, code, prefix):
-    bad = finished_stages / "not-utf8.txt"
-    names = {**valid_inputs, "root": finished_stages, "bad": bad, "out": tmp_path}
+    out = copy_layout(finished_stages, tmp_path, *FINISHED)
+    bad = out / "vocab" / "vocab.txt"
+    bad.write_bytes(_NOT_UTF8)
+    names = {**valid_inputs, "bad": bad, "out": out}
     proc = run_cli(*(arg.format(**names) for arg in argv))
     assert proc.returncode == code
     assert f"{prefix}{bad}:3: not UTF-8 (byte 0xff)" in proc.stderr
@@ -700,12 +737,10 @@ def test_a_non_utf8_text_file_is_an_error_naming_its_line(tmp_path, valid_inputs
 
 
 def test_pretrain_data_names_a_corpus_file_that_is_not_utf8(tmp_path, finished_stages):
-    segment = tmp_path / "segment"
-    shutil.copytree(finished_stages / "segment", segment)
-    corpus = segment / "corpus-00000.txt"
+    out = copy_layout(finished_stages, tmp_path / "out", "vocab", "segment")
+    corpus = out / "segment" / "corpus-00000.txt"
     corpus.write_bytes(_NOT_UTF8)
-    proc = run_cli("pretrain-data", "--input-dir", str(segment), "--output-dir",
-                   str(tmp_path / "out"), "--vocab", str(finished_stages / "vocab" / "vocab.txt"))
+    proc = run_cli("pretrain-data", "--output-dir", str(out))
     assert proc.returncode == 2
     assert f"error: stage pretrain-data: {corpus}:3: not UTF-8 (byte 0xff)" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -726,28 +761,27 @@ def test_every_config_flag_names_its_key_in_help():
 
 
 def test_stage_subcommands_write_what_the_pipeline_writes(tmp_path, valid_inputs):
-    models = ("--model-a", str(valid_inputs["a"]), "--model-b", str(valid_inputs["b"]))
-    common = ("--seed", "7", "--dupe-factor", "2", "--max-seq-length", "32")
-    vocab = ("--base-vocab", str(valid_inputs["base"]), "--emoji-fraction", "0.5")
-    run_cli("pipeline", "--input", str(valid_inputs["archive"]), "--output-dir",
-            str(tmp_path / "p"), *vocab, *models, *common, check=True)
-    manifest = json.loads((tmp_path / "p" / "vocab" / "manifest-vocab.json").read_text())
+    out = tmp_path / "out"
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"""\
+io.input = {valid_inputs["archive"]}
+io.output_dir = {out}
+io.shards = 2
+seed = 7
+langid.model_a = {valid_inputs["a"]}
+langid.model_b = {valid_inputs["b"]}
+vocab.base = {valid_inputs["base"]}
+vocab.emoji_fraction = 0.5
+pretrain.dupe_factor = 2
+pretrain.max_seq_length = 32
+""", encoding="utf-8")
+    run_cli("--config", str(conf), "pipeline", check=True)
+    piped = tree(out)
+    manifest = json.loads(piped.pop("manifest-pipeline.json"))
     assert manifest["config"]["vocab.emoji_fraction"] == 0.5
-    # the same stages one subcommand at a time, each into a directory of its own
-    s = tmp_path / "s"
-    run_cli("ingest", "--input", str(valid_inputs["archive"]), "--output-dir", str(s / "i"),
-            check=True)
-    run_cli("vocab", "--input-dir", str(s / "i"), "--output-dir", str(s / "v"), *vocab,
-            check=True)
-    run_cli("clean", "--input-dir", str(s / "i"), "--output-dir", str(s / "c"), *models,
-            check=True)
-    run_cli("segment", "--input-dir", str(s / "c"), "--output-dir", str(s / "g"), check=True)
-    run_cli("pretrain-data", "--input-dir", str(s / "g"), "--output-dir", str(s / "r"),
-            "--vocab", str(s / "v" / "vocab.txt"), "--debug-jsonl", *common, check=True)
-    for piped, staged in (("ingest/tweets-00000.jsonl", "i/tweets-00000.jsonl"),
-                          ("vocab/vocab.txt", "v/vocab.txt"),
-                          ("clean/clean-00000.jsonl", "c/clean-00000.jsonl"),
-                          ("segment/corpus-00000.txt", "g/corpus-00000.txt"),
-                          ("pretrain/pretrain-00000.rbtw", "r/pretrain-00000.rbtw")):
-        assert (tmp_path / "p" / piped).read_bytes() == (s / staged).read_bytes(), piped
-    assert (s / "r" / "pretrain-00000.jsonl").exists()
+    shutil.rmtree(out)
+    for command in PIPELINE:
+        run_cli("--config", str(conf), command, check=True)
+    assert tree(out) == piped
+    run_cli("--config", str(conf), "pretrain-data", "--debug-jsonl", check=True)
+    assert (out / "pretrain" / "pretrain-00000.jsonl").exists()

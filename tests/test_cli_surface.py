@@ -24,7 +24,6 @@ _SUB_GLOBALS = {
     ("--workers",): ("workers", "int", S, False, None),
 }
 _OUTPUT_DIR = {("--output-dir",): ("output_dir", None, None, False, None)}
-_INPUT_DIR = {("--input-dir",): ("input_dir", None, None, False, None)}
 _IO = {("--input",): ("input", None, None, False, None), **_OUTPUT_DIR}
 _LANGID = {
     ("--model-a",): ("model_a", None, None, False, None),
@@ -69,12 +68,11 @@ SURFACE = {
         ("--corpus",): ("corpus", None, None, True, None),
         ("--alpha",): ("alpha", "float", None, False, None),
     },
-    "clean": {**_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_LANGID, **_FILTERS},
-    "segment": {**_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_SEGMENT},
-    "vocab": {**_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_VOCAB},
+    "clean": {**_SUB_GLOBALS, **_OUTPUT_DIR, **_LANGID, **_FILTERS},
+    "segment": {**_SUB_GLOBALS, **_OUTPUT_DIR, **_SEGMENT},
+    "vocab": {**_SUB_GLOBALS, **_OUTPUT_DIR, **_VOCAB},
     "pretrain-data": {
-        **_SUB_GLOBALS, **_INPUT_DIR, **_OUTPUT_DIR, **_PRETRAIN,
-        ("--vocab",): ("vocab", None, None, False, None),
+        **_SUB_GLOBALS, **_OUTPUT_DIR, **_PRETRAIN,
         ("--debug-jsonl",): ("debug_jsonl", None, False, False, None),
     },
     "task-prep": {

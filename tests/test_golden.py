@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import random
+import shutil
 
 import pytest
 
@@ -131,9 +132,13 @@ def _check_golden_run(fixture_inputs, name, workers):
     clean = json.loads((out / "clean" / "manifest-clean.json").read_text(encoding="utf-8"))
     assert clean["counts"] == GOLDEN_CLEAN_COUNTS
 
-    stage_pretrain_data(cfg, out_dir=out / "debug", debug_jsonl=True)
-    assert _sha256(out / "debug" / "pretrain-00000.rbtw") == GOLDEN["pretrain/pretrain-00000.rbtw"]
-    assert _sha256(out / "debug" / "pretrain-00000.jsonl") == GOLDEN_JSONL
+    debug = root / f"debug-{name}"
+    for directory in ("vocab", "segment"):
+        shutil.copytree(out / directory, debug / directory)
+    stage_pretrain_data(dataclasses.replace(cfg, output_dir=str(debug)), debug_jsonl=True)
+    records = debug / "pretrain"
+    assert _sha256(records / "pretrain-00000.rbtw") == GOLDEN["pretrain/pretrain-00000.rbtw"]
+    assert _sha256(records / "pretrain-00000.jsonl") == GOLDEN_JSONL
 
 
 @pytest.mark.parametrize("workers", [1, 2])

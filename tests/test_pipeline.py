@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -64,6 +65,14 @@ def test_parse_config_rejects_a_line_without_equals_sign(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("# a comment\nfilter.min_words 5\n", encoding="utf-8")
     with pytest.raises(ConfigInvalid, match=f"{path}:2: expected key=value"):
+        parse_config_file(path)
+
+
+def test_parse_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("io.shards = 2\n# again\nio.shards = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigInvalid,
+                       match=f"{path}:3: duplicate key 'io.shards', first at {path}:1"):
         parse_config_file(path)
 
 
@@ -577,7 +586,10 @@ def test_pretrain_stage_rerun_identical_digest(workspace, tmp_path):
     stage_clean(cfg)
     stage_segment(cfg)
     m1 = stage_pretrain_data(cfg)
-    m2 = stage_pretrain_data(cfg, out_dir=root / "again")
+    again = root / "again"
+    for directory in ("vocab", "segment"):
+        shutil.copytree(root / "out" / directory, again / directory)
+    m2 = stage_pretrain_data(dataclasses.replace(cfg, output_dir=str(again)))
     assert m1.outputs == m2.outputs
 
 

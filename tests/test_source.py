@@ -3,11 +3,13 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import tweetcorpus
+from tweetcorpus import pipeline
 from tweetcorpus.pipeline import CONFIG_KEYS, GLOBAL, PIPELINE, STAGES
 
 PACKAGE = Path(tweetcorpus.__file__).resolve().parent
@@ -99,3 +101,23 @@ def test_the_guard_sees_a_misplaced_flag():
     assert _misplaced_flags(keys, stages) == [
         ("segment.abbreviations", "pipeline"), ("langid.alpha", "pipeline"),
         ("langid.alpha", "clean")]
+
+
+def _directory_params(functions) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter that places a stage's files
+    apart from the layout under io.output_dir: one named ``*_dir`` or ``*_path``."""
+    return [(fn.__name__, name) for fn in functions
+            for name in inspect.signature(fn).parameters if name.endswith(("_dir", "_path"))]
+
+
+def test_no_stage_takes_a_directory_but_the_one_the_benchmark_passes():
+    # bench/harness.py passes the model directory to stage_langid_train
+    runners = [getattr(pipeline, stage.runner) for stage in STAGES.values()]
+    assert _directory_params(runners) == [("stage_langid_train", "out_dir")]
+
+
+def test_the_guard_sees_a_directory_parameter():
+    def stage_x(cfg, in_dir=None, vocab_path=None, corpus=None, debug_jsonl=False):
+        pass
+
+    assert _directory_params([stage_x]) == [("stage_x", "in_dir"), ("stage_x", "vocab_path")]
