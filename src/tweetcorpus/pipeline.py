@@ -4,7 +4,8 @@ Stages hand off through plain per-shard files, so any stage can be
 re-run in isolation. Each stage is declared once, in ``STAGES``. Every
 stage writes a JSON manifest with its config snapshot, the digests of
 every file it read, counters and output digests, and the next stage
-reads the files that manifest lists and no others. A stage run
+reads the files that manifest lists and no others, each once, checking
+its sha256 against the listed digest as it reads. A stage run
 (``_Outputs``) finds its inputs and commits its outputs as a unit: no
 half-written file ever has a final name, and the manifest comes last.
 Re-running with the same inputs and seed reproduces identical bytes.
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
+import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, get_type_hints
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, get_type_hints
 
 from . import __version__
 from .errors import (
@@ -29,12 +32,14 @@ from .errors import (
     DataError,
     InputMissing,
     IOFailure,
+    MalformedRecord,
     TweetCorpusError,
     check_type,
     check_types,
 )
 from .filtering import FilterConfig, RejectReason, apply_filters, word_count
-from .ingest import IngestStats, RawTweet, dedup, parse_record, read_archive, serialize_record
+# parse_record stays importable from here: bench/tracing.py wraps it under this name.
+from .ingest import IngestStats, _encode, dedup, parse_record, read_archive, serialize_record
 from .langid import LangModel, agreement_filter, read_training_corpus, train
 from .normalize import (
     EmojiMap,
@@ -300,6 +305,27 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
+class _Hashed(io.FileIO):
+    """A file that hashes what ``readinto`` reads, into ``digest`` at the end."""
+
+    def __init__(self, path: Path):
+        super().__init__(path)
+        self.sha, self.digest = hashlib.sha256(), "unknown (not read to its end)"
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.sha.update(buffer[:n])
+        if not n:
+            self.digest = self.sha.hexdigest()
+        return n
+
+
+def _check(path: Path, digest: str, manifest: Path, listed: str | None) -> str:
+    if digest != listed:
+        raise DataError(f"{path}: sha256 {digest}, but {manifest} lists {listed or 'no such file'}")
+    return digest
+
+
 @dataclass
 class RunManifest:
     stage: str
@@ -370,37 +396,44 @@ def _read_outside(stage: str, cfg: PipelineConfig) -> tuple[list[Path], object]:
     return paths, None
 
 
-def _shard_lines(path: Path) -> Iterator[bytes]:
-    """The non-blank lines of a shard file, as bytes."""
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.isspace():
-                yield line
-
-
-def _listed(manifest: Path) -> list[str]:
-    """The output names ``manifest`` lists, each a plain file name."""
+def _record(line: bytes, path: Path, lineno: int) -> dict:
+    """Line ``lineno`` of upstream shard ``path``, ``serialize_record`` output, only decoded."""
     try:
-        names = list(json.loads(manifest.read_text(encoding="utf-8"))["outputs"])
+        record = json.loads(line)
+        text = record["text"]
+    except (ValueError, KeyError, TypeError, RecursionError):
+        text = None
+    if not isinstance(text, str):
+        raise MalformedRecord(f"{path}:{lineno}: not a tweet record")
+    return record
+
+
+def _listed(manifest: Path) -> dict[str, str]:
+    """The outputs ``manifest`` lists: each a plain file name, with its sha256."""
+    try:
+        listed = dict(json.loads(manifest.read_text(encoding="utf-8"))["outputs"].items())
     except FileNotFoundError:
         raise InputMissing(f"missing input: {manifest}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{manifest}: not a stage manifest ({exc!r})") from exc
-    for name in names:
+    for name, digest in listed.items():
         if name in ("", ".", "..") or os.path.basename(name) != name:
             raise DataError(f"{manifest}: output {name!r} is not a plain file name")
-    return names
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise DataError(f"{manifest}: not a stage manifest (bad digest of {name!r})")
+    return listed
 
 
 class _Outputs:
     """One run of ``stage``: what it reads, and the files it writes, committed as a unit.
 
     It writes into the stage's ``STAGES`` directory and reads from its
-    upstream's (``_stage_dir``). Entering reads the upstream manifest's files
-    into ``upstream`` and reads the outside files into ``outside`` and
-    ``loaded`` (see ``_read_outside``), so a missing or bad input fails
-    before anything is deleted; then it deletes the old manifest and the
-    files it lists, so no reader sees a mix of two runs.
+    upstream's (``_stage_dir``). It reads the outside files into
+    ``outside`` and ``loaded`` (``_read_outside``), unless handed them.
+    Entering takes the upstream manifest's files and digests into
+    ``upstream``, each read once through ``read``. So a missing or bad
+    input fails before anything is deleted; then it deletes the old
+    manifest and the files it lists, so no reader sees a mix of two runs.
     ``path(name)`` hands out the partial path of output ``name``, which
     matches no ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit``
     records every input, then moves every output into place and the
@@ -408,22 +441,23 @@ class _Outputs:
     stage that raises leaves neither outputs nor a manifest.
     """
 
-    def __init__(self, stage: str, cfg: PipelineConfig):
+    def __init__(self, stage: str, cfg: PipelineConfig, outside: tuple | None = None):
         self.stage = stage
         self.cfg = cfg
         self.directory = _stage_dir(stage, cfg)
         self.manifest_path = self.directory / f"manifest-{stage}.json"
         self.partials: dict[str, Path] = {}
+        self.outside, self.loaded = outside or _read_outside(stage, cfg)
 
     def __enter__(self) -> "_Outputs":
-        self.upstream: list[Path] = []
+        self.upstream: dict[Path, str] = {}  # each file, with its listed digest
+        self.checked: dict[Path, str] = {}  # those read, with the digest read
         source = STAGES[self.stage].upstream
         if source:
             src = _stage_dir(source, self.cfg)
-            self.upstream = _require_inputs(
-                [src / name for name in _listed(src / f"manifest-{source}.json")],
-                f"{source} outputs")
-        self.outside, self.loaded = _read_outside(self.stage, self.cfg)
+            self.source = src / f"manifest-{source}.json"
+            self.upstream = {src / name: digest for name, digest in _listed(self.source).items()}
+            _require_inputs(list(self.upstream), f"{source} outputs")
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.manifest_path.exists():
             names = _listed(self.manifest_path)
@@ -432,6 +466,20 @@ class _Outputs:
                 (self.directory / name).unlink(missing_ok=True)
         return self
 
+    @contextmanager
+    def read(self, path: Path) -> Iterator[BinaryIO]:
+        """Upstream file ``path``, hashed as it is read; when done, it must have
+        been read to its end and its sha256 be the listed digest."""
+        raw = _Hashed(path)
+        with io.BufferedReader(raw) as fh:
+            yield fh
+        self.checked[path] = _check(path, raw.digest, self.source, self.upstream[path])
+
+    def texts(self, path: Path) -> Iterator[str]:
+        with self.read(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                yield _record(line, path, lineno)["text"]
+
     def path(self, name: str) -> Path:
         self.partials[name] = self.directory / f".{name}.partial"
         return self.partials[name]
@@ -439,12 +487,13 @@ class _Outputs:
     def commit(self, counts: dict, extra_inputs: Iterable[Path] = (),
                digested: Mapping[Path, str] | None = None) -> RunManifest:
         """The manifest of the upstream files, ``extra_inputs`` (the
-        corpus or the vocabulary), the outside files and the files in
-        ``digested`` (the archives). A file in ``digested`` is recorded
-        with the sha256 its stage took as it read it and is not opened
-        again, so an archive may be a FIFO."""
-        inputs = {str(p): file_digest(p) for p in [*self.upstream, *extra_inputs, *self.outside]}
+        language training corpus), the outside files and the files in
+        ``digested`` (the archives, pretrain-data's vocabulary). These and
+        the upstream files are recorded with the sha256 their stage took as
+        it read them and are not opened again, so an archive may be a FIFO."""
+        inputs = {str(p): self.checked[p] for p in self.upstream}  # KeyError: never read
         inputs.update((str(p), digest) for p, digest in (digested or {}).items())
+        inputs.update((str(p), file_digest(p)) for p in [*extra_inputs, *self.outside])
         manifest = RunManifest(
             stage=self.stage,
             seed=self.cfg.seed,
@@ -540,34 +589,35 @@ def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
 CLEAN_BATCH = 512
 
 
-def _clean_batch(ctx: tuple, lines: list[bytes]) -> list[tuple[str, str]]:
+def _clean_batch(ctx: tuple, batch: tuple[Path, int, list[bytes]]) -> list[tuple[str, str]]:
+    path, first, lines = batch  # lines of shard path, from line number first
     out = []
-    for line in lines:
-        tweet = parse_record(line)
-        cleaned, reason = clean_tweet_text(tweet.text, ctx)
+    for lineno, line in enumerate(lines, first):
+        record = _record(line, path, lineno)
+        cleaned, reason = clean_tweet_text(record["text"], ctx)
         if cleaned is None:
             out.append(("", reason))
         else:
-            out.append((serialize_record(RawTweet(tweet.id, cleaned, tweet.created_at,
-                                                  tweet.declared_lang)), reason))
+            record["text"] = cleaned
+            out.append((_encode(record), reason))
     return out
 
 
-def _batches(lines: Iterable[bytes], size: int) -> Iterator[list[bytes]]:
+def _batches(path: Path, lines: Iterable[bytes], size: int) -> Iterator[tuple]:
     lines = iter(lines)
-    return iter(lambda: list(islice(lines, size)), [])
+    return zip(repeat(path), count(1, size), iter(lambda: list(islice(lines, size)), []))
 
 
-def stage_clean(cfg: PipelineConfig) -> RunManifest:
+def stage_clean(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifest:
     """Normalize, filter, language-filter, and emoji-translate each shard."""
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
-    with _Outputs("clean", cfg) as out:
+    with _Outputs("clean", cfg, outside) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             dst = out.path(f"clean-{shard_index:05}.jsonl")
-            with open(dst, "w", encoding="utf-8") as sink:
-                batches = _batches(_shard_lines(shard_file), CLEAN_BATCH)
+            with open(dst, "w", encoding="utf-8") as sink, out.read(shard_file) as lines:
+                batches = _batches(shard_file, lines, CLEAN_BATCH)
                 for batch in ordered_map(_clean_batch, out.loaded, batches, cfg.workers):
                     for record, reason in batch:
                         counts["read"] += 1
@@ -580,33 +630,34 @@ def stage_clean(cfg: PipelineConfig) -> RunManifest:
         return out.commit(counts)
 
 
-def stage_segment(cfg: PipelineConfig) -> RunManifest:
+def stage_segment(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifest:
     """Split cleaned tweets into sentences and emit document files."""
     counts = {"read": 0, "documents": 0, "sentences": 0}
 
-    def documents(shard_file: Path, abbreviations: frozenset[str]) -> Iterator[Document]:
-        for line in _shard_lines(shard_file):
+    def documents(texts: Iterable[str], abbreviations: frozenset[str]) -> Iterator[Document]:
+        for text in texts:
             counts["read"] += 1
-            sentences = split_sentences(parse_record(line).text, abbreviations)
+            sentences = split_sentences(text, abbreviations)
             counts["sentences"] += len(sentences)
             yield Document(tuple(sentences))
 
-    with _Outputs("segment", cfg) as out:
+    with _Outputs("segment", cfg, outside) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
-                counts["documents"] += write_documents(documents(shard_file, out.loaded), sink)
+                counts["documents"] += write_documents(
+                    documents(out.texts(shard_file), out.loaded), sink)
         return out.commit(counts)
 
 
-def stage_vocab(cfg: PipelineConfig) -> RunManifest:
+def stage_vocab(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifest:
     """Extend the base vocabulary with tweet tokens and top emojis.
 
     Runs on the deduped (pre-translation) shards so emoji frequencies
     see the original emoji characters.
     """
-    with _Outputs("vocab", cfg) as out:
-        emojis = count_emoji_frequencies(parse_record(line).text for shard in out.upstream
-                                         for line in _shard_lines(shard))
+    with _Outputs("vocab", cfg, outside) as out:
+        emojis = count_emoji_frequencies(text for shard in out.upstream
+                                         for text in out.texts(shard))
         top = select_top_emojis(emojis, cfg.emoji_fraction)
         base = out.loaded
         extended = extend_vocabulary(base, TWEET_TOKENS, top)
@@ -625,16 +676,20 @@ def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunMa
     vocab_file = _stage_dir("vocab", cfg) / "vocab.txt"
     _require_inputs([vocab_file])
     vocab = Vocabulary.load(vocab_file)
+    listed = vocab_file.with_name("manifest-vocab.json")
+    digest = _check(vocab_file, file_digest(vocab_file), listed, _listed(listed).get("vocab.txt"))
     stats = BuildStats()  # summed over every shard
     with _Outputs("pretrain-data", cfg) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
-            build_records(read_document_file(shard_file), vocab, cfg.pretrain, dst,
-                          workers=cfg.workers, stats=stats)
+            with out.read(shard_file) as fh:
+                documents = read_document_file(shard_file, io.TextIOWrapper(fh, encoding="utf-8"))
+                build_records(documents, vocab, cfg.pretrain, dst, workers=cfg.workers,
+                              stats=stats)
             if debug_jsonl:
                 write_records_jsonl(read_records(dst), out.path(f"{name}.jsonl"), cfg.pretrain)
-        return out.commit(dataclasses.asdict(stats), [vocab_file])
+        return out.commit(dataclasses.asdict(stats), digested={vocab_file: digest})
 
 
 def stage_stats(cfg: PipelineConfig) -> RunManifest:
@@ -693,8 +748,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     rejected) gives a header-only record file; a shard of one document
     fails the record stage, as documents pair only within their shard.
     A stage that fails (I/O included), or whose outside input file is
-    missing or bad (all are read before ingest), is recorded as
-    ``failed_stage`` in ``manifest-pipeline.json``.
+    missing or bad (all are read before ingest, and each stage is handed
+    what was read), is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
     """
     out = _stage_dir("pipeline", cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -704,12 +759,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
                         inputs={}, counts={}, outputs={})
     counts = final.counts
     stage_manifests = []
+    kwargs = {}
     try:
         for name in PIPELINE:
             with _named(name):
-                _read_outside(name, cfg)
+                kwargs[name] = {"outside": _read_outside(name, cfg)} if STAGES[name].outside else {}
         for name in PIPELINE:
-            manifest = run_stage(name, cfg)
+            manifest = run_stage(name, cfg, **kwargs[name])
             counts[name] = manifest.counts
             stage_manifests.append(manifest)
     except TweetCorpusError:  # named: an OSError is an IOFailure by now

@@ -123,10 +123,11 @@ def read_documents(source: Iterable[str]) -> Iterator[Document]:
         yield Document(tuple(pending))
 
 
-def read_document_file(path) -> Iterator[Document]:
-    """Stream the documents of the UTF-8 document file ``path``; damage
-    raises DataError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+def read_document_file(path, source: TextIO | None = None) -> Iterator[Document]:
+    """Stream the documents of the UTF-8 document file ``path``, read from
+    ``source``, its open text stream, if given (and closed at the end);
+    damage raises DataError naming the file."""
+    with open(path, encoding="utf-8") if source is None else source as fh:
         try:
             yield from read_documents(fh)
         except UnicodeDecodeError as exc:

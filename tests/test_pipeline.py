@@ -5,17 +5,19 @@ import random
 import shutil
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tweetcorpus import parallel, pipeline
+from tweetcorpus import ingest, parallel, pipeline
 from tweetcorpus.errors import (ConfigInvalid, DataError, InputMissing, IOFailure,
-                               TweetCorpusError)
+                               MalformedRecord, TweetCorpusError)
 from tweetcorpus.filtering import apply_filters
-from tweetcorpus.ingest import parse_record, serialize_record
+from tweetcorpus.ingest import RawTweet, parse_record, serialize_record
 from tweetcorpus.langid import LangModel, agreement_filter
-from tweetcorpus.normalize import (count_entities, default_emoji_map, normalize_entities,
-                                   translate_emojis, unescape_basic_entities)
+from tweetcorpus.normalize import (EmojiMap, count_entities, default_emoji_map,
+                                   normalize_entities, translate_emojis, unescape_basic_entities)
 from tweetcorpus.pipeline import (
     CONFIG_KEYS,
     PIPELINE,
@@ -36,7 +38,7 @@ from tweetcorpus.pipeline import (
     stage_vocab,
 )
 from tweetcorpus.pretrain import PretrainConfig
-from tweetcorpus.vocab import STRUCTURAL_TOKENS
+from tweetcorpus.vocab import STRUCTURAL_TOKENS, Vocabulary
 
 from conftest import EN_WORDS, HOSTILE_LINES, RO_WORDS, make_text
 
@@ -1006,3 +1008,187 @@ def test_a_directory_is_no_input_but_a_fifo_is(tmp_path):
     assert _require_inputs([fifo]) == [fifo]
     with pytest.raises(InputMissing, match=f"^input is a directory: {tmp_path}$"):
         _require_inputs([fifo, tmp_path])
+
+
+# --- checked upstream reads ----------------------------------------------------
+
+# Characters the record codec must escape or pass through: a quote, a
+# backslash, controls, a line separator and an astral emoji, among any
+# others; a lone surrogate cannot be written as UTF-8, so no shard holds one.
+RECORD_CHARS = st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001F600'),
+                         st.characters(blacklist_categories=("Cs",)))
+TWEETS = st.builds(
+    RawTweet,
+    id=st.integers(0, 2**64 - 1),
+    text=st.text(RECORD_CHARS, min_size=1),
+    created_at=st.one_of(st.just(0), st.integers(ingest._MIN_TS, ingest._MAX_TS),
+                         st.sampled_from([-1, ingest._MIN_TS, ingest._MAX_TS])),
+    declared_lang=st.one_of(st.none(), st.just(""), st.text(RECORD_CHARS, max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TWEETS, st.text(RECORD_CHARS, min_size=1))
+def test_clean_splices_its_text_into_a_record_as_serialize_record_writes_it(tweet, text):
+    line = serialize_record(tweet).encode("utf-8") + b"\n"
+    with mock.patch.object(pipeline, "clean_tweet_text", lambda _, ctx: (text, "none")):
+        [(record, reason)] = pipeline._clean_batch(None, (Path("shard.jsonl"), 1, [line]))
+    assert record == serialize_record(dataclasses.replace(tweet, text=text))
+
+
+def _edit_first_text(shard: Path) -> None:
+    """Append a word to the first tweet's text: the line stays valid JSON."""
+    first, rest = shard.read_bytes().split(b"\n", 1)
+    record = json.loads(first)
+    record["text"] += " schimbat"
+    shard.write_bytes(json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n" + rest)
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _digest_error(path: Path, manifest: Path) -> str:
+    listed = json.loads(manifest.read_text(encoding="utf-8"))["outputs"][path.name]
+    return f"{path}: sha256 {file_digest(path)}, but {manifest} lists {listed}$"
+
+
+@pytest.mark.parametrize("stage, workers", [("vocab", 1), ("clean", 1), ("clean", 2),
+                                            ("segment", 1)])
+def test_a_shard_edited_after_its_stage_fails_the_next_stage(workspace, monkeypatch,
+                                                             stage, workers):
+    cfg, root = workspace
+    cfg = dataclasses.replace(cfg, workers=workers)
+    monkeypatch.setattr(pipeline, "CLEAN_BATCH", 8)  # 2 workers start a pool
+    stage_ingest(cfg)
+    if stage == "segment":
+        stage_clean(cfg)
+    source = STAGES[stage].upstream
+    upstream = root / "out" / STAGES[source].directory
+    shard = sorted(upstream.glob("*.jsonl"))[1]
+    _edit_first_text(shard)
+    before = _tree(upstream)
+    error = _digest_error(shard, upstream / f"manifest-{source}.json")
+    with pytest.raises(DataError, match=f"^stage {stage}: {error}"):
+        run_stage(stage, cfg)
+    assert _tree(root / "out" / STAGES[stage].directory) == {}
+    assert _tree(upstream) == before
+
+
+def test_a_corpus_file_edited_after_segment_fails_pretrain_data(workspace):
+    cfg, root = workspace
+    for stage in ("ingest", "vocab", "clean", "segment"):
+        run_stage(stage, cfg)
+    segment = root / "out" / "segment"
+    corpus = segment / "corpus-00000.txt"
+    corpus.write_text(corpus.read_text(encoding="utf-8").replace("a", "o", 1), encoding="utf-8")
+    before = _tree(segment)
+    with pytest.raises(DataError,
+                       match="^" + _digest_error(corpus, segment / "manifest-segment.json")):
+        stage_pretrain_data(cfg)
+    assert _tree(root / "out" / "pretrain") == {}
+    assert _tree(segment) == before
+
+
+def test_pretrain_data_reads_only_the_vocabulary_the_vocab_manifest_lists(workspace):
+    cfg, root = workspace
+    for stage in ("ingest", "vocab", "clean", "segment"):
+        run_stage(stage, cfg)
+    vocab = root / "out" / "vocab"
+    manifest = vocab / "manifest-vocab.json"
+    with open(vocab / "vocab.txt", "a", encoding="utf-8") as fh:
+        fh.write("cuvantnou\n")
+    with pytest.raises(DataError, match="^" + _digest_error(vocab / "vocab.txt", manifest)):
+        stage_pretrain_data(cfg)
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    del payload["outputs"]["vocab.txt"]
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=f"{manifest} lists no such file$"):
+        stage_pretrain_data(cfg)
+    manifest.unlink()
+    with pytest.raises(InputMissing, match=f"missing input: {manifest}$"):
+        stage_pretrain_data(cfg)
+
+
+def test_a_shard_line_that_is_no_record_is_malformed_naming_its_line(workspace):
+    # only a hand-made manifest lists such a file with its digest
+    cfg, root = workspace
+    stage_ingest(cfg)
+    shard = root / "out" / "ingest" / "tweets-00000.jsonl"
+    lines = shard.read_bytes().splitlines(keepends=True)
+    shard.write_bytes(b"".join([lines[0], b'{"id": 7, "text": 7}\n', *lines[1:]]))
+    manifest = shard.with_name("manifest-ingest.json")
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["outputs"][shard.name] = file_digest(shard)
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    for stage in (stage_vocab, stage_clean):
+        with pytest.raises(MalformedRecord, match=f"^{shard}:2: not a tweet record$"):
+            stage(cfg)
+
+
+@pytest.mark.parametrize("outputs", [
+    {"tweets-00000.jsonl": "A" * 64}, {"tweets-00000.jsonl": "a" * 63},
+    {"tweets-00000.jsonl": 7}, ["tweets-00000.jsonl"]], ids=["upper", "short", "int", "list"])
+def test_a_manifest_listing_a_bad_digest_is_not_a_stage_manifest(workspace, outputs):
+    cfg, root = workspace
+    stage_ingest(cfg)
+    manifest = root / "out" / "ingest" / "manifest-ingest.json"
+    manifest.write_text(json.dumps({"outputs": outputs}), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{manifest}: not a stage manifest"):
+        stage_clean(cfg)
+
+
+def test_commit_digests_no_upstream_file_and_the_vocabulary_once(workspace, monkeypatch):
+    cfg, root = workspace
+    digested = []
+
+    def spy(path):
+        digested.append(Path(path))
+        return file_digest(path)
+
+    monkeypatch.setattr(pipeline, "file_digest", spy)
+    run_pipeline(cfg)
+    out = root / "out"
+    upstream = [*(out / "ingest").glob("*.jsonl"), *(out / "clean").glob("*.jsonl"),
+                *(out / "segment").glob("*.txt")]
+    assert len(upstream) == 6
+    assert set(upstream).isdisjoint(digested)
+    assert digested.count(out / "vocab" / "vocab.txt") == 1
+
+
+def test_a_stage_that_reads_an_upstream_file_in_part_commits_nothing(workspace):
+    cfg, root = workspace
+    stage_ingest(cfg)
+    with pipeline._Outputs("clean", cfg) as out:
+        shard = next(iter(out.upstream))
+        with pytest.raises(DataError, match=f"^{shard}: sha256 unknown .not read to its end."):
+            with out.read(shard) as fh:
+                fh.readline()
+        with pytest.raises(KeyError):  # never read
+            out.commit({})
+    assert not (root / "out" / "clean" / "manifest-clean.json").exists()
+
+
+def test_the_pipeline_reads_each_outside_file_once(workspace, monkeypatch):
+    cfg, root = workspace
+    emoji_map, abbreviations = _write_outside_files(root)
+    cfg = dataclasses.replace(cfg, emoji_map_path=str(emoji_map),
+                              abbreviations_path=str(abbreviations))
+    loads = Counter()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def load(path):
+            loads[str(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(owner, name, load)
+
+    for owner, name in ((Vocabulary, "load"), (LangModel, "load"), (EmojiMap, "load"),
+                        (pipeline, "load_abbreviations")):
+        spy(owner, name)
+    run_pipeline(cfg)
+    outside = (cfg.base_vocab_path, cfg.langid_model_a, cfg.langid_model_b, str(emoji_map),
+               str(abbreviations))
+    assert {path: loads[path] for path in outside} == dict.fromkeys(outside, 1)
