@@ -15,6 +15,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from . import emojidata
 from .errors import DataError, TweetCorpusError
@@ -36,15 +37,16 @@ _HASHTAG_RE = re.compile(HASHTAG_PATTERN)
 _BASIC_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"))
 
 
-def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError) -> list[str]:
-    """The lines of the UTF-8 text file ``path``, without their newlines.
+def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError,
+                    source: TextIO | None = None) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, or its open ``source``, without newlines.
 
     Lines split as in text mode with universal newlines: at "\\n", "\\r"
     and "\\r\\n" only. A byte that is not UTF-8, or a leading byte-order
-    mark, raises ``error`` naming ``path:line``.
+    mark, raises ``error`` naming ``path:line``. It closes ``source``.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") if source is None else source as fh:
             lines = [line.rstrip("\n") for line in fh]
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc, error) from None

@@ -3,12 +3,12 @@
 Stages hand off through plain per-shard files, so any stage can be
 re-run in isolation. Each stage is declared once, in ``STAGES``. Every
 stage writes a JSON manifest with its config snapshot, the digests of
-every file it read, counters and output digests, and the next stage
-reads the files that manifest lists and no others, each once, checking
-its sha256 against the listed digest as it reads. A stage run
-(``_Outputs``) finds its inputs and commits its outputs as a unit: no
-half-written file ever has a final name, and the manifest comes last.
-Re-running with the same inputs and seed reproduces identical bytes.
+every file it read, counters and output digests, and a stage reads the
+files its upstream entries name in those manifests and no others, each
+once, checking its sha256 against the listed digest as it reads. A
+stage run (``_Outputs``) finds its inputs and commits its outputs as a
+unit: no half-written file ever has a final name, and the manifest
+comes last. The same inputs and seed reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -83,20 +83,20 @@ from .vocab import (
 class Stage(NamedTuple):
     runner: str  # the function of this module that runs the stage
     directory: str  # its directory under io.output_dir, "" for the root
-    upstream: str | None = None  # the stage whose manifest lists its inputs
+    upstream: tuple[str, ...] = ()  # what it reads, in order: "<stage>" or "<stage>/<name>"
     outside: tuple[str, ...] = ()  # config fields naming the outside files it reads
 
 
 # Every stage, declared once. The pipeline runs ingest and each stage that
-# has an upstream, in this order: vocab counts emoji before clean
-# translates them.
+# has an upstream, in this order: each after the stages it reads, and vocab
+# counts emoji before clean translates them.
 STAGES = {
     "ingest": Stage("stage_ingest", "ingest"),
-    "vocab": Stage("stage_vocab", "vocab", "ingest", ("base_vocab_path",)),
-    "clean": Stage("stage_clean", "clean", "ingest",
+    "vocab": Stage("stage_vocab", "vocab", ("ingest",), ("base_vocab_path",)),
+    "clean": Stage("stage_clean", "clean", ("ingest",),
                    ("langid_model_a", "langid_model_b", "emoji_map_path")),
-    "segment": Stage("stage_segment", "segment", "clean", ("abbreviations_path",)),
-    "pretrain-data": Stage("stage_pretrain_data", "pretrain", "segment"),
+    "segment": Stage("stage_segment", "segment", ("clean",), ("abbreviations_path",)),
+    "pretrain-data": Stage("stage_pretrain_data", "pretrain", ("vocab/vocab.txt", "segment")),
     "langid-train": Stage("stage_langid_train", ""),
     "stats": Stage("stage_stats", ""),
     "pipeline": Stage("run_pipeline", ""),
@@ -320,12 +320,6 @@ class _Hashed(io.FileIO):
         return n
 
 
-def _check(path: Path, digest: str, manifest: Path, listed: str | None) -> str:
-    if digest != listed:
-        raise DataError(f"{path}: sha256 {digest}, but {manifest} lists {listed or 'no such file'}")
-    return digest
-
-
 @dataclass
 class RunManifest:
     stage: str
@@ -428,17 +422,17 @@ class _Outputs:
     """One run of ``stage``: what it reads, and the files it writes, committed as a unit.
 
     It writes into the stage's ``STAGES`` directory and reads from its
-    upstream's (``_stage_dir``). It reads the outside files into
+    upstream stages' (``_stage_dir``). It reads the outside files into
     ``outside`` and ``loaded`` (``_read_outside``), unless handed them.
-    Entering takes the upstream manifest's files and digests into
-    ``upstream``, each read once through ``read``. So a missing or bad
-    input fails before anything is deleted; then it deletes the old
-    manifest and the files it lists, so no reader sees a mix of two runs.
-    ``path(name)`` hands out the partial path of output ``name``, which
-    matches no ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit``
-    records every input, then moves every output into place and the
-    manifest last. Leaving unlinks every partial file still there: a
-    stage that raises leaves neither outputs nor a manifest.
+    Entering takes the files its upstream entries name, with the digests
+    and manifests listing them, into ``upstream``, each read once through
+    ``read``: a missing or unlisted one fails before anything is deleted.
+    Then it deletes the old manifest and the files it lists, so no reader
+    mixes two runs. ``path(name)`` hands out the partial path of output
+    ``name``, which matches no ``*.jsonl``, ``*.txt`` or ``*.rbtw``
+    pattern. ``commit`` records every input, then moves every output into
+    place and the manifest last. Leaving unlinks every partial file still
+    there: a stage that raises leaves neither outputs nor a manifest.
     """
 
     def __init__(self, stage: str, cfg: PipelineConfig, outside: tuple | None = None):
@@ -450,14 +444,18 @@ class _Outputs:
         self.outside, self.loaded = outside or _read_outside(stage, cfg)
 
     def __enter__(self) -> "_Outputs":
-        self.upstream: dict[Path, str] = {}  # each file, with its listed digest
+        self.upstream: dict[Path, tuple[str, Path]] = {}  # each file: listed digest, manifest
         self.checked: dict[Path, str] = {}  # those read, with the digest read
-        source = STAGES[self.stage].upstream
-        if source:
+        for entry in STAGES[self.stage].upstream:
+            source, _, only = entry.partition("/")
             src = _stage_dir(source, self.cfg)
-            self.source = src / f"manifest-{source}.json"
-            self.upstream = {src / name: digest for name, digest in _listed(self.source).items()}
-            _require_inputs(list(self.upstream), f"{source} outputs")
+            manifest = src / f"manifest-{source}.json"
+            listed = _listed(manifest)
+            if only and only not in listed:
+                raise DataError(f"{src / only}: {manifest} lists no such file")
+            names = [only] if only else listed
+            _require_inputs([src / name for name in names], f"{source} outputs")
+            self.upstream.update((src / name, (listed[name], manifest)) for name in names)
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.manifest_path.exists():
             names = _listed(self.manifest_path)
@@ -473,7 +471,10 @@ class _Outputs:
         raw = _Hashed(path)
         with io.BufferedReader(raw) as fh:
             yield fh
-        self.checked[path] = _check(path, raw.digest, self.source, self.upstream[path])
+        listed, manifest = self.upstream[path]
+        if raw.digest != listed:
+            raise DataError(f"{path}: sha256 {raw.digest}, but {manifest} lists {listed}")
+        self.checked[path] = listed
 
     def texts(self, path: Path) -> Iterator[str]:
         with self.read(path) as fh:
@@ -484,16 +485,15 @@ class _Outputs:
         self.partials[name] = self.directory / f".{name}.partial"
         return self.partials[name]
 
-    def commit(self, counts: dict, extra_inputs: Iterable[Path] = (),
-               digested: Mapping[Path, str] | None = None) -> RunManifest:
-        """The manifest of the upstream files, ``extra_inputs`` (the
-        language training corpus), the outside files and the files in
-        ``digested`` (the archives, pretrain-data's vocabulary). These and
-        the upstream files are recorded with the sha256 their stage took as
-        it read them and are not opened again, so an archive may be a FIFO."""
+    def commit(self, counts: dict, digested: Mapping[Path, str] | None = None) -> RunManifest:
+        """The manifest of the files the upstream entries name, the outside
+        files and the files in ``digested``, the ones the stage read itself
+        (the archives, the language training corpus). These and the upstream
+        files are recorded with the sha256 their stage took as it read them
+        and are not opened again, so an archive may be a FIFO."""
         inputs = {str(p): self.checked[p] for p in self.upstream}  # KeyError: never read
         inputs.update((str(p), digest) for p, digest in (digested or {}).items())
-        inputs.update((str(p), file_digest(p)) for p in [*extra_inputs, *self.outside])
+        inputs.update((str(p), file_digest(p)) for p in self.outside)
         manifest = RunManifest(
             stage=self.stage,
             seed=self.cfg.seed,
@@ -538,13 +538,12 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
     ``out_dir``, which the benchmark passes, stands for ``io.output_dir``."""
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=str(out_dir))
-    corpus = Path(corpus)
-    _require_inputs([corpus])
+    [corpus] = _require_inputs([Path(corpus)])
     samples = read_training_corpus(corpus)
     with _Outputs("langid-train", cfg) as out:
         train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(out.path("model-a.rlid"))
         train(samples, cfg.langid_ngrams_b, cfg.langid_alpha).save(out.path("model-b.rlid"))
-        return out.commit({"samples": len(samples)}, [corpus])
+        return out.commit({"samples": len(samples)}, digested={corpus: file_digest(corpus)})
 
 
 def _load_clean_context(cfg: PipelineConfig) -> tuple:
@@ -673,14 +672,12 @@ def stage_vocab(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifes
 
 def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunManifest:
     """Generate and serialize MLM/NSP instances per document shard."""
-    vocab_file = _stage_dir("vocab", cfg) / "vocab.txt"
-    _require_inputs([vocab_file])
-    vocab = Vocabulary.load(vocab_file)
-    listed = vocab_file.with_name("manifest-vocab.json")
-    digest = _check(vocab_file, file_digest(vocab_file), listed, _listed(listed).get("vocab.txt"))
     stats = BuildStats()  # summed over every shard
     with _Outputs("pretrain-data", cfg) as out:
-        for shard_index, shard_file in enumerate(out.upstream):
+        vocab_file, *corpus = out.upstream
+        with out.read(vocab_file) as fh:
+            vocab = Vocabulary.load(vocab_file, io.TextIOWrapper(fh, encoding="utf-8"))
+        for shard_index, shard_file in enumerate(corpus):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
             with out.read(shard_file) as fh:
@@ -689,7 +686,7 @@ def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunMa
                               stats=stats)
             if debug_jsonl:
                 write_records_jsonl(read_records(dst), out.path(f"{name}.jsonl"), cfg.pretrain)
-        return out.commit(dataclasses.asdict(stats), digested={vocab_file: digest})
+        return out.commit(dataclasses.asdict(stats))
 
 
 def stage_stats(cfg: PipelineConfig) -> RunManifest:

@@ -1063,7 +1063,7 @@ def test_a_shard_edited_after_its_stage_fails_the_next_stage(workspace, monkeypa
     stage_ingest(cfg)
     if stage == "segment":
         stage_clean(cfg)
-    source = STAGES[stage].upstream
+    [source] = STAGES[stage].upstream
     upstream = root / "out" / STAGES[source].directory
     shard = sorted(upstream.glob("*.jsonl"))[1]
     _edit_first_text(shard)
@@ -1092,22 +1092,48 @@ def test_a_corpus_file_edited_after_segment_fails_pretrain_data(workspace):
 
 def test_pretrain_data_reads_only_the_vocabulary_the_vocab_manifest_lists(workspace):
     cfg, root = workspace
-    for stage in ("ingest", "vocab", "clean", "segment"):
+    for stage in PIPELINE:
         run_stage(stage, cfg)
-    vocab = root / "out" / "vocab"
-    manifest = vocab / "manifest-vocab.json"
-    with open(vocab / "vocab.txt", "a", encoding="utf-8") as fh:
-        fh.write("cuvantnou\n")
-    with pytest.raises(DataError, match="^" + _digest_error(vocab / "vocab.txt", manifest)):
-        stage_pretrain_data(cfg)
-    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    vocab, pretrain = root / "out" / "vocab", root / "out" / "pretrain"
+    vocab_file, manifest = vocab / "vocab.txt", vocab / "manifest-vocab.json"
+    listed, finished = manifest.read_bytes(), _tree(pretrain)
+    assert "manifest-pretrain-data.json" in finished
+    # an unlisted vocabulary, or no vocab manifest, fails before anything is deleted
+    payload = json.loads(listed)
     del payload["outputs"]["vocab.txt"]
     manifest.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DataError, match=f"{manifest} lists no such file$"):
+    with pytest.raises(DataError, match=f"^{vocab_file}: {manifest} lists no such file$"):
         stage_pretrain_data(cfg)
+    assert _tree(pretrain) == finished
     manifest.unlink()
-    with pytest.raises(InputMissing, match=f"missing input: {manifest}$"):
+    with pytest.raises(InputMissing, match=f"^missing input: {manifest}$"):
         stage_pretrain_data(cfg)
+    assert _tree(pretrain) == finished
+    # an edited one is found as it is read, after the old outputs went
+    manifest.write_bytes(listed)
+    with open(vocab_file, "a", encoding="utf-8") as fh:
+        fh.write("cuvantnou\n")
+    with pytest.raises(DataError, match="^" + _digest_error(vocab_file, manifest)):
+        stage_pretrain_data(cfg)
+    assert _tree(pretrain) == {}
+
+
+def _read_before_run(stages: dict, order: tuple) -> list[tuple[str, str]]:
+    """Each (stage, upstream entry) of ``stages`` whose entry names a stage
+    that ``order`` does not run before that stage."""
+    return [(name, entry) for name, stage in stages.items() for entry in stage.upstream
+            if entry.partition("/")[0] not in order[:order.index(name)]]
+
+
+def test_the_pipeline_runs_every_stage_after_the_stages_it_reads():
+    assert _read_before_run(STAGES, PIPELINE) == []
+
+
+def test_the_order_check_finds_a_stage_run_before_a_stage_it_reads():
+    # a table read in its own order, as PIPELINE reads STAGES
+    stages = {name: STAGES[name] for name in ("ingest", "vocab", "pretrain-data", "clean",
+                                                 "segment")}
+    assert _read_before_run(stages, tuple(stages)) == [("pretrain-data", "segment")]
 
 
 def test_a_shard_line_that_is_no_record_is_malformed_naming_its_line(workspace):
@@ -1138,7 +1164,7 @@ def test_a_manifest_listing_a_bad_digest_is_not_a_stage_manifest(workspace, outp
         stage_clean(cfg)
 
 
-def test_commit_digests_no_upstream_file_and_the_vocabulary_once(workspace, monkeypatch):
+def test_commit_digests_no_chained_input(workspace, monkeypatch):
     cfg, root = workspace
     digested = []
 
@@ -1150,10 +1176,9 @@ def test_commit_digests_no_upstream_file_and_the_vocabulary_once(workspace, monk
     run_pipeline(cfg)
     out = root / "out"
     upstream = [*(out / "ingest").glob("*.jsonl"), *(out / "clean").glob("*.jsonl"),
-                *(out / "segment").glob("*.txt")]
-    assert len(upstream) == 6
+                *(out / "segment").glob("*.txt"), out / "vocab" / "vocab.txt"]
+    assert len(upstream) == 7
     assert set(upstream).isdisjoint(digested)
-    assert digested.count(out / "vocab" / "vocab.txt") == 1
 
 
 def test_a_stage_that_reads_an_upstream_file_in_part_commits_nothing(workspace):
@@ -1179,9 +1204,9 @@ def test_the_pipeline_reads_each_outside_file_once(workspace, monkeypatch):
     def spy(owner, name):
         original = getattr(owner, name)
 
-        def load(path):
+        def load(path, *source):
             loads[str(path)] += 1
-            return original(path)
+            return original(path, *source)
 
         monkeypatch.setattr(owner, name, load)
 

@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweetcorpus.emojidata import EXTENDED_PICTOGRAPHIC
 from tweetcorpus.errors import DataError
+from tweetcorpus.normalize import unescape_basic_entities
 from tweetcorpus.vocab import (
     CONTINUATION_PREFIX,
     MAX_WORD_CHARS,
@@ -48,6 +50,32 @@ def test_count_frequencies_matches_planted_recount():
                 parts.append(rng.choice(["text", "alt", "cuvant"]))
         corpus.append(" ".join(parts))
     assert count_emoji_frequencies(corpus) == planted
+
+
+def _code_points(*ranges):
+    return st.sampled_from(ranges).flatmap(lambda r: st.integers(*r)).map(chr)
+
+
+# What an emoji sequence is built from, beside the entity fragments that
+# unescape_basic_entities joins or rewrites.
+EMOJI_OR_ENTITY_PIECES = st.one_of(
+    st.one_of(_code_points(*EXTENDED_PICTOGRAPHIC),
+              _code_points((0x1F3FB, 0x1F3FF)),  # skin tones
+              _code_points((0x1F1E6, 0x1F1FF)),  # regional indicators
+              _code_points((0xE0020, 0xE007F))),  # tag characters
+    # ZWJ, VS16, the keycap mark, the tag run's end and the keycap bases
+    st.sampled_from(["\u200d", "\ufe0f", "\u20e3", "\U000E007F", "#", "*", *"0123456789"]),
+    st.sampled_from(["&", "amp;", "&amp;", "&lt;", "&gt;", "&amp;gt;", "lt;", " ", "a"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(EMOJI_OR_ENTITY_PIECES, max_size=16).map("".join))
+def test_unescaping_basic_entities_leaves_the_emoji_counts_alone(text):
+    # "&", "<" and ">" are in no emoji sequence and start none, so clean's
+    # unescaped text holds the emoji that vocab counts in the parsed text
+    assert count_emoji_frequencies([text]) == count_emoji_frequencies(
+        [unescape_basic_entities(text)])
 
 
 def test_select_top_ceil_and_ranking():
