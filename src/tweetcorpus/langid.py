@@ -19,7 +19,8 @@ that sum can be from the exact scores' difference. Whatever the bound
 cannot settle goes to the exact scoring, so every decision is the one
 the exact posteriors give. The gate prepares a text and builds each
 n-gram order once for both models; the orders only model B uses are
-built only after model A accepts.
+built only after model A accepts. Training prepares each sample and
+counts each order once for both models (``train_models``).
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from __future__ import annotations
 import math
 import re
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorruptRecord, DataError, VersionMismatch
 from .normalize import HASHTAG_TOKEN, MENTION_TOKEN, URL_TOKEN, collapse_whitespace, read_text_lines
@@ -64,11 +65,6 @@ def _ngram_orders(text: str, min_n: int) -> Iterator[Sequence[str]]:
         n += 1
         # the n-grams are the (n-1)-grams each extended by the next character
         grams = list(map(add, grams, text[n - 1:]))
-
-
-def _count_ngrams(text: str, min_n: int, max_n: int) -> list[Counter]:
-    """One Counter per order n = min_n..max_n, keyed in first-occurrence order."""
-    return list(map(Counter, islice(_ngram_orders(text, min_n), max_n - min_n + 1)))
 
 
 @dataclass(frozen=True)
@@ -151,20 +147,23 @@ class LangModel:
         return cls(languages, (min_n, max_n), alpha, log_priors, log_unseen, rows)
 
 
-def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1, 3),
-          smoothing_alpha: float = 1.0) -> LangModel:
-    """Fit the classifier from (text, language-code) pairs.
-
-    Deterministic: counts are integers and every derived float comes
-    from the final tallies, so sample order never changes the model.
+def train_models(samples: Iterable[tuple[str, str]], ngram_ranges: Sequence[tuple[int, int]],
+                 smoothing_alpha: float = 1.0) -> list[LangModel]:
+    """One classifier per range of ``ngram_ranges``, fitted from (text,
+    language-code) pairs in one pass: each sample is prepared once, and
+    each order the ranges span is counted once for them all. Counts are
+    integers and every derived float comes from the final tallies, so
+    neither sample order nor the other ranges ever change a model.
     """
-    min_n, max_n = ngram_range
-    if not (1 <= min_n <= max_n <= 5):
-        raise ValueError(f"ngram_range must satisfy 1 <= min <= max <= 5, got {ngram_range}")
+    for ngram_range in ngram_ranges:
+        if not (1 <= ngram_range[0] <= ngram_range[1] <= 5):
+            raise ValueError(f"ngram_range must satisfy 1 <= min <= max <= 5, got {ngram_range}")
     if not 0 < smoothing_alpha < math.inf:
         raise ValueError(f"smoothing_alpha must be finite and > 0, got {smoothing_alpha}")
 
-    gram_counts: dict[str, Counter] = {}
+    lo, hi = min(r[0] for r in ngram_ranges), max(r[1] for r in ngram_ranges)
+    # per language, one Counter per order lo..hi, each fed its gram list in C
+    gram_counts = defaultdict(lambda: [Counter() for _ in range(lo, hi + 1)])
     sample_counts: Counter = Counter()
     for text, lang in samples:
         if not text.strip():
@@ -173,31 +172,39 @@ def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1,
         if not stripped:
             raise DataError(f"training sample empty after stripping: {text!r}")
         sample_counts[lang] += 1
-        counts = gram_counts.setdefault(lang, Counter())
-        for order_counts in _count_ngrams(stripped, min_n, max_n):
-            counts.update(order_counts)
+        for order_counts, grams in zip(gram_counts[lang], _ngram_orders(stripped, lo)):
+            order_counts.update(grams)
 
     if len(sample_counts) < 2:
         raise DataError(f"need at least 2 languages, got {sorted(sample_counts)}")
 
     languages = sorted(sample_counts)
-    vocab = sorted(set().union(*gram_counts.values()))
-    v = len(vocab)
     total_samples = sum(sample_counts.values())
+    models = []
+    for min_n, max_n in ngram_ranges:
+        # per language, gram -> count over the range's orders, whose grams differ in length
+        lang_counts = [dict(chain.from_iterable(map(dict.items, orders[min_n - lo:max_n - lo + 1])))
+                       for orders in map(gram_counts.get, languages)]
+        vocab = sorted(set().union(*lang_counts))
+        if not (v := len(vocab)):
+            raise DataError(f"no n-grams of orders {min_n}..{max_n} in the training samples")
+        log_priors, log_unseen, columns = {}, {}, []
+        for lang, counts in zip(languages, lang_counts):
+            total = sum(counts.values())
+            denom = math.log(total + smoothing_alpha * v)
+            log_priors[lang] = math.log(sample_counts[lang] / total_samples)
+            log_unseen[lang] = unseen = math.log(smoothing_alpha) - denom
+            columns.append([math.log(c + smoothing_alpha) - denom if (c := counts.get(gram))
+                            else unseen for gram in vocab])
+        models.append(LangModel(languages, (min_n, max_n), smoothing_alpha,
+                                log_priors, log_unseen, dict(zip(vocab, zip(*columns)))))
+    return models
 
-    log_priors = {}
-    log_unseen = {}
-    columns = []
-    for lang in languages:
-        counts = gram_counts[lang]
-        total = sum(counts.values())
-        denom = math.log(total + smoothing_alpha * v)
-        log_priors[lang] = math.log(sample_counts[lang] / total_samples)
-        log_unseen[lang] = unseen = math.log(smoothing_alpha) - denom
-        columns.append([math.log(c + smoothing_alpha) - denom if (c := counts[gram]) else unseen
-                        for gram in vocab])
-    return LangModel(languages, (min_n, max_n), smoothing_alpha,
-                     log_priors, log_unseen, dict(zip(vocab, zip(*columns))))
+
+def train(samples: Iterable[tuple[str, str]], ngram_range: tuple[int, int] = (1, 3),
+          smoothing_alpha: float = 1.0) -> LangModel:
+    """Fit the classifier from (text, language-code) pairs: ``train_models`` over one range."""
+    return train_models(samples, [ngram_range], smoothing_alpha)[0]
 
 
 def _ranked(model: LangModel, counters: Sequence[Counter]) -> list[tuple[str, float]]:
@@ -227,7 +234,8 @@ def classify(model: LangModel, text: str) -> list[LangScore]:
     """
     if not (stripped := _prepare(text)):
         raise DataError(f"nothing classifiable in {text!r}")
-    counters = _count_ngrams(stripped, *model.ngram_range)
+    min_n, max_n = model.ngram_range
+    counters = list(map(Counter, islice(_ngram_orders(stripped, min_n), max_n - min_n + 1)))
     return [LangScore(lang, p) for lang, p in _ranked(model, counters)]
 
 
@@ -392,10 +400,10 @@ def _read_str(fh) -> str:
                             "is not UTF-8") from None
 
 
-def read_training_corpus(path: str | Path) -> list[tuple[str, str]]:
-    """Lines of ``code<TAB>text``."""
+def read_training_corpus(path: str | Path, source: BinaryIO | None = None) -> list[tuple[str, str]]:
+    """Lines of ``code<TAB>text``, from ``path`` or its open binary ``source``."""
     samples = []
-    for lineno, line in enumerate(read_text_lines(path), 1):
+    for lineno, line in enumerate(read_text_lines(path, source=source), 1):
         if not line:
             continue
         if "\t" not in line:

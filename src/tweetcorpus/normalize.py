@@ -15,7 +15,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO
 
 from . import emojidata
 from .errors import DataError, TweetCorpusError
@@ -38,31 +38,32 @@ _BASIC_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"))
 
 
 def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError,
-                    source: TextIO | None = None) -> list[str]:
+                    source: BinaryIO | None = None) -> list[str]:
     """The lines of the UTF-8 text file ``path``, or its open ``source``, without newlines.
 
     Lines split as in text mode with universal newlines: at "\\n", "\\r"
     and "\\r\\n" only. A byte that is not UTF-8, or a leading byte-order
     mark, raises ``error`` naming ``path:line``. It closes ``source``.
     """
-    try:
-        with open(path, encoding="utf-8") if source is None else source as fh:
-            lines = [line.rstrip("\n") for line in fh]
+    with open(path, "rb") if source is None else source as fh:
+        data = fh.read()
+    try:  # decoded whole, then split where text mode splits
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc, error) from None
-    if lines and lines[0].startswith("\ufeff"):
+        raise not_utf8(path, exc, error, data) from None
+    if lines[0].startswith("\ufeff"):
         raise error(f"{path}:1: starts with a byte-order mark (U+FEFF)")
-    return lines
+    return lines if lines[-1] else lines[:-1]  # no line after the last newline
 
 
 def not_utf8(path: str | Path, exc: UnicodeDecodeError,
-             error: type[TweetCorpusError] = DataError) -> Exception:
-    """The exception to raise for ``exc``, raised while reading ``path`` as
-    UTF-8 text: ``error`` naming ``path:line`` (lines split as in text
-    mode) and the first byte that is not UTF-8."""
-    # the text decoder's offset is into its current chunk: find the line in the bytes
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+             error: type[TweetCorpusError] = DataError, data: bytes | None = None) -> Exception:
+    """The exception to raise for ``exc``, raised while reading ``path`` (or
+    its bytes ``data``) as UTF-8 text: ``error`` naming ``path:line`` (lines
+    split as in text mode) and the first byte that is not UTF-8."""
+    # a text decoder's offset is into its current chunk: find the line in the bytes
+    data = Path(path).read_bytes() if data is None else data
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as found:

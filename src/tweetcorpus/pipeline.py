@@ -40,7 +40,7 @@ from .errors import (
 from .filtering import FilterConfig, RejectReason, apply_filters, word_count
 # parse_record stays importable from here: bench/tracing.py wraps it under this name.
 from .ingest import IngestStats, _encode, dedup, parse_record, read_archive, serialize_record
-from .langid import LangModel, agreement_filter, read_training_corpus, train
+from .langid import LangModel, agreement_filter, read_training_corpus, train_models
 from .normalize import (
     EmojiMap,
     count_entities,
@@ -319,6 +319,8 @@ class _Hashed(io.FileIO):
             self.digest = self.sha.hexdigest()
         return n
 
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, unlike FileIO's
+
 
 @dataclass
 class RunManifest:
@@ -539,11 +541,14 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=str(out_dir))
     [corpus] = _require_inputs([Path(corpus)])
-    samples = read_training_corpus(corpus)
+    raw = _Hashed(corpus)  # read once, so the corpus may be a FIFO
+    samples = read_training_corpus(corpus, io.BufferedReader(raw))
+    # trained before the old models are deleted, so a bad corpus keeps them
+    models = train_models(samples, (cfg.langid_ngrams_a, cfg.langid_ngrams_b), cfg.langid_alpha)
     with _Outputs("langid-train", cfg) as out:
-        train(samples, cfg.langid_ngrams_a, cfg.langid_alpha).save(out.path("model-a.rlid"))
-        train(samples, cfg.langid_ngrams_b, cfg.langid_alpha).save(out.path("model-b.rlid"))
-        return out.commit({"samples": len(samples)}, digested={corpus: file_digest(corpus)})
+        for name, model in zip(("model-a.rlid", "model-b.rlid"), models):
+            model.save(out.path(name))
+        return out.commit({"samples": len(samples)}, digested={corpus: raw.digest})
 
 
 def _load_clean_context(cfg: PipelineConfig) -> tuple:
@@ -676,7 +681,7 @@ def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunMa
     with _Outputs("pretrain-data", cfg) as out:
         vocab_file, *corpus = out.upstream
         with out.read(vocab_file) as fh:
-            vocab = Vocabulary.load(vocab_file, io.TextIOWrapper(fh, encoding="utf-8"))
+            vocab = Vocabulary.load(vocab_file, fh)
         for shard_index, shard_file in enumerate(corpus):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")

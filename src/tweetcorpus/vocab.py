@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence
 
 from . import emojidata
 from .errors import DataError
@@ -71,7 +71,7 @@ class Vocabulary:
                 out.write("\n")
 
     @classmethod
-    def load(cls, path: str | Path, source: TextIO | None = None) -> "Vocabulary":
+    def load(cls, path: str | Path, source: BinaryIO | None = None) -> "Vocabulary":
         tokens = read_text_lines(path, source=source)
         while tokens and not tokens[-1]:
             tokens.pop()

@@ -55,10 +55,9 @@ def test_print_config_lists_defaults():
     assert lines["vocab.emoji_fraction"] == "0.25"
 
 
-def test_ingest_reads_a_fifo_once_and_records_the_digest_of_what_it_read(tmp_path):
-    fifo = tmp_path / "archive.jsonl"
+def run_cli_feeding(fifo, data, *argv):
+    """``run_cli(*argv)`` while a thread writes ``data`` into the new FIFO ``fifo`` and closes it."""
     os.mkfifo(fifo)
-    data = '{"id":1,"text":"Azi plouă la munte"}\n\n{"id":2,"text":"Mâine e soare"}'.encode()
 
     def feed():
         with open(fifo, "wb") as fh:
@@ -68,17 +67,50 @@ def test_ingest_reads_a_fifo_once_and_records_the_digest_of_what_it_read(tmp_pat
     writer.start()
     try:
         # a second open of the FIFO would block forever; the timeout kills it
-        proc = run_cli("ingest", "--input", str(fifo), "--output-dir", str(tmp_path / "out"),
-                       timeout=60)
+        proc = run_cli(*argv, timeout=60)
     finally:
         if writer.is_alive():  # the CLI never opened the FIFO: let the writer go
             os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
         writer.join(timeout=10)
     assert not writer.is_alive()
+    return proc
+
+
+def test_ingest_reads_a_fifo_once_and_records_the_digest_of_what_it_read(tmp_path):
+    fifo = tmp_path / "archive.jsonl"
+    data = '{"id":1,"text":"Azi plouă la munte"}\n\n{"id":2,"text":"Mâine e soare"}'.encode()
+    proc = run_cli_feeding(fifo, data, "ingest", "--input", str(fifo),
+                           "--output-dir", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "out" / "ingest" / "manifest-ingest.json").read_text())
     assert manifest["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
     assert manifest["counts"]["emitted"] == 2
+
+
+def test_langid_train_reads_a_fifo_corpus_once_and_records_the_digest_of_what_it_read(tmp_path):
+    fifo = tmp_path / "langid.tsv"
+    data = "ro\tazi plouă la munte\n\nen\tit rains in the hills\nro\tmâine e soare".encode()
+    out = tmp_path / "models"
+    proc = run_cli_feeding(fifo, data, "langid-train", "--corpus", str(fifo),
+                           "--output-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    # both models and the manifest, and no partial file
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest-langid-train.json", "model-a.rlid", "model-b.rlid"]
+    manifest = json.loads((out / "manifest-langid-train.json").read_text())
+    assert manifest["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
+    assert manifest["counts"] == {"samples": 3}
+
+
+def test_a_fifo_corpus_that_is_not_utf8_is_an_error_naming_its_line(tmp_path):
+    fifo = tmp_path / "langid.tsv"
+    out = tmp_path / "models"
+    proc = run_cli_feeding(fifo, _NOT_UTF8, "langid-train", "--corpus", str(fifo),
+                           "--output-dir", str(out))
+    assert proc.returncode == 2
+    assert f"error: stage langid-train: {fifo}:3: not UTF-8 (byte 0xff)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()  # the corpus is read before anything is written
 
 
 def test_usage_error_exits_1():

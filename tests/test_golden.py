@@ -2,11 +2,11 @@
 
 The other tests compare one run against another, so a change to the
 RNG protocol, the tokenizer or the record byte format would pass them
-unnoticed. This fixture pins the sha256 of the vocabulary, the corpus
-and the record file, and the clean stage's reject tallies, at one and
-at two workers, and at two workers with batches small enough that both
-parallel stages start a pool. A
-further case pins the records of a shard with literal [CLS] and [SEP]
+unnoticed. This fixture pins the sha256 of both language models, the
+vocabulary, the corpus and the record file, and the clean stage's
+reject tallies, at one and at two workers, and at two workers with
+batches small enough that both parallel stages start a pool. A further
+case pins the records of a shard with literal [CLS] and [SEP]
 words, where masking scans each sequence for its candidates, and
 another the ingest and clean shards, the bytes of the record codec.
 """
@@ -53,6 +53,13 @@ GOLDEN_CLEAN_COUNTS = {
     "rejected": {"too_short": 2, "too_long": 0, "too_many_mentions": 0,
                  "too_many_hashtags": 0, "too_many_urls": 0, "too_many_emojis": 0,
                  "not_target_language": 19},
+}
+
+# The two language models ``stage_langid_train`` writes from the fixture's
+# corpus: any change to training or to the ``.rlid`` format fails here.
+GOLDEN_MODELS = {
+    "model-a.rlid": "44d4fea5a0d384da64f2106f9fd7015a6e0bd8b61bfe1511423be31db30ce621",
+    "model-b.rlid": "beab59a2532db46a702b1b0a3c5e7d4c5c86c8205df12edf77c575cd9b66268d",
 }
 
 # The debug twin of the record file (``stage_pretrain_data(debug_jsonl=True)``).
@@ -125,6 +132,8 @@ def _check_golden_run(fixture_inputs, name, workers):
         "pretrain.dupe_factor": 5,
     })
     stage_langid_train(cfg, corpus, root / f"models-{name}")
+    assert {model: _sha256(root / f"models-{name}" / model) for model in GOLDEN_MODELS} \
+        == GOLDEN_MODELS
     cfg = dataclasses.replace(cfg, langid_model_a=str(root / f"models-{name}" / "model-a.rlid"),
                               langid_model_b=str(root / f"models-{name}" / "model-b.rlid"))
     run_pipeline(cfg)

@@ -5,11 +5,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tweetcorpus import langid
 from tweetcorpus.errors import CorruptRecord, DataError
-from tweetcorpus.langid import LangModel, LangScore, agreement_filter, classify, train
+from tweetcorpus.langid import (
+    LangModel, LangScore, agreement_filter, classify, train, train_models)
+from tweetcorpus.pipeline import build_config, stage_langid_train
 
 from conftest import EN_WORDS, RO_WORDS, make_bilingual_samples, make_text
 
@@ -123,18 +125,20 @@ def _small_model(key="default"):
     return _MODEL_CACHE[key]
 
 
-def test_training_is_permutation_invariant():
+def _saved(model, path):
+    """The bytes ``model.save`` writes."""
+    model.save(path)
+    return path.read_bytes()
+
+
+def test_training_is_permutation_invariant(tmp_path):
     rng = random.Random(9)
     samples = make_bilingual_samples(rng, 50)
     shuffled = samples[:]
     rng.shuffle(shuffled)
-    a = train(samples, (1, 2), 1.0)
-    b = train(shuffled, (1, 2), 1.0)
-    text = make_text(rng, RO_WORDS, 6)
-    pa = {s.language: s.probability for s in classify(a, text)}
-    pb = {s.language: s.probability for s in classify(b, text)}
-    for lang in pa:
-        assert pa[lang] == pytest.approx(pb[lang], abs=1e-9)
+    assert shuffled != samples
+    assert _saved(train(samples, (1, 2), 1.0), tmp_path / "a.rlid") \
+        == _saved(train(shuffled, (1, 2), 1.0), tmp_path / "b.rlid")
 
 
 def test_agreement_filter_symmetry_and_decision():
@@ -411,6 +415,129 @@ def test_row_tables_match_reference_exactly(model_pairs, text):
             for first, second in ((model_a, model_b), (model_b, model_a)):
                 assert agreement_filter(text, first, second, "ro", threshold) \
                     == reference_agreement(text, first, second, "ro", threshold)
+
+
+# --- reference trainer -------------------------------------------------------
+# N-grams counted one slice at a time, as ``reference_classify`` counts
+# them, and the priors, unseen masses and rows from the same expressions
+# as ``train``. The saved bytes must be equal, not approximately.
+
+
+def reference_train(samples, ngram_range, alpha):
+    min_n, max_n = ngram_range
+    docs, grams = Counter(), {}
+    for text, lang in samples:
+        stripped = langid._prepare(text)
+        docs[lang] += 1
+        counts = grams.setdefault(lang, Counter())
+        for n in range(min_n, max_n + 1):
+            for i in range(len(stripped) - n + 1):
+                counts[stripped[i:i + n]] += 1
+    languages = sorted(docs)
+    vocab = sorted(set().union(*grams.values()))
+    log_priors, log_unseen, rows = {}, {}, {gram: [] for gram in vocab}
+    for lang in languages:
+        denom = math.log(sum(grams[lang].values()) + alpha * len(vocab))
+        log_priors[lang] = math.log(docs[lang] / len(samples))
+        log_unseen[lang] = math.log(alpha) - denom
+        for gram in vocab:
+            count = grams[lang][gram]
+            rows[gram].append(math.log(count + alpha) - denom if count else log_unseen[lang])
+    return LangModel(languages, ngram_range, alpha, log_priors, log_unseen,
+                     {gram: tuple(row) for gram, row in rows.items()})
+
+
+# letters, diacritics, digits and placeholders, with something left once stripped
+TRAINING_TEXT = st.lists(
+    st.one_of(st.text(alphabet="abcxyzăâîșț 09", min_size=1, max_size=5),
+              st.sampled_from(["USER", "HTTPURL", "HASHTAG", " 2024 "])),
+    min_size=1, max_size=6,
+).map("".join).filter(reference_prepare)
+
+
+@st.composite
+def training_samples(draw):
+    """Samples of two or three languages, each language at least once, in any order."""
+    languages = draw(st.sampled_from([("en", "ro"), ("en", "hu", "ro")]))
+    samples = [(draw(TRAINING_TEXT), lang) for lang in languages]
+    samples += draw(st.lists(st.tuples(TRAINING_TEXT, st.sampled_from(languages)), max_size=8))
+    return draw(st.permutations(samples))
+
+
+NGRAM_RANGES = [(low, high) for low in range(1, 6) for high in range(low, 6)]
+_FEW_SAMPLES = [("ab USER 1", "en"), ("ăâ ba", "ro"), ("c 09 x", "en")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(training_samples(), st.sampled_from(NGRAM_RANGES), st.sampled_from(NGRAM_RANGES),
+       st.sampled_from([0.5, 1.0]))
+@example(_FEW_SAMPLES, (1, 1), (4, 5), 1.0)
+@example(_FEW_SAMPLES, (4, 5), (1, 1), 0.5)
+@example(_FEW_SAMPLES, (2, 3), (2, 3), 1.0)
+def test_both_models_equal_the_reference_trainer(tmp_path_factory, samples, range_a, range_b,
+                                                 alpha):
+    """The two files ``stage_langid_train`` writes from one pass, and
+    ``train`` over each range alone, are the reference trainer's bytes."""
+    root = tmp_path_factory.mktemp("train")
+    corpus = root / "langid.tsv"
+    corpus.write_text("".join(f"{lang}\t{text}\n" for text, lang in samples), encoding="utf-8")
+    cfg = build_config(overrides={
+        "io.output_dir": str(root / "models"), "langid.alpha": alpha,
+        "langid.ngram_min_a": range_a[0], "langid.ngram_max_a": range_a[1],
+        "langid.ngram_min_b": range_b[0], "langid.ngram_max_b": range_b[1]})
+    # a range whose least order is longer than every stripped text has nothing to count
+    longest = max(len(reference_prepare(text)) for text, _ in samples)
+    empty = [ngram_range for ngram_range in (range_a, range_b) if ngram_range[0] > longest]
+    if empty:
+        with pytest.raises(DataError, match="^no n-grams of orders %d..%d " % empty[0]):
+            stage_langid_train(cfg, corpus)
+    else:
+        stage_langid_train(cfg, corpus)
+    for name, ngram_range in (("model-a.rlid", range_a), ("model-b.rlid", range_b)):
+        if ngram_range in empty:
+            with pytest.raises(DataError, match="^no n-grams of orders %d..%d " % ngram_range):
+                train(samples, ngram_range, alpha)
+            continue
+        expected = _saved(reference_train(samples, ngram_range, alpha), root / "reference.rlid")
+        if not empty:
+            assert (root / "models" / name).read_bytes() == expected
+        assert _saved(train(samples, ngram_range, alpha), root / "train.rlid") == expected
+
+
+@pytest.mark.parametrize("samples, message, prepared", [
+    ([("ab", "ro"), ("  ", "en"), ("USER 42", "en")], "training sample with empty text", 1),
+    ([("ab", "ro"), ("USER 42", "en"), ("  ", "en")],
+     "training sample empty after stripping: 'USER 42'", 2),
+    ([("ab", "ro"), ("ba", "ro"), ("ab", "ro")], "need at least 2 languages, got ['ro']", 3),
+    ([("ab", "ro"), ("b a", "en")], "no n-grams of orders 4..5 in the training samples", 2),
+], ids=["blank", "empty-after-stripping", "one-language", "no-grams"])
+def test_a_bad_corpus_fails_once_for_both_ranges(tmp_path, monkeypatch, samples, message,
+                                                 prepared):
+    """The first bad sample raises today's message, with every sample
+    before it prepared once for both models; the stage keeps the models
+    it wrote before."""
+    calls = []
+    real_prepare = langid._prepare
+    monkeypatch.setattr(langid, "_prepare", lambda text: calls.append(text) or real_prepare(text))
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        train_models(samples, [(1, 1), (4, 5)])
+    assert len(calls) == prepared
+    out = tmp_path / "models"
+    cfg = build_config(overrides={"io.output_dir": str(out),
+                                  "langid.ngram_min_a": 1, "langid.ngram_max_a": 1,
+                                  "langid.ngram_min_b": 4, "langid.ngram_max_b": 5})
+    good = tmp_path / "good.tsv"
+    good.write_text("ro\tazi plouă\nen\tit rains\n", encoding="utf-8")
+    stage_langid_train(cfg, good)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    corpus = tmp_path / "langid.tsv"
+    corpus.write_text("".join(f"{lang}\t{text}\n" for text, lang in samples), encoding="utf-8")
+    calls.clear()
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        stage_langid_train(cfg, corpus)
+    assert len(calls) == prepared
+    # the previous models and manifest stay, and no partial file is left
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 # --- margin verdicts ---------------------------------------------------------
