@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import MalformedRecord
 from .normalize import collapse_whitespace
@@ -170,22 +170,15 @@ def dedup(
 
 
 def read_archive(path, stats: IngestStats | None = None,
-                 digests: dict | None = None) -> Iterator[RawTweet]:
-    """Stream an archive file, counting malformed and undecodable lines.
+                 source: BinaryIO | None = None) -> Iterator[RawTweet]:
+    """Stream the archive file ``path``, or its open binary ``source``
+    (closed at the end), counting malformed and undecodable lines.
 
-    A UTF-8 byte-order mark may lead the file, not a later line. Once
-    the stream is exhausted, ``digests[path]`` is the sha256 of every
-    byte it read: the file is read once, so it may be a FIFO.
+    A UTF-8 byte-order mark may lead the file, not a later line.
     """
     stats = stats or IngestStats()
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        if first.startswith(_BOM):  # it leads the file, not the first record
-            sha.update(_BOM)
-            first = first[len(_BOM):]
-        for raw in chain((first,), fh):
-            sha.update(raw)
+    with open(path, "rb") if source is None else source as fh:
+        for raw in chain((fh.readline().removeprefix(_BOM),), fh):
             raw = raw.strip()
             if not raw:
                 continue
@@ -194,5 +187,3 @@ def read_archive(path, stats: IngestStats | None = None,
                 yield parse_record(raw)
             except MalformedRecord:
                 stats.malformed += 1
-    if digests is not None:
-        digests[path] = sha.hexdigest()

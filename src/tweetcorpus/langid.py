@@ -117,8 +117,9 @@ class LangModel:
                 out.write(struct.pack(row_format, *self.rows[gram]))
 
     @classmethod
-    def load(cls, path: str | Path) -> "LangModel":
-        with open(path, "rb") as fh:
+    def load(cls, path: str | Path, source: BinaryIO | None = None) -> "LangModel":
+        """The model in ``path``, or its open ``source``; no byte may follow the last n-gram."""
+        with open(path, "rb") if source is None else source as fh:
             if _read_exact(fh, 4) != MODEL_MAGIC:
                 raise CorruptRecord(f"{path}: not a language model file")
             (version,) = struct.unpack("<H", _read_exact(fh, 2))
@@ -144,6 +145,8 @@ class LangModel:
             for _ in range(n_grams):
                 gram = _read_str(fh)
                 rows[gram] = struct.unpack(row_format, _read_exact(fh, 8 * n_langs))
+            if fh.read(1):
+                raise CorruptRecord(f"{path}: bytes after the last n-gram")
         return cls(languages, (min_n, max_n), alpha, log_priors, log_unseen, rows)
 
 

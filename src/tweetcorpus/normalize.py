@@ -154,10 +154,10 @@ class EmojiMap:
         return None
 
     @classmethod
-    def load(cls, path: str | Path) -> "EmojiMap":
+    def load(cls, path: str | Path, source: BinaryIO | None = None) -> "EmojiMap":
         entries = {}
         key_line = {}
-        for lineno, line in enumerate(read_text_lines(path), 1):
+        for lineno, line in enumerate(read_text_lines(path, source=source), 1):
             # a "#" line is a comment unless it starts with an emoji such as the keycap #️⃣
             if not line or line.startswith("#") and emojidata.match_emoji(line, 0) is None:
                 continue

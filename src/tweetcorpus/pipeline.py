@@ -3,12 +3,12 @@
 Stages hand off through plain per-shard files, so any stage can be
 re-run in isolation. Each stage is declared once, in ``STAGES``. Every
 stage writes a JSON manifest with its config snapshot, the digests of
-every file it read, counters and output digests, and a stage reads the
-files its upstream entries name in those manifests and no others, each
-once, checking its sha256 against the listed digest as it reads. A
-stage run (``_Outputs``) finds its inputs and commits its outputs as a
-unit: no half-written file ever has a final name, and the manifest
-comes last. The same inputs and seed reproduce identical bytes.
+the bytes it read, counters and output digests, and a stage reads the
+files its upstream entries name in those manifests and no others. A
+stage run (``_Outputs``) reads each input once, through one hashing
+reader that checks an upstream file against its listed digest, and
+commits its outputs as a unit: no half-written file ever has a final
+name, and the manifest comes last. Same inputs and seed, same bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, get_type_hints
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, get_type_hints
 
 from . import __version__
 from .errors import (
@@ -39,7 +39,8 @@ from .errors import (
 )
 from .filtering import FilterConfig, RejectReason, apply_filters, word_count
 # parse_record stays importable from here: bench/tracing.py wraps it under this name.
-from .ingest import IngestStats, _encode, dedup, parse_record, read_archive, serialize_record
+from .ingest import (IngestStats, RawTweet, _encode, dedup, parse_record, read_archive,
+                     serialize_record)
 from .langid import LangModel, agreement_filter, read_training_corpus, train_models
 from .normalize import (
     EmojiMap,
@@ -306,10 +307,10 @@ def file_digest(path: str | Path) -> str:
 
 
 class _Hashed(io.FileIO):
-    """A file that hashes what ``readinto`` reads, into ``digest`` at the end."""
+    """A file that hashes what it reads, into ``digest`` at the end."""
 
     def __init__(self, path: Path):
-        super().__init__(path)
+        super().__init__(os.fspath(path))  # named as open() names it in an OSError
         self.sha, self.digest = hashlib.sha256(), "unknown (not read to its end)"
 
     def readinto(self, buffer) -> int:
@@ -319,7 +320,13 @@ class _Hashed(io.FileIO):
             self.digest = self.sha.hexdigest()
         return n
 
-    read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, unlike FileIO's
+    read = io.RawIOBase.read  # through readinto, unlike FileIO's
+
+    def readall(self) -> bytes:  # FileIO's: one buffer sized from the file's length
+        data = super().readall()
+        self.sha.update(data)
+        self.digest = self.sha.hexdigest()
+        return data
 
 
 @dataclass
@@ -373,23 +380,22 @@ def _stage_dir(stage: str, cfg: PipelineConfig) -> Path:
     return Path(cfg.output_dir) / STAGES[stage].directory
 
 
-def _read_outside(stage: str, cfg: PipelineConfig) -> tuple[list[Path], object]:
-    """The outside files ``stage`` reads that are set, and what the stage
-    reads from them, read in full: the base vocabulary, the clean context
-    or the abbreviations. An unset vocab.base, or a missing or bad file,
-    fails here."""
+def _read_outside(stage: str, cfg: PipelineConfig, load) -> object:
+    """What ``stage`` reads from its set outside files, each read in full by
+    ``load`` (``_Outputs.load``): the base vocabulary, the clean context or
+    the abbreviations. An unset vocab.base, or a missing or bad file, fails here."""
     if stage == "vocab" and not cfg.base_vocab_path:
         raise ConfigInvalid("vocab.base is not set")
-    paths = _require_inputs([Path(getattr(cfg, name)) for name in STAGES[stage].outside
-                             if getattr(cfg, name)])
+    _require_inputs([Path(getattr(cfg, name)) for name in STAGES[stage].outside
+                     if getattr(cfg, name)])
     if stage == "vocab":
-        return paths, Vocabulary.load(cfg.base_vocab_path)
+        return load(Vocabulary.load, cfg.base_vocab_path)
     if stage == "clean":
-        return paths, _load_clean_context(cfg)
+        return _load_clean_context(cfg, load)
     if stage == "segment":
-        return paths, (load_abbreviations(cfg.abbreviations_path) if cfg.abbreviations_path
-                       else default_abbreviations())
-    return paths, None
+        return (load(load_abbreviations, cfg.abbreviations_path) if cfg.abbreviations_path
+                else default_abbreviations())
+    return None
 
 
 def _record(line: bytes, path: Path, lineno: int) -> dict:
@@ -424,30 +430,31 @@ class _Outputs:
     """One run of ``stage``: what it reads, and the files it writes, committed as a unit.
 
     It writes into the stage's ``STAGES`` directory and reads from its
-    upstream stages' (``_stage_dir``). It reads the outside files into
-    ``outside`` and ``loaded`` (``_read_outside``), unless handed them.
+    upstream stages' (``_stage_dir``). The stage reads every input once,
+    through ``read``, which keeps the sha256 of the bytes read in
+    ``digests``; building it reads the outside files into ``loaded``.
     Entering takes the files its upstream entries name, with the digests
-    and manifests listing them, into ``upstream``, each read once through
-    ``read``: a missing or unlisted one fails before anything is deleted.
-    Then it deletes the old manifest and the files it lists, so no reader
-    mixes two runs. ``path(name)`` hands out the partial path of output
-    ``name``, which matches no ``*.jsonl``, ``*.txt`` or ``*.rbtw``
-    pattern. ``commit`` records every input, then moves every output into
-    place and the manifest last. Leaving unlinks every partial file still
-    there: a stage that raises leaves neither outputs nor a manifest.
+    and manifests listing them, into ``upstream``: a missing or unlisted
+    one fails before anything is deleted. Then it deletes the old manifest
+    and the files it lists, so no reader mixes two runs. ``path(name)``
+    hands out the partial path of output ``name``, which matches no
+    ``*.jsonl``, ``*.txt`` or ``*.rbtw`` pattern. ``commit`` records every
+    input, then moves every output into place and the manifest last.
+    Leaving unlinks every partial file still there: a stage that raises
+    leaves neither outputs nor a manifest.
     """
 
-    def __init__(self, stage: str, cfg: PipelineConfig, outside: tuple | None = None):
+    def __init__(self, stage: str, cfg: PipelineConfig):
         self.stage = stage
         self.cfg = cfg
         self.directory = _stage_dir(stage, cfg)
         self.manifest_path = self.directory / f"manifest-{stage}.json"
         self.partials: dict[str, Path] = {}
-        self.outside, self.loaded = outside or _read_outside(stage, cfg)
+        self.upstream: dict[Path, tuple[str, Path]] = {}  # each file: listed digest, manifest
+        self.digests: dict[Path, str] = {}  # each file read: the sha256 of what was read
+        self.loaded = _read_outside(stage, cfg, self.load)
 
     def __enter__(self) -> "_Outputs":
-        self.upstream: dict[Path, tuple[str, Path]] = {}  # each file: listed digest, manifest
-        self.checked: dict[Path, str] = {}  # those read, with the digest read
         for entry in STAGES[self.stage].upstream:
             source, _, only = entry.partition("/")
             src = _stage_dir(source, self.cfg)
@@ -468,15 +475,20 @@ class _Outputs:
 
     @contextmanager
     def read(self, path: Path) -> Iterator[BinaryIO]:
-        """Upstream file ``path``, hashed as it is read; when done, it must have
-        been read to its end and its sha256 be the listed digest."""
+        """Input ``path``, opened once and hashed as it is read; when done, an
+        upstream file must have been read to its end and match its listing."""
         raw = _Hashed(path)
         with io.BufferedReader(raw) as fh:
             yield fh
-        listed, manifest = self.upstream[path]
+        listed, manifest = self.upstream.get(path, (raw.digest, None))
         if raw.digest != listed:
             raise DataError(f"{path}: sha256 {raw.digest}, but {manifest} lists {listed}")
-        self.checked[path] = listed
+        self.digests[path] = raw.digest
+
+    def load(self, loader, path: str | Path):
+        """``loader(path, source)``, given the file read through ``read``."""
+        with self.read(Path(path)) as fh:
+            return loader(path, fh)
 
     def texts(self, path: Path) -> Iterator[str]:
         with self.read(path) as fh:
@@ -487,15 +499,10 @@ class _Outputs:
         self.partials[name] = self.directory / f".{name}.partial"
         return self.partials[name]
 
-    def commit(self, counts: dict, digested: Mapping[Path, str] | None = None) -> RunManifest:
-        """The manifest of the files the upstream entries name, the outside
-        files and the files in ``digested``, the ones the stage read itself
-        (the archives, the language training corpus). These and the upstream
-        files are recorded with the sha256 their stage took as it read them
-        and are not opened again, so an archive may be a FIFO."""
-        inputs = {str(p): self.checked[p] for p in self.upstream}  # KeyError: never read
-        inputs.update((str(p), digest) for p, digest in (digested or {}).items())
-        inputs.update((str(p), file_digest(p)) for p in self.outside)
+    def commit(self, counts: dict) -> RunManifest:
+        """The manifest of every input, with the sha256 ``read`` took of the bytes
+        used (``KeyError``: an upstream file never read); only outputs are digested."""
+        inputs = {str(p): self.digests[p] for p in chain(self.upstream, self.digests)}
         manifest = RunManifest(
             stage=self.stage,
             seed=self.cfg.seed,
@@ -517,21 +524,26 @@ class _Outputs:
 # --- stages ------------------------------------------------------------------
 
 
+def _archives(out: _Outputs, paths: list[Path], stats: IngestStats) -> Iterator[RawTweet]:
+    """The tweets of the archives ``paths``, in order, each read through ``out``."""
+    for path in paths:
+        with out.read(path) as fh:
+            yield from read_archive(path, stats, fh)
+
+
 def stage_ingest(cfg: PipelineConfig) -> RunManifest:
     """Parse archives, dedup, and write round-robin shard files."""
     inputs = _input_paths(cfg)
     stats = IngestStats()
-    digests: dict[Path, str] = {}
     with _Outputs("ingest", cfg) as out:
         with ExitStack() as files:
             sinks = [files.enter_context(open(out.path(f"tweets-{i:05}.jsonl"), "w",
                                               encoding="utf-8")) for i in range(cfg.shards)]
-            tweets = chain.from_iterable(read_archive(p, stats, digests) for p in inputs)
-            for k, tweet in enumerate(dedup(tweets, stats=stats)):
+            for k, tweet in enumerate(dedup(_archives(out, inputs, stats), stats=stats)):
                 sink = sinks[k % cfg.shards]
                 sink.write(serialize_record(tweet))
                 sink.write("\n")
-        return out.commit(dataclasses.asdict(stats), digested=digests)
+        return out.commit(dataclasses.asdict(stats))
 
 
 def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
@@ -541,29 +553,29 @@ def stage_langid_train(cfg: PipelineConfig, corpus: str | Path,
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=str(out_dir))
     [corpus] = _require_inputs([Path(corpus)])
-    raw = _Hashed(corpus)  # read once, so the corpus may be a FIFO
-    samples = read_training_corpus(corpus, io.BufferedReader(raw))
+    out = _Outputs("langid-train", cfg)
+    samples = out.load(read_training_corpus, corpus)
     # trained before the old models are deleted, so a bad corpus keeps them
     models = train_models(samples, (cfg.langid_ngrams_a, cfg.langid_ngrams_b), cfg.langid_alpha)
-    with _Outputs("langid-train", cfg) as out:
+    with out:
         for name, model in zip(("model-a.rlid", "model-b.rlid"), models):
             model.save(out.path(name))
-        return out.commit({"samples": len(samples)}, digested={corpus: raw.digest})
+        return out.commit({"samples": len(samples)})
 
 
-def _load_clean_context(cfg: PipelineConfig) -> tuple:
-    """What ``clean_tweet_text`` reads: the config, both language models
-    (None when language filtering is off) and the emoji map."""
+def _load_clean_context(cfg: PipelineConfig, load) -> tuple:
+    """What ``clean_tweet_text`` reads, each file by ``load``: the config,
+    both language models (None when language filtering is off), the emoji map."""
     model_a = model_b = None
     if cfg.langid_model_a:
-        model_a = LangModel.load(cfg.langid_model_a)
-        model_b = LangModel.load(cfg.langid_model_b)
+        model_a = load(LangModel.load, cfg.langid_model_a)
+        model_b = load(LangModel.load, cfg.langid_model_b)
         # no model could rank an unknown target first: every tweet would be rejected
         if not (cfg.langid_target in model_a.languages and cfg.langid_target in model_b.languages):
             raise ConfigInvalid(
                 f"langid.target {cfg.langid_target!r} is not a language of both models: "
                 f"model_a has {model_a.languages}, model_b has {model_b.languages}")
-    emoji_map = (EmojiMap.load(cfg.emoji_map_path) if cfg.emoji_map_path
+    emoji_map = (load(EmojiMap.load, cfg.emoji_map_path) if cfg.emoji_map_path
                  else default_emoji_map())
     return cfg, model_a, model_b, emoji_map
 
@@ -612,12 +624,12 @@ def _batches(path: Path, lines: Iterable[bytes], size: int) -> Iterator[tuple]:
     return zip(repeat(path), count(1, size), iter(lambda: list(islice(lines, size)), []))
 
 
-def stage_clean(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifest:
+def stage_clean(cfg: PipelineConfig, out: _Outputs | None = None) -> RunManifest:
     """Normalize, filter, language-filter, and emoji-translate each shard."""
     counts = {"read": 0, "emitted": 0,
               "rejected": {reason.value: 0 for reason in RejectReason
                            if reason is not RejectReason.NONE}}
-    with _Outputs("clean", cfg, outside) as out:
+    with out or _Outputs("clean", cfg) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             dst = out.path(f"clean-{shard_index:05}.jsonl")
             with open(dst, "w", encoding="utf-8") as sink, out.read(shard_file) as lines:
@@ -634,7 +646,7 @@ def stage_clean(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifes
         return out.commit(counts)
 
 
-def stage_segment(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifest:
+def stage_segment(cfg: PipelineConfig, out: _Outputs | None = None) -> RunManifest:
     """Split cleaned tweets into sentences and emit document files."""
     counts = {"read": 0, "documents": 0, "sentences": 0}
 
@@ -645,7 +657,7 @@ def stage_segment(cfg: PipelineConfig, outside: tuple | None = None) -> RunManif
             counts["sentences"] += len(sentences)
             yield Document(tuple(sentences))
 
-    with _Outputs("segment", cfg, outside) as out:
+    with out or _Outputs("segment", cfg) as out:
         for shard_index, shard_file in enumerate(out.upstream):
             with open(out.path(f"corpus-{shard_index:05}.txt"), "w", encoding="utf-8") as sink:
                 counts["documents"] += write_documents(
@@ -653,13 +665,13 @@ def stage_segment(cfg: PipelineConfig, outside: tuple | None = None) -> RunManif
         return out.commit(counts)
 
 
-def stage_vocab(cfg: PipelineConfig, outside: tuple | None = None) -> RunManifest:
+def stage_vocab(cfg: PipelineConfig, out: _Outputs | None = None) -> RunManifest:
     """Extend the base vocabulary with tweet tokens and top emojis.
 
     Runs on the deduped (pre-translation) shards so emoji frequencies
     see the original emoji characters.
     """
-    with _Outputs("vocab", cfg, outside) as out:
+    with out or _Outputs("vocab", cfg) as out:
         emojis = count_emoji_frequencies(text for shard in out.upstream
                                          for text in out.texts(shard))
         top = select_top_emojis(emojis, cfg.emoji_fraction)
@@ -680,8 +692,7 @@ def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunMa
     stats = BuildStats()  # summed over every shard
     with _Outputs("pretrain-data", cfg) as out:
         vocab_file, *corpus = out.upstream
-        with out.read(vocab_file) as fh:
-            vocab = Vocabulary.load(vocab_file, fh)
+        vocab = out.load(Vocabulary.load, vocab_file)
         for shard_index, shard_file in enumerate(corpus):
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
@@ -698,22 +709,17 @@ def stage_stats(cfg: PipelineConfig) -> RunManifest:
     """Summarize an archive without transforming it."""
     inputs = _input_paths(cfg)
     stats = IngestStats()
-    digests: dict[Path, str] = {}
     words = 0
     entity_totals = {"mentions": 0, "hashtags": 0, "urls": 0, "emojis": 0}
     with _Outputs("stats", cfg) as out:
-        for tweet in chain.from_iterable(read_archive(p, stats, digests) for p in inputs):
+        for tweet in _archives(out, inputs, stats):
             stats.emitted += 1
             words += word_count(tweet.text)
             counts = count_entities(tweet.text)
             for key in entity_totals:
                 entity_totals[key] += getattr(counts, key)
-        counts = dataclasses.asdict(stats)
-        counts.pop("duplicates_id")
-        counts.pop("duplicates_text")
-        counts["words"] = words
-        counts["entities"] = entity_totals
-        return out.commit(counts, digested=digests)
+        return out.commit({"read": stats.read, "malformed": stats.malformed,
+                           "emitted": stats.emitted, "words": words, "entities": entity_totals})
 
 
 def run_stage(stage: str, cfg: PipelineConfig, **kwargs) -> RunManifest:
@@ -750,8 +756,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     rejected) gives a header-only record file; a shard of one document
     fails the record stage, as documents pair only within their shard.
     A stage that fails (I/O included), or whose outside input file is
-    missing or bad (all are read before ingest, and each stage is handed
-    what was read), is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
+    missing or bad (all are read before ingest, into the ``_Outputs`` the
+    stage is handed), is recorded as ``failed_stage`` in ``manifest-pipeline.json``.
     """
     out = _stage_dir("pipeline", cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -765,7 +771,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     try:
         for name in PIPELINE:
             with _named(name):
-                kwargs[name] = {"outside": _read_outside(name, cfg)} if STAGES[name].outside else {}
+                kwargs[name] = {"out": _Outputs(name, cfg)} if STAGES[name].outside else {}
         for name in PIPELINE:
             manifest = run_stage(name, cfg, **kwargs[name])
             counts[name] = manifest.counts

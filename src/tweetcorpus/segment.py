@@ -10,7 +10,7 @@ import functools
 import importlib.resources
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 from .errors import DataError
 from .normalize import collapse_whitespace, not_utf8, read_text_lines
@@ -19,10 +19,10 @@ from .normalize import collapse_whitespace, not_utf8, read_text_lines
 _BOUNDARY_RE = re.compile(r"[!.?…]+")
 
 
-def load_abbreviations(path) -> frozenset[str]:
-    """Read one lowercase abbreviation per line; '#' starts a comment."""
+def load_abbreviations(path, source: BinaryIO | None = None) -> frozenset[str]:
+    """One lowercase abbreviation per line of ``path``, or its ``source``; '#' starts a comment."""
     out = set()
-    for line in read_text_lines(path):
+    for line in read_text_lines(path, source=source):
         word = line.strip().lower()
         if word and not word.startswith("#"):
             out.add(word if word.endswith(".") else word + ".")

@@ -17,6 +17,7 @@ from tweetcorpus.ingest import (
     serialize_record,
     text_dedup_key,
 )
+from tweetcorpus.pipeline import build_config, stage_ingest
 
 from conftest import HOSTILE_LINES
 
@@ -91,29 +92,31 @@ def test_read_archive_counts_a_hostile_line_as_malformed(tmp_path, name):
     assert (stats.read, stats.malformed) == (3, 1)
 
 
-def test_read_archive_digests_every_byte_it_reads(tmp_path):
-    path = tmp_path / "archive.jsonl"
-    data = b'  {"id":1,"text":"a"}  \r\n\n\t\nnot json\n{"id":2,"text":"b"}'
-    path.write_bytes(data)
-    digests = {}
-    tweets = read_archive(path, digests=digests)
-    assert next(tweets).id == 1
-    assert digests == {}  # only a whole file's digest is recorded
-    assert [t.id for t in tweets] == [2]
-    assert digests == {path: hashlib.sha256(data).hexdigest()}
-
-
 BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("data", [
+    b'  {"id":1,"text":"a"}  \r\n\n\t\nnot json\n{"id":2,"text":"b"}',
+    BOM + b'{"id":1,"text":"a"}\n{"id":2,"text":"b"}\n',
+], ids=["blank-and-bad-lines", "byte-order-mark"])
+def test_the_ingest_manifest_digests_every_byte_of_the_archive(tmp_path, data):
+    path = tmp_path / "archive.jsonl"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    manifest = stage_ingest(build_config(overrides={"io.input": str(path),
+                                                    "io.output_dir": str(out)}))
+    assert manifest.counts["emitted"] == 2
+    expected = {str(path): hashlib.sha256(data).hexdigest()}  # a leading mark included
+    assert manifest.inputs == expected
+    assert json.loads((out / "ingest" / "manifest-ingest.json").read_text())["inputs"] == expected
 
 
 def test_read_archive_skips_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "archive.jsonl"
-    data = BOM + b'{"id":1,"text":"a"}\n{"id":2,"text":"b"}\n'
-    path.write_bytes(data)
-    stats, digests = IngestStats(), {}
-    assert [t.id for t in read_archive(path, stats, digests)] == [1, 2]
+    path.write_bytes(BOM + b'{"id":1,"text":"a"}\n{"id":2,"text":"b"}\n')
+    stats = IngestStats()
+    assert [t.id for t in read_archive(path, stats)] == [1, 2]
     assert (stats.read, stats.malformed) == (2, 0)
-    assert digests == {path: hashlib.sha256(data).hexdigest()}  # the mark included
 
 
 def test_read_archive_counts_a_later_byte_order_mark_as_malformed(tmp_path):

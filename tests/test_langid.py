@@ -255,7 +255,8 @@ def test_model_file_with_a_repeated_language_is_corrupt(tmp_path):
 @pytest.mark.parametrize("damage, message", [
     (lambda data: data[:20] + b"\xff" + data[21:], "byte 0xff at offset 20 is not UTF-8"),
     (lambda data: data[:-3], "unexpected end of model file"),
-], ids=["language-code-not-utf8", "truncated"])
+    (lambda data: data + b"\x00", "bytes after the last n-gram"),
+], ids=["language-code-not-utf8", "truncated", "trailing-bytes"])
 def test_a_damaged_model_file_is_named(tmp_path, damage, message):
     # offset 20 is the first byte of the first language code, "en"
     model = train([("aaaa", "en"), ("bbbb", "ro")], (1, 1), 1.0)

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
 import shutil
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -327,8 +329,8 @@ def test_clean_stage_releases_its_context(workspace, monkeypatch):
     loaded = []
     real_load = LangModel.load
 
-    def load(cls, path):
-        model = real_load(path)
+    def load(cls, path, *source):
+        model = real_load(path, *source)
         loaded.append(weakref.ref(model))
         return model
 
@@ -1217,3 +1219,39 @@ def test_the_pipeline_reads_each_outside_file_once(workspace, monkeypatch):
     outside = (cfg.base_vocab_path, cfg.langid_model_a, cfg.langid_model_b, str(emoji_map),
                str(abbreviations))
     assert {path: loads[path] for path in outside} == dict.fromkeys(outside, 1)
+
+
+def test_the_clean_manifest_records_the_emoji_map_clean_loaded(workspace, monkeypatch):
+    cfg, root = workspace
+    emoji_map, _ = _write_outside_files(root)
+    cfg = dataclasses.replace(cfg, emoji_map_path=str(emoji_map))
+    loaded = hashlib.sha256(emoji_map.read_bytes()).hexdigest()
+    real_ingest = pipeline.stage_ingest
+
+    def ingest_then_edit_the_map(cfg, **kwargs):  # the map was read before ingest
+        emoji_map.write_text("\U0001F600\tzambet\n", encoding="utf-8")
+        return real_ingest(cfg, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_ingest", ingest_then_edit_the_map)
+    run_pipeline(cfg)
+    clean = root / "out" / "clean"
+    manifest = json.loads((clean / "manifest-clean.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"][str(emoji_map)] == loaded != file_digest(emoji_map)
+    text = "".join(p.read_text(encoding="utf-8") for p in sorted(clean.glob("*.jsonl")))
+    assert ":fata zambitoare:" in text and ":zambet:" not in text
+
+
+def test_a_whole_file_read_holds_one_copy_and_digests_every_byte(tmp_path):
+    path = tmp_path / "input.bin"
+    size = 8 << 20
+    path.write_bytes(bytes(range(256)) * (size // 256))
+    out = pipeline._Outputs("langid-train", build_config(overrides={"io.output_dir": str(tmp_path)}))
+    tracemalloc.start()
+    try:
+        with out.read(path) as fh:
+            assert len(fh.read()) == size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
+    assert out.digests == {path: hashlib.sha256(path.read_bytes()).hexdigest()}

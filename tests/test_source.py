@@ -122,3 +122,46 @@ def test_the_guard_sees_a_directory_parameter():
         pass
 
     assert _directory_params([stage_x]) == [("stage_x", "in_dir"), ("stage_x", "vocab_path")]
+
+
+def _hash_sites(source: str) -> list[tuple[str, str, str]]:
+    """(name, the function using it, the iterable of the comprehension around
+    it or "") for each use of ``hashlib``, ``_Hashed`` or ``file_digest``."""
+    sites = []
+
+    def visit(node, scope, over):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            over = ast.unparse(node.generators[0].iter)
+        elif isinstance(node, ast.Name) and node.id in ("hashlib", "_Hashed", "file_digest"):
+            sites.append((node.id, scope, over))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, over)
+
+    visit(ast.parse(source), "", "")
+    return sites
+
+
+def test_inputs_are_hashed_only_by_the_one_reader():
+    # one way to hash an input: the reader _Outputs.read builds; file_digest is for outputs
+    assert _hash_sites((PACKAGE / "pipeline.py").read_text(encoding="utf-8")) == [
+        ("hashlib", "file_digest", ""),
+        ("hashlib", "_Hashed.__init__", ""),
+        ("_Hashed", "_Outputs.read", ""),
+        ("file_digest", "_Outputs.commit", "self.partials.items()"),
+    ]
+
+
+def test_the_guard_sees_a_second_way_to_hash_an_input():
+    source = ("class _Outputs:\n"
+              "    def commit(self):\n"
+              "        a = {n: file_digest(p) for n, p in self.partials.items()}\n"
+              "        b = [file_digest(p) for p in self.outside]\n"
+              "def stage_x(path):\n"
+              "    raw = _Hashed(path)\n"
+              "    return hashlib.sha256(raw.read()), map(file_digest, [path])\n")
+    assert _hash_sites(source) == [
+        ("file_digest", "_Outputs.commit", "self.partials.items()"),
+        ("file_digest", "_Outputs.commit", "self.outside"),
+        ("_Hashed", "stage_x", ""), ("hashlib", "stage_x", ""), ("file_digest", "stage_x", "")]

@@ -183,7 +183,7 @@ _WITHOUT_REGEX = textwrap.dedent("""
     for module in pkgutil.iter_modules(tweetcorpus.__path__):
         importlib.import_module(f"tweetcorpus.{module.name}")
     from tweetcorpus.pipeline import _load_clean_context, build_config, clean_tweet_text
-    ctx = _load_clean_context(build_config())
+    ctx = _load_clean_context(build_config(), None)  # no outside file is set, none is read
     for text in sys.argv[1:]:
         print(clean_tweet_text(text, ctx))
 """)
