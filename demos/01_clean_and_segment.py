@@ -1,10 +1,12 @@
 """Walk a handful of raw tweets through cleaning and sentence splitting.
 
-Shows the per-tweet transformations in order: HTML unescape, entity
-counting, placeholder normalization, length/spam filters, language
-agreement gate, emoji translation, sentence segmentation. The gate runs
-after the cheap filters, so it scores only tweets they keep; it is given
-the unescaped text, not the normalized one.
+Shows the per-tweet steps in the clean stage's order: HTML unescape,
+entity counting, length/spam filters, language agreement gate,
+placeholder normalization, emoji translation, sentence segmentation.
+The filters and the gate read the unescaped text, so only a kept tweet
+is rewritten: the gate scores only tweets the cheap filters keep, and
+normalization runs only on tweets the gate keeps. Normalizing never
+changes a word count, so it need not come before the filters.
 """
 
 from tweetcorpus import (
@@ -56,10 +58,8 @@ def main():
 
         counts = count_entities(text)
         print("entities:  ", counts)
-        normalized = normalize_entities(text)
-        print("normalized:", normalized)
 
-        verdict = apply_filters(normalized, counts, filters)
+        verdict = apply_filters(text, counts, filters)
         if not verdict.accepted:
             print("verdict:    rejected (%s)" % verdict.reason.value)
             continue
@@ -68,6 +68,8 @@ def main():
             print("verdict:    rejected (not the target language)")
             continue
 
+        normalized = normalize_entities(text)
+        print("normalized:", normalized)
         translated = translate_emojis(normalized, emoji_map)
         print("translated:", translated)
         for i, sentence in enumerate(split_sentences(translated), 1):

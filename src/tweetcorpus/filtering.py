@@ -1,8 +1,9 @@
-"""Length and spam filters over normalized tweets.
+"""Length and spam filters over unescaped tweets.
 
-Word counts are measured on the placeholder-normalized text before
-emoji translation (translations would inflate counts with multi-word
-descriptions); entity limits apply to counts taken on the raw text.
+The clean stage filters the unescaped text, before placeholder
+normalization, which changes no word count, and before emoji
+translation, which would inflate counts with multi-word descriptions;
+entity limits apply to counts taken on the same text.
 
 Precedence: ``apply_filters`` reports the first failing bound in the
 order ``RejectReason`` declares them. The clean stage runs the language

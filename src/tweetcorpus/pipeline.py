@@ -399,10 +399,15 @@ def _read_outside(stage: str, cfg: PipelineConfig, load) -> object:
 
 
 def _record(line: bytes, path: Path, lineno: int) -> dict:
-    """Line ``lineno`` of upstream shard ``path``, ``serialize_record`` output, only decoded."""
+    """Line ``lineno`` of upstream shard ``path``, ``serialize_record`` output, only decoded.
+
+    As in ``parse_record``, a lone surrogate, which UTF-8 cannot encode,
+    is malformed: decoded strictly, only a line with an escape can hold one."""
     try:
-        record = json.loads(line)
+        record = json.loads(line.decode("utf-8"))  # json.loads passes a surrogate's bytes
         text = record["text"]
+        if b"\\" in line:
+            _encode(record).encode("utf-8")
     except (ValueError, KeyError, TypeError, RecursionError):
         text = None
     if not isinstance(text, str):
@@ -581,24 +586,24 @@ def _load_clean_context(cfg: PipelineConfig, load) -> tuple:
 
 
 def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
-    """One tweet through unescape, entity counting, normalize, length and
-    entity filters, language gate, and emoji translation. Returns (cleaned
-    text or None, reason value).
+    """One tweet through unescape, entity counting, length and entity
+    filters, language gate, normalize, and emoji translation. Returns
+    (cleaned text or None, reason value).
 
-    The gate scores two models, so it runs after the microsecond filters;
-    a tweet failing both counts under the filter's reason. It sees the
-    unescaped text, not the normalized one."""
+    The filters and the gate read the unescaped text, so only a kept tweet
+    is rewritten: a placeholder replaces non-whitespace with non-whitespace,
+    so normalizing changes no word count. The gate scores two models, so it
+    runs after the microsecond filters; a tweet failing both counts under
+    the filter's reason."""
     cfg, model_a, model_b, emoji_map = ctx
     text = unescape_basic_entities(text)
-    counts = count_entities(text)
-    normalized = normalize_entities(text)
-    verdict = apply_filters(normalized, counts, cfg.filters)
+    verdict = apply_filters(text, count_entities(text), cfg.filters)
     if not verdict.accepted:
         return None, verdict.reason.value
     if model_a is not None and not agreement_filter(
             text, model_a, model_b, cfg.langid_target, cfg.langid_threshold):
         return None, RejectReason.NOT_TARGET_LANGUAGE.value
-    return translate_emojis(normalized, emoji_map), RejectReason.NONE.value
+    return translate_emojis(normalize_entities(text), emoji_map), RejectReason.NONE.value
 
 
 # Archive lines per task of the clean stage's ordered map.
@@ -773,7 +778,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             with _named(name):
                 kwargs[name] = {"out": _Outputs(name, cfg)} if STAGES[name].outside else {}
         for name in PIPELINE:
-            manifest = run_stage(name, cfg, **kwargs[name])
+            manifest = run_stage(name, cfg, **kwargs.pop(name))  # freed once run
             counts[name] = manifest.counts
             stage_manifests.append(manifest)
     except TweetCorpusError:  # named: an OSError is an IOFailure by now

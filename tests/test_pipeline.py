@@ -43,6 +43,7 @@ from tweetcorpus.pretrain import PretrainConfig
 from tweetcorpus.vocab import STRUCTURAL_TOKENS, Vocabulary
 
 from conftest import EN_WORDS, HOSTILE_LINES, RO_WORDS, make_text
+from test_cli import run_cli
 
 
 def test_parse_config_file(tmp_path):
@@ -342,6 +343,32 @@ def test_clean_stage_releases_its_context(workspace, monkeypatch):
     assert [ref() for ref in loaded] == [None, None]
 
 
+def test_the_pipeline_frees_the_clean_context_before_pretrain_data(workspace, monkeypatch):
+    """The language models are loaded before ingest, and dead once clean has run."""
+    import gc
+    import weakref
+
+    loaded, alive = [], []
+    real_load = LangModel.load
+    real_stage = pipeline.stage_pretrain_data
+
+    def load(cls, path, *source):
+        model = real_load(path, *source)
+        loaded.append(weakref.ref(model))
+        return model
+
+    def stage(cfg, **kwargs):
+        gc.collect()
+        alive.extend(ref() is not None for ref in loaded)
+        return real_stage(cfg, **kwargs)
+
+    monkeypatch.setattr(LangModel, "load", classmethod(load))
+    monkeypatch.setattr(pipeline, "stage_pretrain_data", stage)
+    cfg, _ = workspace
+    run_pipeline(cfg)
+    assert alive == [False, False]
+
+
 def test_clean_conservation_identity(workspace):
     cfg, _ = workspace
     stage_ingest(cfg)
@@ -467,6 +494,30 @@ def test_clean_never_scores_a_filter_rejected_tweet(tmp_path, monkeypatch):
     for text in scored:
         assert apply_filters(normalize_entities(text), count_entities(text),
                              cfg.filters).accepted
+
+
+def test_clean_rewrites_only_the_tweets_it_keeps(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(_four_kinds_workspace(tmp_path), workers=1)
+    calls = {"agreement_filter": [], "normalize_entities": [], "translate_emojis": []}
+    for name, log in calls.items():
+        def spy(text, *args, real=getattr(pipeline, name), log=log):
+            result = real(text, *args)
+            log.append((text, result))
+            return result
+
+        monkeypatch.setattr(pipeline, name, spy)
+    manifest = stage_clean(cfg)
+    emitted = manifest.counts["emitted"]
+    rejected = manifest.counts["rejected"]
+    assert emitted > 0 and rejected["not_target_language"] > 0
+    assert sum(rejected.values()) - rejected["not_target_language"] > 0
+    normalized = calls["normalize_entities"]
+    assert len(normalized) == len(calls["translate_emojis"]) == emitted
+    assert [text for text, _ in calls["translate_emojis"]] == [out for _, out in normalized]
+    gate_rejected = {text for text, passed in calls["agreement_filter"] if not passed}
+    for text, _ in normalized:
+        assert apply_filters(text, count_entities(text), cfg.filters).accepted
+        assert text not in gate_rejected
 
 
 def test_full_pipeline_and_rerun_determinism(workspace, tmp_path):
@@ -1152,6 +1203,34 @@ def test_a_shard_line_that_is_no_record_is_malformed_naming_its_line(workspace):
     for stage in (stage_vocab, stage_clean):
         with pytest.raises(MalformedRecord, match=f"^{shard}:2: not a tweet record$"):
             stage(cfg)
+
+
+@pytest.mark.parametrize("surrogate", [b"\\ud800", b"\xed\xa0\x80"], ids=["escape", "bytes"])
+@pytest.mark.parametrize("stage", ["vocab", "clean", "segment"])
+def test_a_shard_text_holding_a_lone_surrogate_is_malformed(workspace, stage, surrogate):
+    """UTF-8 cannot encode a lone surrogate: the stage names the line, and
+    the command exits 2, rather than failing as it writes."""
+    cfg, root = workspace
+    stage_ingest(cfg)
+    if stage == "segment":
+        stage_clean(cfg)
+    [source] = STAGES[stage].upstream
+    upstream = root / "out" / STAGES[source].directory
+    shard = sorted(upstream.glob("*.jsonl"))[0]
+    lines = shard.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"text": "', b'"text": "' + surrogate, 1)
+    shard.write_bytes(b"".join(lines))
+    manifest = upstream / f"manifest-{source}.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["outputs"][shard.name] = file_digest(shard)  # as only a hand-made manifest lists it
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    message = f"stage {stage}: {shard}:2: not a tweet record"
+    with pytest.raises(MalformedRecord, match=f"^{message}$"):
+        run_stage(stage, cfg)
+    flags = {"vocab": ("--base-vocab", cfg.base_vocab_path),
+             "clean": ("--model-a", cfg.langid_model_a, "--model-b", cfg.langid_model_b)}
+    proc = run_cli(stage, "--output-dir", cfg.output_dir, *flags.get(stage, ()))
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("outputs", [

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tweetcorpus
-from tweetcorpus.filtering import word_count
+from tweetcorpus.filtering import FilterConfig, apply_filters, word_count
 from tweetcorpus.ingest import text_dedup_key
 from tweetcorpus.langid import _prepare, read_training_corpus
 from tweetcorpus.errors import ConfigInvalid, DataError
@@ -30,6 +30,7 @@ from tweetcorpus.normalize import (
     normalize_entities,
     read_text_lines,
     translate_emojis,
+    unescape_basic_entities,
 )
 from tweetcorpus.pipeline import parse_config_file
 from tweetcorpus.segment import load_abbreviations, split_sentences
@@ -57,6 +58,28 @@ def test_layers_agree_on_whitespace(text):
     assert word_count(normalized) == word_count(text) == len(text.split())
     assert text_dedup_key(text) == text_dedup_key(normalized)
     assert _prepare(text) == _prepare(normalized)
+
+
+# entity markers, escapes and emoji (a keycap among them), strung between
+# words and separators: every placeholder rewrite and its neighbours
+ENTITY_TEXT = st.lists(
+    st.sampled_from(["@", "@@", "#", "http://", "https://", "www.", "_", "&amp;", "&lt;",
+                     "\U0001F600", "\U0001F468\u200d\U0001F469\u200d\U0001F467",
+                     "\U0001F44D\U0001F3FD", "\U0001F1F7\U0001F1F4", "#\ufe0f\u20e3", "1\u20e3"])
+    | st.text(alphabet=WORD_CHARS + SEPARATORS, min_size=1, max_size=4),
+    max_size=24).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ENTITY_TEXT, st.integers(1, 8), st.integers(0, 8))
+def test_normalizing_changes_no_word_count_and_no_verdict(text, min_words, extra):
+    # clean filters a tweet before it normalizes it: the verdict must not depend on the order
+    cfg = FilterConfig(min_words=min_words, max_words=min_words + extra)
+    for raw in (text, unescape_basic_entities(text)):
+        normalized = normalize_entities(raw)
+        assert word_count(normalized) == word_count(raw)
+        counts = count_entities(raw)
+        assert apply_filters(normalized, counts, cfg) == apply_filters(raw, counts, cfg)
 
 
 @settings(max_examples=400, deadline=None)
