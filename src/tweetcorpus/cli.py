@@ -1,8 +1,8 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 I/O error.
-Flag values override config-file values, which override built-in
-defaults.
+A subcommand takes the flag of each config key it reads and no other;
+flags override the config file, which overrides the built-in defaults.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, pipeline, tasks
 from .errors import ConfigInvalid, DataError, TweetCorpusError
 from .normalize import read_text_lines
-from .pipeline import CONFIG_KEYS, GLOBAL, PipelineConfig, build_config, parse_config_file
+from .pipeline import CONFIG_KEYS, STAGES, PipelineConfig, build_config, parse_config_file
 from .tasks import threshold_intensities
 from .vocab import Vocabulary
 
@@ -32,20 +32,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser, command: str | None) -> None:
-    """``--config`` and the flag of every config key that ``command``
-    takes; the main parser (``command`` None) takes the global ones.
-
-    Globals are accepted both before and after the subcommand; the
-    SUPPRESS default keeps a subparser from clobbering main-parser values.
-    """
-    suppress = {"default": argparse.SUPPRESS} if command else {}
-    parser.add_argument("--config", help="flat key=value config file", **suppress)
+    """``--config`` and the flag of every config key that ``command`` reads;
+    the main parser (``command`` None) takes ``--config`` alone, which a
+    subparser's SUPPRESS default keeps from being clobbered."""
+    parser.add_argument("--config", help="flat key=value config file",
+                        **({"default": argparse.SUPPRESS} if command else {}))
     for spec in CONFIG_KEYS.values():
-        if not spec.flag or not (spec.commands == GLOBAL or command in spec.commands):
-            continue
-        parser.add_argument(spec.flag, type=None if spec.type is str else spec.type,
-                            help=f"{spec.help} [{spec.key}, default {spec.default!r}]".lstrip(),
-                            **(suppress if spec.commands == GLOBAL else {}))
+        if spec.flag and command in spec.commands:
+            parser.add_argument(spec.flag, type=None if spec.type is str else spec.type,
+                                help=f"{spec.help} [{spec.key}, default {spec.default!r}]".lstrip())
 
 
 def build_parser() -> _Parser:
@@ -59,7 +54,8 @@ def build_parser() -> _Parser:
 
     def add_sub(name, help_text):
         sub = subs.add_parser(name, help=help_text)
-        _add_config_flags(sub, name)
+        if name in STAGES:  # task-prep and eval read no config
+            _add_config_flags(sub, name)
         return sub
 
     add_sub("ingest", "parse and dedup raw archives")
@@ -147,6 +143,10 @@ def _read_label_lines(path: str) -> list[str]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.task != "ner" and not args.averaging:
         raise ConfigInvalid(f"--averaging is required for {args.task}")
+    if not math.isfinite(args.decision_threshold):
+        raise ConfigInvalid(f"--decision-threshold must be finite, got {args.decision_threshold}")
+    if not 0 < args.mse_scale < math.inf:
+        raise ConfigInvalid(f"--mse-scale must be finite and > 0, got {args.mse_scale}")
     if args.task == "red_v2":
         gold = tasks.load_emotion_dataset(args.gold)
         n = len(tasks.EMOTIONS)
@@ -218,7 +218,9 @@ def run(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.error("a subcommand is required (see --help)")
 
-    if args.command in ("task-prep", "eval"):
+    if args.command not in STAGES:
+        if args.config is not None:
+            parser.error(f"{args.command} reads no config: --config is not allowed")
         return _cmd_task_prep(args) if args.command == "task-prep" else _cmd_eval(args)
 
     cfg = config_from_args(args)

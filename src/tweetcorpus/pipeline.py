@@ -113,19 +113,15 @@ def _key(key: str, default, flag: str | None = None, commands: tuple[str, ...] =
                  metadata={"key": key, "flag": flag, "commands": commands, "help": help})
 
 
-# The subcommands that take a flag; GLOBAL flags go before or after any.
-GLOBAL = ("*",)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every stage knob, with paper-faithful defaults.
 
-    The fields are the config table: each gives its key, type, default,
-    flag and subcommands once; the config file parser, ``flat()``,
-    ``build_config`` and the CLI flags are derived from them. The fields
-    of ``filters`` and ``pretrain`` are keys ``filter.<field>`` and
-    ``pretrain.<field>`` with flags ``--<field>``.
+    The fields are the config table: each gives once its key, type,
+    default, flag and the subcommands that read it, which alone take the
+    flag. The config file parser, ``flat()``, ``build_config`` and the CLI
+    flags derive from it; ``filters`` and ``pretrain`` hold keys
+    ``filter.<field>`` and ``pretrain.<field>`` with flags ``--<field>``.
 
     A config is frozen, and checked whenever it is built, by ``dataclasses.replace`` too.
     """
@@ -133,9 +129,9 @@ class PipelineConfig:
     input: str = _key("io.input", "", "--input", ("ingest", "stats"),
                       "archive(s), comma separated")
     output_dir: str = _key("io.output_dir", "", "--output-dir", tuple(STAGES), "output directory")
-    shards: int = _key("io.shards", 1, "--shards", GLOBAL, "output shard count")
-    workers: int = _key("io.workers", 1, "--workers", GLOBAL, "worker process count")
-    seed: int = _key("seed", 0, "--seed", GLOBAL, "global RNG seed")
+    shards: int = _key("io.shards", 1, "--shards", ("ingest",), "output shard count")
+    workers: int = _key("io.workers", 1, "--workers", ("clean", "pretrain-data"), "process count")
+    seed: int = _key("seed", 0, "--seed", ("pretrain-data",), "RNG seed of the records")
 
     langid_model_a: str = _key("langid.model_a", "", "--model-a", ("clean",), "first model file")
     langid_model_b: str = _key("langid.model_b", "", "--model-b", ("clean",), "second model file")
@@ -594,7 +590,7 @@ def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
     is rewritten: a placeholder replaces non-whitespace with non-whitespace,
     so normalizing changes no word count. The gate scores two models, so it
     runs after the microsecond filters; a tweet failing both counts under
-    the filter's reason."""
+    the filter's reason. One left with no word (all unmapped emoji) is too short."""
     cfg, model_a, model_b, emoji_map = ctx
     text = unescape_basic_entities(text)
     verdict = apply_filters(text, count_entities(text), cfg.filters)
@@ -603,7 +599,8 @@ def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
     if model_a is not None and not agreement_filter(
             text, model_a, model_b, cfg.langid_target, cfg.langid_threshold):
         return None, RejectReason.NOT_TARGET_LANGUAGE.value
-    return translate_emojis(normalize_entities(text), emoji_map), RejectReason.NONE.value
+    text = translate_emojis(normalize_entities(text), emoji_map)
+    return (text, RejectReason.NONE.value) if text else (None, RejectReason.TOO_SHORT.value)
 
 
 # Archive lines per task of the clean stage's ordered map.

@@ -120,6 +120,46 @@ def test_usage_error_exits_1():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("ingest", "--input", "{archive}", "--output-dir", "{out}", "--workers", "2"),
+    ("vocab", "--base-vocab", "{base}", "--output-dir", "{out}", "--seed", "1"),
+    ("segment", "--output-dir", "{out}", "--shards", "2"),
+    ("--workers", "2", "pipeline", "--input", "{archive}", "--base-vocab", "{base}",
+     "--output-dir", "{out}"),
+    ("task-prep", "--task", "red_v2", "--input", "{archive}", "--output", "{out}/prep.jsonl",
+     "--seed", "1"),
+], ids=["ingest-workers", "vocab-seed", "segment-shards", "workers-before-pipeline",
+        "task-prep-seed"])
+def test_a_flag_of_a_key_the_command_does_not_read_is_a_usage_error(tmp_path, valid_inputs,
+                                                                    argv):
+    out = tmp_path / "out"
+    proc = run_cli(*(arg.format(**valid_inputs, out=out) for arg in argv))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: tweetcorpus")  # argparse's, before any stage runs
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("task-prep", "--task", "red_v2", "--input", "{gold}", "--output", "{tmp}/prep.jsonl"),
+    ("eval", "--task", "red_v2", "--gold", "{gold}", "--pred", "{gold}", "--averaging", "micro",
+     "--output", "{tmp}/report.json"),
+], ids=["task-prep", "eval"])
+def test_config_before_a_command_that_reads_no_config_is_a_usage_error(tmp_path, argv):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("unu\t1\t0\t0\t0\t0\t0\t0\n", encoding="utf-8")
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = 1\n", encoding="utf-8")
+    argv = [arg.format(gold=gold, tmp=tmp_path) for arg in argv]
+    proc = run_cli("--config", str(conf), *argv)
+    assert proc.returncode == 1
+    assert f"{argv[0]} reads no config: --config is not allowed" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "run.conf"]
+    proc = run_cli(*argv, "--config", str(conf))  # nor after it
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --config" in proc.stderr
+
+
 def test_config_error_exits_1(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("typo.key = 1\n", encoding="utf-8")
@@ -297,6 +337,22 @@ def test_eval_rejects_a_bad_prediction_cell(tmp_path, cell, flags):
     assert f"{pred}:2:" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--mse-scale", "nan"), ("--mse-scale", "inf"), ("--mse-scale", "0"), ("--mse-scale", "-1"),
+    ("--decision-threshold", "nan"), ("--decision-threshold", "-inf"),
+])
+def test_eval_rejects_a_scale_or_threshold_that_is_not_finite(tmp_path, flag, value):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("unu\t1\t0\t0\t0\t0\t0\t0\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("0.9\t0.1\t0.2\t0.3\t0.1\t0.2\t0.4\n", encoding="utf-8")
+    proc = run_cli("eval", "--task", "red_v2", "--gold", str(gold), "--pred", str(pred),
+                   "--averaging", "macro", "--regression", f"{flag}={value}")
+    assert proc.returncode == 1
+    assert f"config error: {flag} must be finite" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_eval_ner(tmp_path):
     gold = tmp_path / "gold.txt"
     gold.write_text("Ion B-PER\nPopescu I-PER\nmerge O\n\nazi B-TM\n", encoding="utf-8")
@@ -418,6 +474,24 @@ def test_pipeline_keeps_a_created_at_before_the_year_1000(tmp_path):
     assert (counts["ingest"]["malformed"], counts["clean"]["emitted"]) == (1, 3)
     cleaned = (tmp_path / "out" / "clean" / "clean-00000.jsonl").read_text(encoding="utf-8")
     assert json.loads(cleaned.splitlines()[0])["created_at"] == "0999-06-01T12:00:00Z"
+
+
+def test_a_tweet_of_unmapped_emoji_only_is_too_short_not_an_empty_document(tmp_path):
+    # with max_emojis >= min_words a tweet can pass every filter on emoji
+    # alone; translation drops each unmapped one and leaves no word
+    archive = tmp_path / "raw.jsonl"
+    archive.write_text(json.dumps({"id": 99, "text": "\U0001F9A9 " * 4 + "\U0001F9A9"}) + "\n",
+                       encoding="utf-8")
+    base_vocab = tmp_path / "base.txt"
+    base_vocab.write_text("\n".join(STRUCTURAL_TOKENS) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("pipeline", "--input", str(archive), "--output-dir", str(out),
+                   "--base-vocab", str(base_vocab), "--max-emojis", "5")
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert counts["clean"]["read"] == counts["clean"]["rejected"]["too_short"] == 1
+    assert counts["clean"]["emitted"] == counts["segment"]["documents"] == 0
+    assert (out / "clean" / "clean-00000.jsonl").read_bytes() == b""
 
 
 def test_filter_flags_override(tmp_path):
@@ -781,14 +855,18 @@ def test_pretrain_data_names_a_corpus_file_that_is_not_utf8(tmp_path, finished_s
 def test_every_config_flag_names_its_key_in_help():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {spec.flag: spec.key for spec in CONFIG_KEYS.values() if spec.flag}
+    flags = {spec.flag: spec for spec in CONFIG_KEYS.values() if spec.flag}
     seen = set()
-    for sub in (parser, *subparsers.choices.values()):
+    for command, sub in (("", parser), *subparsers.choices.items()):
         for action in sub._actions:
-            flag = action.option_strings[0] if action.option_strings else None
-            if flag in flags and sub.prog.split()[-1] not in ("task-prep", "eval"):
-                assert f"[{flags[flag]}, default " in action.help, (sub.prog, flag)
-                seen.add(flag)
+            spec = flags.get(action.option_strings[0] if action.option_strings else None)
+            if spec is None:
+                continue
+            # a key's flag where the key is read; elsewhere (task-prep's --input) another option
+            named = f"[{spec.key}, default " in (action.help or "")
+            assert named == (command in spec.commands), (command, spec.flag)
+            if named:
+                seen.add(spec.flag)
     assert seen == set(flags)  # every flagged key is reachable from some subcommand
 
 

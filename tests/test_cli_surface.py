@@ -16,13 +16,11 @@ S = argparse.SUPPRESS
 
 # option strings -> (dest, type, default, required, choices)
 _HELP = {("-h", "--help"): ("help", None, S, False, None)}
-_SUB_GLOBALS = {
-    **_HELP,
-    ("--config",): ("config", None, S, False, None),
-    ("--seed",): ("seed", "int", S, False, None),
-    ("--shards",): ("shards", "int", S, False, None),
-    ("--workers",): ("workers", "int", S, False, None),
-}
+# every subcommand that reads the config takes --config after it too
+_CONFIG = {**_HELP, ("--config",): ("config", None, S, False, None)}
+_SEED = {("--seed",): ("seed", "int", None, False, None)}
+_SHARDS = {("--shards",): ("shards", "int", None, False, None)}
+_WORKERS = {("--workers",): ("workers", "int", None, False, None)}
 _OUTPUT_DIR = {("--output-dir",): ("output_dir", None, None, False, None)}
 _IO = {("--input",): ("input", None, None, False, None), **_OUTPUT_DIR}
 _LANGID = {
@@ -57,26 +55,24 @@ SURFACE = {
         **_HELP,
         ("--version",): ("version", None, S, False, None),
         ("--config",): ("config", None, None, False, None),
-        ("--seed",): ("seed", "int", None, False, None),
-        ("--workers",): ("workers", "int", None, False, None),
-        ("--shards",): ("shards", "int", None, False, None),
         ("--print-config",): ("print_config", None, False, False, None),
     },
-    "ingest": {**_SUB_GLOBALS, **_IO},
+    "ingest": {**_CONFIG, **_IO, **_SHARDS},
     "langid-train": {
-        **_SUB_GLOBALS, **_OUTPUT_DIR,
+        **_CONFIG, **_OUTPUT_DIR,
         ("--corpus",): ("corpus", None, None, True, None),
         ("--alpha",): ("alpha", "float", None, False, None),
     },
-    "clean": {**_SUB_GLOBALS, **_OUTPUT_DIR, **_LANGID, **_FILTERS},
-    "segment": {**_SUB_GLOBALS, **_OUTPUT_DIR, **_SEGMENT},
-    "vocab": {**_SUB_GLOBALS, **_OUTPUT_DIR, **_VOCAB},
+    "clean": {**_CONFIG, **_OUTPUT_DIR, **_WORKERS, **_LANGID, **_FILTERS},
+    "segment": {**_CONFIG, **_OUTPUT_DIR, **_SEGMENT},
+    "vocab": {**_CONFIG, **_OUTPUT_DIR, **_VOCAB},
     "pretrain-data": {
-        **_SUB_GLOBALS, **_OUTPUT_DIR, **_PRETRAIN,
+        **_CONFIG, **_OUTPUT_DIR, **_SEED, **_WORKERS, **_PRETRAIN,
         ("--debug-jsonl",): ("debug_jsonl", None, False, False, None),
     },
+    # they read no config, so they take no config flag
     "task-prep": {
-        **_SUB_GLOBALS,
+        **_HELP,
         ("--task",): ("task", None, None, True, _TASKS),
         ("--input",): ("input", None, None, True, None),
         ("--output",): ("output", None, None, True, None),
@@ -84,7 +80,7 @@ SURFACE = {
         ("--repair-bio",): ("repair_bio", None, False, False, None),
     },
     "eval": {
-        **_SUB_GLOBALS,
+        **_HELP,
         ("--task",): ("task", None, None, True, _TASKS),
         ("--gold",): ("gold", None, None, True, None),
         ("--pred",): ("pred", None, None, True, None),
@@ -96,9 +92,10 @@ SURFACE = {
         ("--repair-bio",): ("repair_bio", None, False, False, None),
         ("--output",): ("output", None, None, False, None),
     },
-    "stats": {**_SUB_GLOBALS, **_IO},
+    "stats": {**_CONFIG, **_IO},
     # the flag of every stage it runs
-    "pipeline": {**_SUB_GLOBALS, **_IO, **_LANGID, **_FILTERS, **_PRETRAIN, **_SEGMENT, **_VOCAB},
+    "pipeline": {**_CONFIG, **_IO, **_SEED, **_SHARDS, **_WORKERS, **_LANGID, **_FILTERS,
+                 **_PRETRAIN, **_SEGMENT, **_VOCAB},
 }
 
 
@@ -241,7 +238,7 @@ langid.ngram_max_b = 4
 pretrain.keep_frac = 0.05
 pretrain.random_frac = 0.15
 """
-MIXED_FLAGS = ("--seed", "9", "--print-config", "pipeline", "--min-words", "4",
+MIXED_FLAGS = ("--print-config", "pipeline", "--seed", "9", "--min-words", "4",
                "--threshold", "0.6", "--input", "x.jsonl", "--workers", "3",
                "--dupe-factor", "2")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tweetcorpus import ingest, parallel, pipeline
 from tweetcorpus.errors import (ConfigInvalid, DataError, InputMissing, IOFailure,
@@ -40,6 +40,7 @@ from tweetcorpus.pipeline import (
     stage_vocab,
 )
 from tweetcorpus.pretrain import PretrainConfig
+from tweetcorpus.segment import split_sentences
 from tweetcorpus.vocab import STRUCTURAL_TOKENS, Vocabulary
 
 from conftest import EN_WORDS, HOSTILE_LINES, RO_WORDS, make_text
@@ -518,6 +519,29 @@ def test_clean_rewrites_only_the_tweets_it_keeps(tmp_path, monkeypatch):
     for text, _ in normalized:
         assert apply_filters(text, count_entities(text), cfg.filters).accepted
         assert text not in gate_rejected
+
+
+# emoji the default map translates and ones it drops, entities and their
+# placeholders, and words, as clean meets them
+_CLEAN_TOKENS = ("\U0001F9A9", "\U0001F600", "\U0001F1F7\U0001F1F4", "1\ufe0f\u20e3",
+                 "\u2764\ufe0f", "\U0001F468\u200d\U0001F469\u200d\U0001F467",
+                 "@ion", "#știri", "https://x.ro", "&amp;", "&lt;", "USER", "HTTPURL",
+                 "azi", "Vezi.", "plouă!", "2023")
+_CLEAN_TEXTS = st.lists(st.tuples(st.sampled_from(_CLEAN_TOKENS),
+                                  st.sampled_from(("", " ", "  ", "\n", "\u00a0"))),
+                        max_size=12).map(lambda parts: "".join(t + sep for t, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLEAN_TEXTS, st.integers(1, 6), st.integers(0, 8))
+@example("\U0001F9A9 \U0001F9A9", 2, 2)
+def test_clean_keeps_only_a_text_that_segment_can_split(text, min_words, max_emojis):
+    cfg = build_config(overrides={"filter.min_words": min_words,
+                                  "filter.max_emojis": max_emojis})
+    cleaned, reason = pipeline.clean_tweet_text(text, pipeline._load_clean_context(cfg, None))
+    assert (cleaned is None) == (reason != "none")
+    if cleaned is not None:
+        assert split_sentences(cleaned)
 
 
 def test_full_pipeline_and_rerun_determinism(workspace, tmp_path):

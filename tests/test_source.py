@@ -10,7 +10,7 @@ import pytest
 
 import tweetcorpus
 from tweetcorpus import pipeline
-from tweetcorpus.pipeline import CONFIG_KEYS, GLOBAL, PIPELINE, STAGES
+from tweetcorpus.pipeline import CONFIG_KEYS, PIPELINE, STAGES
 
 PACKAGE = Path(tweetcorpus.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -75,22 +75,52 @@ def test_the_guard_sees_a_config_that_is_mutable_or_unchecked():
     assert [_checked(cls) for cls in (mutable, unchecked, checked)] == [False, False, True]
 
 
-def _misplaced_flags(keys, stages) -> list[tuple[str, str]]:
+def _fields_read(tree: ast.Module, name: str) -> set[str]:
+    """The ``PipelineConfig`` fields that module function ``name``, and every
+    module function it names (called or handed on), read as ``cfg.<field>``.
+    Reading ``cfg.pretrain`` reads ``seed`` too: the records take the global seed."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, fields = [name], set(), set()
+    while todo:
+        if (name := todo.pop()) in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "cfg"):
+                fields.add(node.attr)
+    return fields | ({"seed"} if "pretrain" in fields else set())
+
+
+_TREE = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+# what each stage subcommand's code reads; pipeline's are the stages' it runs
+READS = {command: _fields_read(_TREE, stage.runner)
+         for command, stage in STAGES.items() if command != "pipeline"}
+
+
+def _misplaced_flags(keys, stages, reads) -> list[tuple[str, str]]:
     """(key, subcommand) for each flag that is missing or extra there:
     ``pipeline`` takes a key's flag exactly when it runs one of the key's
-    stage subcommands, and a stage takes the flag of each outside file it reads."""
-    wrong = [(spec.key, "pipeline") for spec in keys.values()
-             if spec.flag and spec.commands != GLOBAL
+    stage subcommands, and a stage takes the flag of each key its code
+    reads (``reads``), of each outside file it reads, and of
+    ``io.output_dir``, which every stage writes into, and of no other key."""
+    wrong = [(spec.key, "pipeline") for spec in keys.values() if spec.flag
              and ("pipeline" in spec.commands) == set(spec.commands).isdisjoint(PIPELINE)]
-    fields = {spec.name: spec for spec in keys.values() if spec.section is None}
     for command, stage in stages.items():
-        wrong += [(fields[name].key, command) for name in stage.outside
-                  if not fields[name].flag or command not in fields[name].commands]
+        if command == "pipeline":
+            continue
+        read = reads[command] | set(stage.outside) | {"output_dir"}
+        wrong += [(spec.key, command) for spec in keys.values()
+                  if (spec.flag or spec.name in stage.outside)
+                  and ((spec.section or spec.name) in read)
+                  != bool(spec.flag and command in spec.commands)]
     return wrong
 
 
 def test_pipeline_and_every_stage_take_the_flags_of_what_they_read():
-    assert _misplaced_flags(CONFIG_KEYS, STAGES) == []
+    assert _misplaced_flags(CONFIG_KEYS, STAGES, READS) == []
 
 
 def test_the_guard_sees_a_misplaced_flag():
@@ -99,9 +129,21 @@ def test_the_guard_sees_a_misplaced_flag():
             "langid.alpha": dataclasses.replace(alpha, commands=("langid-train", "pipeline"))}
     stages = {"segment": STAGES["segment"],
               "clean": STAGES["clean"]._replace(outside=("langid_alpha",))}
-    assert _misplaced_flags(keys, stages) == [
+    assert _misplaced_flags(keys, stages, READS) == [
         ("segment.abbreviations", "pipeline"), ("langid.alpha", "pipeline"),
         ("langid.alpha", "clean")]
+    # a flag on a stage whose code never reads the key
+    seed = CONFIG_KEYS["seed"]
+    keys = {"seed": dataclasses.replace(seed, commands=("ingest", *seed.commands))}
+    assert _misplaced_flags(keys, STAGES, READS) == [("seed", "ingest")]
+
+
+def test_the_scan_follows_every_function_a_stage_names():
+    tree = ast.parse("def stage_x(cfg):\n    pool(_batch, cfg.workers)\n"
+                     "def _batch(cfg):\n    return cfg.pretrain.dupe_factor\n"
+                     "def stage_y(cfg):\n    return cfg.shards\n")
+    assert _fields_read(tree, "stage_x") == {"workers", "pretrain", "seed"}
+    assert _fields_read(tree, "stage_y") == {"shards"}
 
 
 def _directory_params(functions) -> list[tuple[str, str]]:
