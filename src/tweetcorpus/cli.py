@@ -206,8 +206,28 @@ def _cmd_task_prep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _misplaced_flag(parser: _Parser, argv: list[str]) -> str | None:
+    """The usage error for a subcommand's flag given before the subcommand,
+    which argparse would report as a bad subcommand name."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for arg in argv:
+        if arg in subs.choices:
+            return None
+        flag = arg.partition("=")[0]
+        if flag.startswith("--") and flag not in parser._option_string_actions:
+            takers = [name for name, sub in subs.choices.items()
+                      if flag in sub._option_string_actions]
+            if takers:
+                return (f"{flag} is a flag of the subcommand ({', '.join(takers)}): "
+                        "give it after the subcommand name")
+    return None
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if message := _misplaced_flag(parser, argv):
+        parser.error(message)
     args = parser.parse_args(argv)
 
     if args.print_config:

@@ -12,15 +12,20 @@ summed in a fixed order (n ascending, then first occurrence) from the
 same ``count * value`` products, so every probability is reproducible
 to the last bit.
 
-The agreement gate needs only a yes or no. It decides each model from
-score margins first (``_margin_verdict``): one C-level sum per other
-language over the gram occurrences, against a proven bound on how far
-that sum can be from the exact scores' difference. Whatever the bound
-cannot settle goes to the exact scoring, so every decision is the one
-the exact posteriors give. The gate prepares a text and builds each
-n-gram order once for both models; the orders only model B uses are
-built only after model A accepts. Training prepares each sample and
-counts each order once for both models (``train_models``).
+The agreement gate needs only a yes or no, and decides a batch of texts
+at a time (``agreement_batch``; ``agreement_filter`` is one text). It
+decides each model from score margins first (``_margin_verdict``): per
+text and other language, the sum of its gram occurrences' difference
+entries, taken from packed tables by array passes (``_margin_sums``), in
+any order, against a proven bound on how far that sum can be from the
+exact scores' difference. Any summation of N terms, however associated,
+errs by at most gamma(N-1) times the sum of their magnitudes (Higham,
+Accuracy and Stability of Numerical Algorithms, section 4.2), so the
+bound holds for every order. Whatever the bound cannot settle goes to
+the exact scoring, so every decision is the one the exact posteriors
+give. Model B scores only the texts model A accepted. Training prepares
+each sample and counts each order once for both models
+(``train_models``).
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ import re
 import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import add
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CorruptRecord, DataError, VersionMismatch
 from .normalize import HASHTAG_TOKEN, MENTION_TOKEN, URL_TOKEN, collapse_whitespace, read_text_lines
@@ -230,6 +237,12 @@ def _ranked(model: LangModel, counters: Sequence[Counter]) -> list[tuple[str, fl
                   key=lambda pair: (-pair[1], pair[0]))
 
 
+def _counters(model: LangModel, stripped: str) -> list[Counter]:
+    """One Counter per order of ``model.ngram_range``, over the prepared text ``stripped``."""
+    min_n, max_n = model.ngram_range
+    return list(map(Counter, islice(_ngram_orders(stripped, min_n), max_n - min_n + 1)))
+
+
 def classify(model: LangModel, text: str) -> list[LangScore]:
     """Full posterior over the model's languages, descending.
 
@@ -237,54 +250,133 @@ def classify(model: LangModel, text: str) -> list[LangScore]:
     """
     if not (stripped := _prepare(text)):
         raise DataError(f"nothing classifiable in {text!r}")
-    min_n, max_n = model.ngram_range
-    counters = list(map(Counter, islice(_ngram_orders(stripped, min_n), max_n - min_n + 1)))
-    return [LangScore(lang, p) for lang, p in _ranked(model, counters)]
+    return [LangScore(lang, p) for lang, p in _ranked(model, _counters(model, stripped))]
 
 
 class _Margins(NamedTuple):
-    """``model`` against one target t, over the other languages k."""
-    prior_gaps: list[float]           # prior[k] - prior[t]
-    tables: list[dict[str, float]]    # gram -> row[k] - row[t]
-    max_prior: float                  # the largest |log prior|
-    max_entry: float                  # the largest |row entry|
+    """``model`` against one target t, over the other languages k, packed
+    for the batch gate. A gram of n characters has the exact integer code
+    of its alphabet indices, read as n base-``len(points)`` digits; index 0
+    is any character outside the alphabet, so no known code has a 0 digit."""
+    prior_gaps: np.ndarray    # prior[k] - prior[t]
+    points: np.ndarray        # 0, then the alphabet's code points, sorted: index -> point
+    low_index: np.ndarray     # point -> index, for the points below _LOW_POINTS
+    codes: list[np.ndarray]   # per order of the range, its known grams' codes, sorted
+    tables: list[np.ndarray]  # per order, row[k] - row[t] of each code, one row per code
+    max_prior: float          # the largest |log prior|
+    max_entry: float          # the largest |row entry|
 
 
 _U = 2.0 ** -53          # the unit roundoff of a float
 _MU = 2.0 ** -40         # the least score gap a verdict rests on
 _MAX_DELTA = 2.0 ** -10  # a larger error bound goes to the exact path
 _MIN_THRESHOLD = 2.0 ** -1000
+_LOW_POINTS = 0x800      # the code points that one array maps, ahead of a search
+_GATE_TEXTS = 128        # texts per array pass; their temporaries take ~40 bytes a character
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of any ``str``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
 
 
 def _margins_for(model: LangModel, target: str) -> _Margins | None:
-    """The difference tables of ``model`` against ``target``, built on
-    first use and kept on the model, so a process builds them once.
-    None where ``_margin_verdict``'s proof does not hold: fewer than two
-    languages, a repeated language, a target the model lacks, or a prior
-    or row entry that is not finite or is below the normal range."""
+    """The packed difference tables of ``model`` against ``target``, built
+    on first use and kept on the model, so a process builds them once (and
+    a pool forked after that shares them). None where ``_margin_verdict``'s
+    proof does not hold: fewer than two languages, a repeated language, a
+    target the model lacks, or a prior or row entry that is not finite or
+    is below the normal range; and None where a top-order code would not
+    fit an int64."""
     if target in model._margins:
         return model._margins[target]
     languages = model.languages
     entries = list(chain.from_iterable(model.rows.values()))
+    min_n, max_n = model.ngram_range
+    by_order = defaultdict(list)
+    for gram in model.rows:
+        by_order[len(gram)].append(gram)
+    orders = [by_order[n] for n in range(min_n, max_n + 1)]
+    alphabet = _code_points("".join(sorted(set("".join(chain.from_iterable(orders))))))
+    base = len(alphabet) + 1
     margins = None
     if (len(set(languages)) == len(languages) >= 2 and target in languages
             and all(v == 0.0 or 2.0 ** -1022 <= abs(v) < math.inf
-                    for v in chain(model.prior_row, entries))):
+                    for v in chain(model.prior_row, entries))
+            and base ** max_n <= 2 ** 63):
         t = languages.index(target)
         others = [k for k in range(len(languages)) if k != t]
-        margins = _Margins(
-            [model.prior_row[k] - model.prior_row[t] for k in others],
-            [{gram: row[k] - row[t] for gram, row in model.rows.items()} for k in others],
-            max(map(abs, model.prior_row)), max(map(abs, entries), default=0.0))
+        dtype = np.min_scalar_type(base ** max_n - 1)  # the narrowest that holds every code
+        codes, tables = [], []
+        for n, grams in enumerate(orders, min_n):
+            digits = np.searchsorted(alphabet, _code_points("".join(grams))).astype(dtype) + 1
+            code = np.zeros(len(grams), dtype)
+            for column in digits.reshape(len(grams), n).T:
+                code = code * base + column
+            rows = np.array([model.rows[g] for g in grams]).reshape(len(grams), len(languages))
+            order = np.argsort(code)
+            codes.append(code[order])
+            tables.append((rows[:, others] - rows[:, [t]])[order])
+        low_index = np.zeros(_LOW_POINTS, dtype)
+        low = alphabet[alphabet < _LOW_POINTS]
+        low_index[low] = np.arange(1, len(low) + 1)
+        prior = np.array(model.prior_row)
+        margins = _Margins(prior[others] - prior[t], np.insert(alphabet, 0, 0), low_index,
+                           codes, tables, max(map(abs, model.prior_row)),
+                           max(map(abs, entries), default=0.0))
     model._margins[target] = margins
     return margins
 
 
-def _margin_verdict(model: LangModel, target: str, threshold: float,
-                    orders: Sequence[Sequence[str]]) -> bool | None:
-    """Whether ``_ranked`` over ``orders`` (the gram occurrences of each of
-    the model's orders) puts ``target`` first at or above ``threshold``;
-    None when the margins cannot prove the answer.
+def _margin_sums(margins: _Margins, min_n: int, texts: Sequence[str]) -> np.ndarray:
+    """d_k of each prepared text (one row per text, one column per other
+    language k): the prior gap plus the table entry of every gram
+    occurrence, 0 for an unknown gram, added in whatever order the arrays
+    give. The texts are joined by one separator of index 0, so no gram
+    that crosses two texts is known. A gram's key is its code, shifted
+    left past the text's number: ``len(points) ** max_n << shift`` must
+    fit 64 bits."""
+    points = margins.points
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    chars = _code_points("\0".join(texts))
+    index = margins.low_index.take(chars, mode="clip")
+    far = np.flatnonzero(chars >= _LOW_POINTS)
+    found = np.searchsorted(points, chars[far], "right") - 1
+    index[far] = found * (points[found] == chars[far])
+    index[np.cumsum(lengths + 1)[:-1] - 1] = 0
+    shift = (len(texts) - 1).bit_length()
+    low = (1 << shift) - 1
+    owner = np.repeat(np.arange(len(texts), dtype=np.min_scalar_type(low)), lengths + 1)
+    sums = np.zeros((len(margins.prior_gaps), len(texts)))
+    codes = index
+    for n in range(1, min_n + len(margins.codes)):
+        if n > 1:  # the n-grams are the (n-1)-grams each extended by the next character
+            codes = codes[:-1] * len(points) + index[n - 1:]
+        if n < min_n or not len(known := margins.codes[n - min_n]):
+            continue
+        # sorted, the keys of one code are one run; runs of no known code
+        # and runs of one alternate, and each key takes its run's entry
+        keys = codes.astype(np.min_scalar_type((len(points) ** n << shift) - 1))
+        keys <<= shift
+        keys |= owner[:len(keys)]
+        keys.sort()
+        first = known.astype(keys.dtype) << shift
+        ends = np.column_stack((np.searchsorted(keys, first),
+                                np.searchsorted(keys, first | low, "right")))
+        runs = np.diff(ends.ravel(), prepend=0, append=len(keys))
+        keys &= low
+        for total, column in zip(sums, margins.tables[n - min_n].T):
+            entries = np.zeros(2 * len(known) + 1)
+            entries[1::2] = column
+            total += np.bincount(keys, np.repeat(entries, runs), len(texts))
+    return sums.T + margins.prior_gaps
+
+
+def _margin_verdict(margins: _Margins, threshold: float, m: int,
+                    gaps: Sequence[float]) -> bool | None:
+    """Whether ``_ranked`` over a text's m gram occurrences puts ``target``
+    first at or above ``threshold``, from the text's margins ``gaps``
+    (``_margin_sums``); None when the margins cannot prove the answer.
 
     For each other language k, d_k is the prior gap plus every gram's
     table entry row[k] - row[t] (0 for an unknown gram), summed over the
@@ -295,14 +387,16 @@ def _margin_verdict(model: LangModel, target: str, threshold: float,
     Bound. Every prior and row entry is 0 or finite and normal
     (``_margins_for``), a subnormal sum or difference is exact, and
     delta <= 2**-10 keeps all magnitudes far from overflow, so each
-    operation rounds by at most u relative, and a sum of n terms errs by
-    at most g(n) times their magnitudes (left to right, or Python 3.12's
-    compensated ``sum``, which errs less). S_k adds the prior and at most
-    m products whose counts total at most m: it is within g(m+1) (P + m R)
-    of its real value. Each table entry and prior gap rounds one
-    difference (errors <= 2uR, 2uP), and d_k sums m+1 terms of magnitude
-    at most 2(1+u) P or 2(1+u) R, adding g(m) 2(1+u) (P + m R). So
-    |d_k - D_k| <= (4.05 m + 4.1) u (P + m R), and delta = 8 (m+2) u
+    operation rounds by at most u relative. Any summation of N terms, in
+    any order and association, errs by at most gamma(N-1) times the sum
+    of their magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), and gamma(N-1) <= g(N): so ``_ranked``'s
+    left-to-right sums and ``_margin_sums``' bincounts alike. S_k adds the
+    prior and at most m products whose counts total at most m: it is
+    within g(m+1) (P + m R) of its real value. Each table entry and prior
+    gap rounds one difference (errors <= 2uR, 2uP), and d_k sums m+1 terms
+    of magnitude at most 2(1+u) P or 2(1+u) R, adding g(m) 2(1+u) (P + m R).
+    So |d_k - D_k| <= (4.05 m + 4.1) u (P + m R), and delta = 8 (m+2) u
     (P + m R) is about twice that. The slack absorbs the rounding of delta
     and of d_k +- delta, so a test below that clears +-MU proves D_k
     beyond +-MU/2 on that side.
@@ -323,21 +417,14 @@ def _margin_verdict(model: LangModel, target: str, threshold: float,
        within 1 of the peak, e^(S_t - peak) is normal and p_t <= P_t (1 +
        (3.5 L + 4.1) u), with P_t <= 1/(1 + sum e^(d_k - delta)). Failing
        the last test proves p_t < threshold the same way: False.
-    Everything else is None and is scored exactly: a thin margin, a
-    threshold below 2**-1000 (about 1e-300; subnormal thresholds stay on
-    the exact path), a larger delta, or a model ``_margins_for`` refuses.
+    Everything else is None and is scored exactly: a thin margin or a
+    larger delta here; in ``_model_verdicts``, a threshold below 2**-1000
+    (about 1e-300; subnormal thresholds stay on the exact path) or a model
+    ``_margins_for`` refuses.
     """
-    if threshold < _MIN_THRESHOLD or (margins := _margins_for(model, target)) is None:
-        return None
-    m = sum(map(len, orders))
     delta = 8 * (m + 2) * _U * (margins.max_prior + m * margins.max_entry)
     if not delta <= _MAX_DELTA:
         return None
-    gaps = []
-    for gap, table in zip(margins.prior_gaps, margins.tables):
-        for grams in orders:  # one left-to-right sum over all m occurrences
-            gap = sum(map(table.get, grams, repeat(0.0)), gap)
-        gaps.append(gap)
     top = max(gaps)
     if top - delta >= _MU:
         return False
@@ -350,6 +437,47 @@ def _margin_verdict(model: LangModel, target: str, threshold: float,
     return None
 
 
+def _model_verdicts(model: LangModel, target: str, threshold: float,
+                    texts: Sequence[str]) -> list[bool]:
+    """Whether ``model`` ranks ``target`` first at or above ``threshold``,
+    for each prepared, non-empty text: from the margins where they prove
+    the answer, else by exact scoring."""
+    margins = _margins_for(model, target) if threshold >= _MIN_THRESHOLD else None
+    verdicts: list[bool | None] = [None] * len(texts)
+    min_n, max_n = model.ngram_range
+    if margins is not None:
+        # at most as many texts at a time as a 64-bit key can tell apart
+        step = min(_GATE_TEXTS, 1 << 64 - (len(margins.points) ** max_n - 1).bit_length())
+        for lo in range(0, len(texts), step):
+            batch = texts[lo:lo + step]
+            lengths = np.fromiter(map(len, batch), np.intp, len(batch))[:, None]
+            ms = np.maximum(lengths - np.arange(min_n - 1, max_n), 0).sum(1).tolist()
+            for j, m, gaps in zip(count(lo), ms, _margin_sums(margins, min_n, batch).tolist()):
+                verdicts[j] = _margin_verdict(margins, threshold, m, gaps)
+    for j, verdict in enumerate(verdicts):
+        if verdict is None:
+            language, probability = _ranked(model, _counters(model, texts[j]))[0]
+            verdicts[j] = language == target and probability >= threshold
+    return verdicts
+
+
+def agreement_batch(texts: Sequence[str], model_a: LangModel, model_b: LangModel,
+                    target: str, threshold: float = 0.5) -> list[bool]:
+    """``agreement_filter``'s verdict on each of ``texts``, in one pass of
+    array operations per model and n-gram order. Model B scores only the
+    texts model A accepted."""
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    live = [(i, stripped) for i, stripped in enumerate(map(_prepare, texts)) if stripped]
+    for model in (model_a, model_b):
+        live = list(compress(live, _model_verdicts(model, target, threshold,
+                                                   [stripped for _, stripped in live])))
+    verdicts = [False] * len(texts)
+    for i, _ in live:
+        verdicts[i] = True
+    return verdicts
+
+
 def agreement_filter(text: str, model_a: LangModel, model_b: LangModel,
                      target: str, threshold: float = 0.5) -> bool:
     """True iff both models rank ``target`` first at or above ``threshold``;
@@ -357,26 +485,7 @@ def agreement_filter(text: str, model_a: LangModel, model_b: LangModel,
 
     Each model is decided from its margins where they prove the answer,
     else by exact scoring; the answer is the same either way."""
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not (stripped := _prepare(text)):
-        return False
-    lo = min(model_a.ngram_range[0], model_b.ngram_range[0])
-    # orders lo, lo + 1, ... are built once, for both models, and the
-    # orders only model B uses only after model A has accepted
-    orders = _ngram_orders(stripped, lo)
-    grams: list[Sequence[str]] = []
-    for model in (model_a, model_b):
-        min_n, max_n = model.ngram_range
-        grams += islice(orders, max(0, max_n - lo + 1 - len(grams)))
-        own = grams[min_n - lo:max_n - lo + 1]
-        verdict = _margin_verdict(model, target, threshold, own)
-        if verdict is None:
-            language, probability = _ranked(model, list(map(Counter, own)))[0]
-            verdict = language == target and probability >= threshold
-        if not verdict:
-            return False
-    return True
+    return agreement_batch([text], model_a, model_b, target, threshold)[0]
 
 
 def _write_str(out, value: str) -> None:

@@ -15,7 +15,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 from . import emojidata
 from .errors import DataError, TweetCorpusError
@@ -36,40 +36,55 @@ _HASHTAG_RE = re.compile(HASHTAG_PATTERN)
 
 _BASIC_ENTITIES = (("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"))
 
+_TEXT_BLOCK = 1 << 13  # bytes per read of a text file
+
+
+def text_line_blocks(path: str | Path, source: BinaryIO,
+                     error: type[TweetCorpusError] = DataError,
+                     size: int = _TEXT_BLOCK) -> Iterator[list[str]]:
+    """The lines of ``source``, the open UTF-8 text file ``path``, without
+    newlines, one list per block of whole lines decoded at a time: the
+    lines in the next ``size`` bytes (-1: to the end of the file).
+
+    Lines split as in text mode with universal newlines: at "\\n", "\\r"
+    and "\\r\\n" only. A byte that is not UTF-8 raises ``error`` naming
+    ``path:line``, found in the bytes already read.
+    """
+    lineno = 0  # lines yielded
+    rest = b""
+    while True:
+        block = source.read(size)
+        data = rest + block
+        cut = data.rfind(b"\n") + 1 if block else len(data)  # a block ends after a newline
+        data, rest = data[:cut], data[cut:]
+        try:
+            lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            lineno += before.count(b"\n") + 1
+            raise error(f"{path}:{lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})") from None
+        if lines[-1] == "":  # no line after the last newline
+            lines.pop()
+        lineno += len(lines)
+        yield lines
+        if not block:
+            return
+
 
 def read_text_lines(path: str | Path, error: type[TweetCorpusError] = DataError,
                     source: BinaryIO | None = None) -> list[str]:
-    """The lines of the UTF-8 text file ``path``, or its open ``source``, without newlines.
-
-    Lines split as in text mode with universal newlines: at "\\n", "\\r"
-    and "\\r\\n" only. A byte that is not UTF-8, or a leading byte-order
-    mark, raises ``error`` naming ``path:line``. It closes ``source``.
+    """The lines of the UTF-8 text file ``path``, or its open ``source``,
+    by ``text_line_blocks``, decoded whole; a leading byte-order mark also
+    raises ``error`` naming ``path:1``. It closes ``source``.
     """
     with open(path, "rb") if source is None else source as fh:
-        data = fh.read()
-    try:  # decoded whole, then split where text mode splits
-        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc, error, data) from None
-    if lines[0].startswith("\ufeff"):
+        blocks = text_line_blocks(path, fh, error, -1)
+        lines = next(blocks)  # the whole file but a last line with no newline
+        for block in blocks:
+            lines += block
+    if lines and lines[0].startswith("\ufeff"):
         raise error(f"{path}:1: starts with a byte-order mark (U+FEFF)")
-    return lines if lines[-1] else lines[:-1]  # no line after the last newline
-
-
-def not_utf8(path: str | Path, exc: UnicodeDecodeError,
-             error: type[TweetCorpusError] = DataError, data: bytes | None = None) -> Exception:
-    """The exception to raise for ``exc``, raised while reading ``path`` (or
-    its bytes ``data``) as UTF-8 text: ``error`` naming ``path:line`` (lines
-    split as in text mode) and the first byte that is not UTF-8."""
-    # a text decoder's offset is into its current chunk: find the line in the bytes
-    data = Path(path).read_bytes() if data is None else data
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as found:
-        lineno = data.count(b"\n", 0, found.start) + 1
-        return error(f"{path}:{lineno}: not UTF-8 (byte 0x{data[found.start]:02x})")
-    return exc  # the file changed since
+    return lines
 
 
 def collapse_whitespace(text: str) -> str:

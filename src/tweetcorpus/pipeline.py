@@ -22,7 +22,7 @@ import os
 import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -41,7 +41,9 @@ from .filtering import FilterConfig, RejectReason, apply_filters, word_count
 # parse_record stays importable from here: bench/tracing.py wraps it under this name.
 from .ingest import (IngestStats, RawTweet, _encode, dedup, parse_record, read_archive,
                      serialize_record)
-from .langid import LangModel, agreement_filter, read_training_corpus, train_models
+# agreement_filter stays importable from here: bench/tracing.py wraps it under this name.
+from .langid import (LangModel, _margins_for, agreement_batch, agreement_filter,
+                     read_training_corpus, train_models)
 from .normalize import (
     EmojiMap,
     count_entities,
@@ -576,15 +578,23 @@ def _load_clean_context(cfg: PipelineConfig, load) -> tuple:
             raise ConfigInvalid(
                 f"langid.target {cfg.langid_target!r} is not a language of both models: "
                 f"model_a has {model_a.languages}, model_b has {model_b.languages}")
+        for model in (model_a, model_b):  # packed here, before a pool forks, not in each worker
+            _margins_for(model, cfg.langid_target)
     emoji_map = (load(EmojiMap.load, cfg.emoji_map_path) if cfg.emoji_map_path
                  else default_emoji_map())
     return cfg, model_a, model_b, emoji_map
 
 
 def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
-    """One tweet through unescape, entity counting, length and entity
-    filters, language gate, normalize, and emoji translation. Returns
-    (cleaned text or None, reason value).
+    """One tweet through ``_clean_texts``: (cleaned text or None, reason value)."""
+    return _clean_texts([text], ctx)[0]
+
+
+def _clean_texts(texts: list[str], ctx: tuple) -> list[tuple[str | None, str]]:
+    """Each tweet through unescape, entity counting, and length and entity
+    filters; the survivors through the language gate, in one call; the
+    tweets it keeps through normalize and emoji translation. Returns
+    (cleaned text or None, reason value) per tweet.
 
     The filters and the gate read the unescaped text, so only a kept tweet
     is rewritten: a placeholder replaces non-whitespace with non-whitespace,
@@ -592,15 +602,25 @@ def clean_tweet_text(text: str, ctx: tuple) -> tuple[str | None, str]:
     runs after the microsecond filters; a tweet failing both counts under
     the filter's reason. One left with no word (all unmapped emoji) is too short."""
     cfg, model_a, model_b, emoji_map = ctx
-    text = unescape_basic_entities(text)
-    verdict = apply_filters(text, count_entities(text), cfg.filters)
-    if not verdict.accepted:
-        return None, verdict.reason.value
-    if model_a is not None and not agreement_filter(
-            text, model_a, model_b, cfg.langid_target, cfg.langid_threshold):
-        return None, RejectReason.NOT_TARGET_LANGUAGE.value
-    text = translate_emojis(normalize_entities(text), emoji_map)
-    return (text, RejectReason.NONE.value) if text else (None, RejectReason.TOO_SHORT.value)
+    texts = list(map(unescape_basic_entities, texts))
+    out: list[tuple[str | None, str]] = []
+    survivors = []
+    for i, text in enumerate(texts):
+        verdict = apply_filters(text, count_entities(text), cfg.filters)
+        out.append((None, verdict.reason.value))
+        if verdict.accepted:
+            survivors.append(i)
+    if model_a is not None:
+        passed = agreement_batch([texts[i] for i in survivors], model_a, model_b,
+                                 cfg.langid_target, cfg.langid_threshold)
+        for i, ok in zip(survivors, passed):
+            if not ok:
+                out[i] = None, RejectReason.NOT_TARGET_LANGUAGE.value
+        survivors = list(compress(survivors, passed))
+    for i in survivors:
+        text = translate_emojis(normalize_entities(texts[i]), emoji_map)
+        out[i] = (text, RejectReason.NONE.value) if text else (None, RejectReason.TOO_SHORT.value)
+    return out
 
 
 # Archive lines per task of the clean stage's ordered map.
@@ -609,10 +629,9 @@ CLEAN_BATCH = 512
 
 def _clean_batch(ctx: tuple, batch: tuple[Path, int, list[bytes]]) -> list[tuple[str, str]]:
     path, first, lines = batch  # lines of shard path, from line number first
+    records = [_record(line, path, lineno) for lineno, line in enumerate(lines, first)]
     out = []
-    for lineno, line in enumerate(lines, first):
-        record = _record(line, path, lineno)
-        cleaned, reason = clean_tweet_text(record["text"], ctx)
+    for record, (cleaned, reason) in zip(records, _clean_texts([r["text"] for r in records], ctx)):
         if cleaned is None:
             out.append(("", reason))
         else:
@@ -699,7 +718,7 @@ def stage_pretrain_data(cfg: PipelineConfig, debug_jsonl: bool = False) -> RunMa
             name = f"pretrain-{shard_index:05}"
             dst = out.path(f"{name}.rbtw")
             with out.read(shard_file) as fh:
-                documents = read_document_file(shard_file, io.TextIOWrapper(fh, encoding="utf-8"))
+                documents = read_document_file(shard_file, fh)
                 build_records(documents, vocab, cfg.pretrain, dst, workers=cfg.workers,
                               stats=stats)
             if debug_jsonl:

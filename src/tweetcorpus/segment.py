@@ -10,10 +10,11 @@ import functools
 import importlib.resources
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
-from .errors import DataError
-from .normalize import collapse_whitespace, not_utf8, read_text_lines
+from .errors import CorruptRecord, DataError
+from .normalize import collapse_whitespace, read_text_lines, text_line_blocks
 
 # A run of terminators; a boundary can follow it (see split_sentences).
 _BOUNDARY_RE = re.compile(r"[!.?…]+")
@@ -123,15 +124,16 @@ def read_documents(source: Iterable[str]) -> Iterator[Document]:
         yield Document(tuple(pending))
 
 
-def read_document_file(path, source: TextIO | None = None) -> Iterator[Document]:
+def read_document_file(path, source: BinaryIO | None = None) -> Iterator[Document]:
     """Stream the documents of the UTF-8 document file ``path``, read from
-    ``source``, its open text stream, if given (and closed at the end);
+    ``source``, its open binary stream, if given (and closed at the end);
     damage raises DataError naming the file."""
-    with open(path, encoding="utf-8") if source is None else source as fh:
+    with open(path, "rb") if source is None else source as fh:
+        lines = chain.from_iterable(text_line_blocks(path, fh, CorruptRecord))
         try:
-            yield from read_documents(fh)
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, exc) from None
+            # CorruptRecord names path:line itself; read_documents names only the line
+            yield from read_documents(lines)
+        except CorruptRecord:
+            raise
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-

@@ -140,6 +140,26 @@ def test_a_flag_of_a_key_the_command_does_not_read_is_a_usage_error(tmp_path, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, takers", [
+    ("--workers", "2", "clean, pretrain-data, pipeline"),
+    ("--seed", "1", "pretrain-data, pipeline"),
+    ("--model-a", "{archive}", "clean, pipeline"),
+])
+def test_a_subcommand_flag_before_the_subcommand_is_named_as_misplaced(tmp_path, valid_inputs,
+                                                                       flag, value, takers):
+    out = tmp_path / "out"
+    for given in ([flag, value.format(**valid_inputs)], [f"{flag}={value.format(**valid_inputs)}"]):
+        proc = run_cli(*given, "pipeline", "--input", str(valid_inputs["archive"]),
+                       "--base-vocab", str(valid_inputs["base"]), "--output-dir", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: tweetcorpus")
+        assert (f"error: {flag} is a flag of the subcommand ({takers}): "
+                "give it after the subcommand name") in proc.stderr
+        assert "invalid choice" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("task-prep", "--task", "red_v2", "--input", "{gold}", "--output", "{tmp}/prep.jsonl"),
     ("eval", "--task", "red_v2", "--gold", "{gold}", "--pred", "{gold}", "--averaging", "micro",

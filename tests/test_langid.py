@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -416,6 +417,111 @@ def test_row_tables_match_reference_exactly(model_pairs, text):
             for first, second in ((model_a, model_b), (model_b, model_a)):
                 assert agreement_filter(text, first, second, "ro", threshold) \
                     == reference_agreement(text, first, second, "ro", threshold)
+
+
+# --- the batch gate ----------------------------------------------------------
+# ``agreement_batch`` scores many texts with array passes; each verdict must
+# be the exact reference's, whatever the batch holds and however it is cut.
+
+# words of both languages, upper-cased words, digits, placeholders, emoji
+# and other astral characters, NUL, a lone surrogate, and letters the
+# models know only from the third language
+_GATE_PIECES = st.one_of(
+    st.sampled_from(RO_WORDS + EN_WORDS),
+    st.sampled_from(RO_WORDS + EN_WORDS).map(str.upper),
+    st.sampled_from(["USER", "HTTPURL", "HASHTAG", "2023", "7", "\x00", "\ud800",
+                     "\U0001F600", "\U0001F1F7\U0001F1F4", "\U00010348", "zz qq", "ăâîșț"]),
+    st.text(alphabet="salutmrebinhowdyzq ăâșț", max_size=3),
+)
+# some shorter than the top order (5), some empty once prepared
+GATE_TEXT = st.lists(st.tuples(_GATE_PIECES, st.sampled_from(["", " ", "  "])),
+                     max_size=8).map(lambda parts: "".join(p + sep for p, sep in parts))
+
+
+def _reference_verdict(text, model_a, model_b, threshold):
+    try:
+        return reference_agreement(text, model_a, model_b, "ro", threshold)
+    except DataError:  # nothing to classify
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GATE_TEXT, min_size=1, max_size=12),
+       st.floats(0, 1, exclude_min=True, exclude_max=True), st.data())
+@example(["", "a", "ăș", "\x00\x00", "USER 12", "salut\x00lume", "\ud800\ud800ab"], 0.5, None)
+def test_the_batch_gate_equals_the_reference_on_every_text(model_pairs, texts, threshold, data):
+    cut = data.draw(st.integers(0, len(texts))) if data is not None else len(texts) // 2
+    for model_a, model_b in model_pairs:
+        expected = [_reference_verdict(text, model_a, model_b, threshold) for text in texts]
+        assert langid.agreement_batch(texts, model_a, model_b, "ro", threshold) == expected
+        assert (langid.agreement_batch(texts[:cut], model_a, model_b, "ro", threshold)
+                + langid.agreement_batch(texts[cut:], model_a, model_b, "ro", threshold)
+                == expected)
+
+
+def test_no_gram_crosses_two_texts_of_a_batch():
+    # NUL is English's strongest letter here, and the separator the batch
+    # joins texts with: a gram across the join would make "en" win
+    samples = make_bilingual_samples(random.Random(43), 40)
+    samples += [("\x00" * 8 + " hello\x00\x00world", "en")] * 6
+    for ngram_range in ((1, 1), (1, 3), (2, 3)):
+        model = train(samples, ngram_range, 1.0)
+        texts = ["salut lume", "buna ziua", "s", "inima"] * 3
+        expected = [_reference_verdict(text, model, model, 0.5) for text in texts]
+        assert expected[:2] == [True, True]
+        assert langid.agreement_batch(texts, model, model, "ro", 0.5) == expected
+
+
+def _packed_arrays(margins):
+    arrays = [value for value in margins if isinstance(value, np.ndarray)]
+    return arrays + list(margins.codes) + list(margins.tables)
+
+
+def _spread_alphabet(size):
+    """``size`` letters from ASCII, Greek, CJK and an astral plane: no digit,
+    no whitespace."""
+    ranges = ((0x61, 0x7B), (0x3B1, 0x3C9), (0x4E00, 0x4E96), (0x20000, 0x20200))
+    return [chr(c) for lo, hi in ranges for c in range(lo, hi)][:size]
+
+
+def test_packing_grows_with_the_rows_not_the_alphabet():
+    rng = random.Random(5)
+    alphabet = _spread_alphabet(300)
+    assert len(set(alphabet)) == 300
+    samples = [("".join(rng.choice(alphabet) for _ in range(60)), lang)
+               for lang in ("en", "ro") for _ in range(40)]
+    for ngram_range in ((1, 3), (2, 3), (3, 3)):
+        model = train(samples, ngram_range, 1.0)
+        margins = langid._margins_for(model, "ro")
+        assert margins is not None
+        arrays = _packed_arrays(margins)
+        rows = len(model.rows)
+        # per row a code and one difference (8 bytes at most each), one
+        # code point per letter, at most 0x800 map entries and one prior gap
+        assert sum(array.nbytes for array in arrays) <= 16 * rows + 4 * 301 + 8 * 0x800 + 8
+        assert max(array.size for array in arrays) <= max(rows, 0x800) < 300 ** 2
+        for _ in range(3):
+            text = "".join(rng.choice(alphabet) for _ in range(30))
+            assert agreement_filter(text, model, model, "ro", 0.5) \
+                == reference_agreement(text, model, model, "ro", 0.5)
+
+
+def test_a_model_whose_codes_overflow_int64_is_scored_exactly(exact_calls):
+    # 7,200 letters: a 5-gram code needs 7,201 ** 5 > 2 ** 63 values
+    letters = [chr(c) for c in range(0x4E00, 0x4E00 + 7200)]
+    samples = [("".join(letters[:3600]), "ro"), ("".join(letters[3600:]), "en"),
+               ("".join(letters[:3600:2]), "ro")]
+    texts = ["".join(letters[10:40]), "".join(letters[4000:4030]),
+             "".join(letters[10:20] + letters[4000:4020]), "".join(letters[:4])]
+    five, four = train(samples, (5, 5), 1.0), train(samples, (4, 4), 1.0)
+    assert len(langid._margins_for(four, "ro").points) ** 5 > 2 ** 63
+    assert langid._margins_for(five, "ro") is None
+    del exact_calls[:]
+    verdicts = langid.agreement_batch(texts, five, four, "ro", 0.5)
+    assert verdicts == [reference_agreement(text, five, four, "ro", 0.5) for text in texts]
+    assert verdicts[:2] == [True, False]
+    # model A on every text; model B, below the limit, from its margins
+    assert exact_calls == [five] * len(texts)
 
 
 # --- reference trainer -------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import tracemalloc
 from collections import Counter
@@ -480,13 +481,13 @@ def test_clean_matches_a_language_first_oracle(tmp_path, monkeypatch, workers):
 def test_clean_never_scores_a_filter_rejected_tweet(tmp_path, monkeypatch):
     cfg = _four_kinds_workspace(tmp_path)
     scored = []
-    real_filter = pipeline.agreement_filter
+    real_gate = pipeline.agreement_batch
 
-    def spy(text, *args):
-        scored.append(text)
-        return real_filter(text, *args)
+    def spy(texts, *args):
+        scored.extend(texts)
+        return real_gate(texts, *args)
 
-    monkeypatch.setattr(pipeline, "agreement_filter", spy)
+    monkeypatch.setattr(pipeline, "agreement_batch", spy)
     manifest = stage_clean(cfg)
     rejected = manifest.counts["rejected"]
     filtered = sum(rejected.values()) - rejected["not_target_language"]
@@ -499,11 +500,12 @@ def test_clean_never_scores_a_filter_rejected_tweet(tmp_path, monkeypatch):
 
 def test_clean_rewrites_only_the_tweets_it_keeps(tmp_path, monkeypatch):
     cfg = dataclasses.replace(_four_kinds_workspace(tmp_path), workers=1)
-    calls = {"agreement_filter": [], "normalize_entities": [], "translate_emojis": []}
+    calls = {"agreement_batch": [], "normalize_entities": [], "translate_emojis": []}
     for name, log in calls.items():
-        def spy(text, *args, real=getattr(pipeline, name), log=log):
+        def spy(text, *args, real=getattr(pipeline, name), log=log,
+                batch=name == "agreement_batch"):
             result = real(text, *args)
-            log.append((text, result))
+            log.extend(zip(text, result) if batch else [(text, result)])
             return result
 
         monkeypatch.setattr(pipeline, name, spy)
@@ -515,7 +517,7 @@ def test_clean_rewrites_only_the_tweets_it_keeps(tmp_path, monkeypatch):
     normalized = calls["normalize_entities"]
     assert len(normalized) == len(calls["translate_emojis"]) == emitted
     assert [text for text, _ in calls["translate_emojis"]] == [out for _, out in normalized]
-    gate_rejected = {text for text, passed in calls["agreement_filter"] if not passed}
+    gate_rejected = {text for text, passed in calls["agreement_batch"] if not passed}
     for text, _ in normalized:
         assert apply_filters(text, count_entities(text), cfg.filters).accepted
         assert text not in gate_rejected
@@ -1108,7 +1110,7 @@ TWEETS = st.builds(
 @given(TWEETS, st.text(RECORD_CHARS, min_size=1))
 def test_clean_splices_its_text_into_a_record_as_serialize_record_writes_it(tweet, text):
     line = serialize_record(tweet).encode("utf-8") + b"\n"
-    with mock.patch.object(pipeline, "clean_tweet_text", lambda _, ctx: (text, "none")):
+    with mock.patch.object(pipeline, "_clean_texts", lambda texts, ctx: [(text, "none")]):
         [(record, reason)] = pipeline._clean_batch(None, (Path("shard.jsonl"), 1, [line]))
     assert record == serialize_record(dataclasses.replace(tweet, text=text))
 
@@ -1255,6 +1257,41 @@ def test_a_shard_text_holding_a_lone_surrogate_is_malformed(workspace, stage, su
              "clean": ("--model-a", cfg.langid_model_a, "--model-b", cfg.langid_model_b)}
     proc = run_cli(stage, "--output-dir", cfg.output_dir, *flags.get(stage, ()))
     assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+
+def test_pretrain_data_names_a_corpus_line_that_is_not_utf8_from_one_read(workspace,
+                                                                          monkeypatch):
+    """The bad line is found in the bytes the stage read and hashed: the
+    shard is opened once, by the stage's reader, and never read again."""
+    cfg, root = workspace
+    for stage in ("ingest", "clean", "segment", "vocab"):
+        run_stage(stage, cfg)
+    segmented = root / "out" / "segment"
+    corpus = segmented / "corpus-00000.txt"
+    first, rest = corpus.read_bytes().split(b"\n", 1)
+    # text mode ends a line at "\r" too: the bad byte is on line 4
+    corpus.write_bytes(first + b"\nUnu.\rDoi.\r\nCe\xff faci?\n" + rest)
+    manifest = segmented / "manifest-segment.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["outputs"][corpus.name] = file_digest(corpus)
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+
+    opened = []
+
+    def spying(real):  # notes the path of each call: its first argument, or a method's self
+        def spy(*args, **kwargs):
+            opened.extend(Path(a) for a in args[:2] if isinstance(a, (str, Path)))
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(pipeline._Hashed, "__init__", spying(pipeline._Hashed.__init__))
+    monkeypatch.setattr("builtins.open", spying(open))
+    for name in ("open", "read_bytes", "read_text"):
+        monkeypatch.setattr(Path, name, spying(getattr(Path, name)))
+    message = f"stage pretrain-data: {corpus}:4: not UTF-8 (byte 0xff)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        run_stage("pretrain-data", cfg)
+    assert opened.count(corpus) == 1
 
 
 @pytest.mark.parametrize("outputs", [

@@ -15,8 +15,8 @@ from tweetcorpus.pipeline import CONFIG_KEYS, PIPELINE, STAGES
 PACKAGE = Path(tweetcorpus.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # imported only so that bench/tracing.py can wrap them by name on this module
-REEXPORTED = {("pipeline", "build_instances"), ("pipeline", "parse_record"),
-              ("pipeline", "write_records")}
+REEXPORTED = {("pipeline", "agreement_filter"), ("pipeline", "build_instances"),
+              ("pipeline", "parse_record"), ("pipeline", "write_records")}
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -5,6 +5,7 @@ hashtag letter is ``str.isalnum`` or ``_``, under this Python's
 ``unicodedata``; the package runs without the ``regex`` engine.
 """
 
+import io
 import os
 import re
 import subprocess
@@ -29,6 +30,7 @@ from tweetcorpus.normalize import (
     default_emoji_map,
     normalize_entities,
     read_text_lines,
+    text_line_blocks,
     translate_emojis,
     unescape_basic_entities,
 )
@@ -109,6 +111,38 @@ def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, data, lineno,
     path.write_bytes(data)
     with pytest.raises(error, match=re.escape(f"{path}:{lineno}: not UTF-8")):
         read_text_lines(path, error)
+
+
+def _lines_or_error(source, size):
+    try:
+        return [line for block in text_line_blocks("f.txt", source, DataError, size)
+                for line in block]
+    except DataError as exc:
+        return str(exc)
+
+
+# line ends, one- to four-byte characters, and bytes that are not UTF-8
+# (a lone continuation byte, 0xff, and a lead byte whose sequence is cut)
+TEXT_BYTES = st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\r\n", "\u0103".encode(),
+                                       "\u20ac".encode(), "\U0001F600".encode(), b"\x80",
+                                       b"\xff", b"\xe2\x82"]), max_size=30).map(b"".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEXT_BYTES, st.integers(1, 9))
+def test_text_read_a_block_at_a_time_is_the_text_read_whole(data, size):
+    # the lines and the line a bad byte is on do not depend on where blocks end
+    whole = _lines_or_error(io.BytesIO(data), -1)
+    assert _lines_or_error(io.BytesIO(data), size) == whole
+    try:
+        expected = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        # text mode reads the good bytes before the bad one; the next line holds it
+        read = list(io.TextIOWrapper(io.BytesIO(data[:exc.start]), encoding="utf-8"))
+        lineno = len(read) + (not read or read[-1].endswith("\n"))
+        assert whole == f"f.txt:{lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})"
+    else:
+        assert whole == [line.rstrip("\n") for line in io.StringIO(expected, newline=None)]
 
 
 BOM_MESSAGE = ":1: starts with a byte-order mark (U+FEFF)"

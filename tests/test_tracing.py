@@ -129,11 +129,13 @@ def test_the_pipeline_runs_each_stage_once_through_its_traced_name(tmp_path, tra
 
 
 # Wrapped by name, but called by nothing: dedup keys are BLAKE2b digests,
-# the gate scores without ``classify``, and the pipeline builds and
-# writes records through ``build_records``. Deleting them needs the
-# benchmark's tracer to stop wrapping them.
-UNCALLED = {"hashing.fnv1a64_text", "langid.classify", "pretrain.build_instances",
-            "pretrain.write_records"}
+# the gate scores without ``classify``, clean scores a batch at a time
+# with ``agreement_batch``, not per tweet through ``clean_tweet_text`` and
+# ``agreement_filter``, and the pipeline builds and writes records
+# through ``build_records``. Deleting them needs the benchmark's tracer to
+# stop wrapping them.
+UNCALLED = {"hashing.fnv1a64_text", "langid.classify", "langid.agreement_filter",
+            "pipeline.clean_tweet_text", "pretrain.build_instances", "pretrain.write_records"}
 
 
 def test_every_traced_name_but_the_uncalled_records_a_call(tmp_path, tracing):
